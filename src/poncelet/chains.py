@@ -44,7 +44,10 @@ from .ratpoly import (
     chain_next_vector,
     constant_vector,
     exact_newton,
+    normalize_pair,
+    poly_gcd,
     primitive,
+    to_complex,
     variable_vector,
 )
 from .rp1 import RP1Point, StereoChart
@@ -286,13 +289,7 @@ class ClosureSystem:
 
 
 def _mag(z) -> float:
-    if isinstance(z, GaussQ):
-        return abs(complex(z))
-    if isinstance(z, Fraction):
-        from .ratpoly import _frac_to_float
-
-        return abs(_frac_to_float(z))
-    return abs(complex(z))
+    return abs(to_complex(z))
 
 
 def closure_system(
@@ -323,20 +320,23 @@ def closure_system(
             det = consts[i][0] * consts[j][1] - consts[i][1] * consts[j][0]
             if det.is_zero():
                 raise DegenerateInput("known chain points must be pairwise distinct")
-    while len(vecs) < n + 2:
-        vecs.append(chain_next_vector(vecs[-6:]))
-    closing = _closure_bracket(vecs[n], vecs[0])
-    second = _closure_bracket(vecs[n + 1], vecs[1])
+    # the recursion runs on the starting points scaled to reduced integer
+    # pairs; chain_next_vector is homogeneous in each point, so the vectors
+    # it returns do not change, and only the stored starting points keep
+    # the caller's exact values
+    work = [normalize_pair(*v) for v in vecs]
+    while len(work) < n + 2:
+        work.append(chain_next_vector(work[-6:]))
+    vecs += work[6:]
+    closing = _closure_bracket(work[n], work[0])
+    second = _closure_bracket(work[n + 1], work[1])
     if closing.is_zero() or second.is_zero():
         raise DegenerateInput("closure condition vanished identically")
-    from .ratpoly import poly_gcd
-
-    genuine = poly_gcd(closing, second)
     # a common root forces both chain states to repeat, hence true closure;
     # the reduced vector pairs are coprime, so no zero-vector false positives
     return ClosureSystem(
         n, var_slot, gaussian, tuple(vecs),
-        primitive(closing), primitive(second), primitive(genuine),
+        primitive(closing), primitive(second), poly_gcd(closing, second),
     )
 
 
@@ -420,8 +420,6 @@ def count_solutions(points5: Sequence[ChainValue], n: int) -> int:
     polynomials, which realizes the double-wrap filter in exact arithmetic
     (robust even when genuine and spurious roots cluster).
     """
-    from .ratpoly import poly_gcd
-
     system = closure_system(points5, n)
     g = system.genuine
     if g.degree <= 0:
@@ -461,18 +459,8 @@ def chain_values(
     for vec in system.vectors[:n_points]:
         a, b = vec
         va, vb = a.eval_exact(val), b.eval_exact(val)
-        out.append(RP1Point(_to_complex(va), _to_complex(vb)))
+        out.append(RP1Point(to_complex(va), to_complex(vb)))
     return out
-
-
-def _to_complex(z) -> complex:
-    if isinstance(z, GaussQ):
-        return complex(z)
-    if isinstance(z, Fraction):
-        from .ratpoly import _frac_to_float
-
-        return complex(_frac_to_float(z), 0.0)
-    return complex(z)
 
 
 # ---------------------------------------------------------------------------

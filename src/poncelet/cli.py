@@ -308,6 +308,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.n < 6:
+        print("error: count needs --n >= 6", file=sys.stderr)
+        return EXIT_INPUT
     if args.values:
         try:
             vals = [Fraction(v.strip()) for v in args.values.split(",")]
@@ -352,6 +355,9 @@ def cmd_count(args) -> int:
         }
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
+    if args.values:
+        print(f"error: degenerate --values: {last_error}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"error: degenerate inputs exhausted retries: {last_error}", file=sys.stderr)
     return EXIT_NUMERIC
 

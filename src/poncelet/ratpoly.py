@@ -3,9 +3,12 @@
 Engine behind the closure polynomials: chain points are carried as pairs
 (numerator, denominator) of polynomials in the coordinate of the unknown
 point, with a polynomial-GCD reduction after every step so that degrees
-match the reduced rational functions.  Floating inputs are converted to
+match the reduced rational functions.  On the rational path every reduced
+pair has primitive integer coefficients (plain Python ints), the GCD is the
+heuristic GCDHEU certified by exact division, and roots are polished by
+Newton steps in integer fixed point.  Floating inputs are converted to
 exact dyadic rationals, so there is a single exact code path; complex
-inputs use Gaussian rationals.
+inputs use Gaussian rationals and the field Euclid.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _as_gauss(x) -> GaussQ:
     raise TypeError(f"cannot convert {type(x).__name__} to GaussQ")
 
 
-Coeff = Union[Fraction, GaussQ]
+Coeff = Union[int, Fraction, GaussQ]
 
 
 def exact_scalar(z, gaussian: bool) -> Coeff:
@@ -112,8 +115,17 @@ def exact_scalar(z, gaussian: bool) -> Coeff:
     return Fraction(z)
 
 
+def _quo(a: Coeff, b: Coeff) -> Coeff:
+    """Exact field quotient; a quotient of ints stays an int when exact."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return a / b
+
+
 class Poly:
-    """Dense univariate polynomial, coefficients ascending, exact field."""
+    """Dense univariate polynomial, coefficients ascending, exact field
+    (ints, Fractions or GaussQ)."""
 
     __slots__ = ("c",)
 
@@ -176,7 +188,7 @@ class Poly:
                 rem.pop()
             if len(rem) - 1 < dd:
                 break
-            k = rem[-1] / lead
+            k = _quo(rem[-1], lead)
             pos = len(rem) - 1 - dd
             q[pos] = k
             for i in range(len(d)):
@@ -194,7 +206,7 @@ class Poly:
         if self.is_zero():
             return self
         lead = self.c[-1]
-        return Poly([z / lead for z in self.c])
+        return Poly([_quo(z, lead) for z in self.c])
 
     def eval_complex(self, x: complex, scale: float | None = None) -> complex:
         """Horner evaluation in complex floats; coefficients pre-scaled."""
@@ -208,13 +220,19 @@ class Poly:
         return acc
 
     def eval_exact(self, x: Coeff) -> Coeff:
-        """Horner evaluation in exact field arithmetic."""
+        """Exact value at x (Fraction, or GaussQ on the Gaussian path), from one
+        homogeneous evaluation in integers."""
+        gauss = isinstance(x, (GaussQ, complex)) or _is_gauss(self)
+        x = _as_gauss(x) if gauss else Fraction(x)
         if self.is_zero():
             return x * 0
-        acc = x * 0
-        for z in reversed(self.c):
-            acc = acc * x + z
-        return acc
+        xr, xi = (x.re, x.im) if gauss else (x, 0)
+        w = math.lcm(xr.denominator, xi.denominator)
+        c, den = _gauss_ints(self)
+        hr, hi = _hom_eval(c, xr.numerator * (w // xr.denominator),
+                           xi.numerator * (w // xi.denominator), w)
+        den *= w ** self.degree
+        return GaussQ(Fraction(hr, den), Fraction(hi, den)) if gauss else Fraction(hr, den)
 
     def derivative(self) -> "Poly":
         if self.degree < 1:
@@ -238,7 +256,7 @@ def _coeff_norm(z: Coeff) -> float:
     return abs(_frac_to_float(z))
 
 
-def _frac_to_float(f: Fraction) -> float:
+def _frac_to_float(f: Fraction | int) -> float:
     try:
         return float(f)
     except OverflowError:
@@ -248,7 +266,17 @@ def _frac_to_float(f: Fraction) -> float:
         if shift > 0:
             n >>= shift
             d >>= shift
-        return n / d if d else math.inf
+        return n / d if d else math.copysign(math.inf, n)
+
+
+def to_complex(z: Coeff) -> complex:
+    """Complex value of an exact scalar; magnitudes past the float range
+    become infinities instead of raising OverflowError."""
+    if isinstance(z, GaussQ):
+        return complex(_frac_to_float(z.re), _frac_to_float(z.im))
+    if isinstance(z, (int, Fraction)):
+        return complex(_frac_to_float(z), 0.0)
+    return complex(z)
 
 
 def _coeff_to_complex(z: Coeff, scale: float) -> complex:
@@ -257,7 +285,11 @@ def _coeff_to_complex(z: Coeff, scale: float) -> complex:
     return complex(_frac_to_float(z) / scale, 0.0)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
+def _is_gauss(p: Poly) -> bool:
+    return any(isinstance(z, GaussQ) for z in p.c)
+
+
+def _field_gcd(a: Poly, b: Poly) -> Poly:
     """Monic GCD over the coefficient field (Euclid with monic remainders)."""
     a, b = a.monic() if not a.is_zero() else a, b.monic() if not b.is_zero() else b
     while not b.is_zero():
@@ -267,44 +299,138 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def _int_content_normalize(polys: list[Poly]) -> list[Poly]:
-    """Jointly scale Fraction-coefficient polynomials to primitive integers."""
-    from math import gcd
+# ---------------------------------------------------------------------------
+# integer polynomials: ascending lists of Python ints, last entry nonzero
 
-    denoms = [z.denominator for p in polys for z in p.c]
-    if not denoms:
-        return polys
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    nums = [abs(z.numerator * (lcm // z.denominator)) for p in polys for z in p.c if z]
-    if not nums:
-        return polys
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    g = g or 1
-    k = Fraction(lcm, g)
-    return [p.scale(k) for p in polys]
+
+def _integral(*coeff_lists: Sequence) -> list[list[int]]:
+    """Rational coefficient lists jointly scaled by their common denominator."""
+    den = math.lcm(*(z.denominator for c in coeff_lists for z in c))
+    return [[z.numerator * (den // z.denominator) for z in c] for c in coeff_lists]
+
+
+def _primitive_ints(f: list[int]) -> list[int]:
+    """Primitive part with a positive leading coefficient."""
+    c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return [z // c for z in f]
+
+
+def _exact_quo(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g in Z[x] if g divides f exactly, else None."""
+    dg = len(g) - 1
+    if len(f) - 1 < dg:
+        return None
+    rem = list(f)
+    lead = g[-1]
+    q = [0] * (len(f) - dg)
+    for pos in range(len(q) - 1, -1, -1):
+        k, r = divmod(rem[pos + dg], lead)
+        if r:
+            return None
+        q[pos] = k
+        if k:
+            for i in range(dg):
+                rem[pos + i] -= k * g[i]
+    if any(rem[:dg]):
+        return None
+    return q
+
+
+def _pack(f: list[int], k: int) -> int:
+    """f(2^k)."""
+    acc = 0
+    for z in reversed(f):
+        acc = (acc << k) + z
+    return acc
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """Balanced base-2^k digits of v, least significant first."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    while v:
+        d = v & mask
+        if d > half:
+            d -= 1 << k
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+HEU_GCD_TRIES = 6
+
+
+def _heu_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """GCDHEU (Char, Geddes & Gonnet 1989) on primitive integer polynomials.
+
+    The candidate rebuilt from the balanced digits of gcd(f(xi), g(xi)) is
+    the GCD once it divides both inputs, because xi = 2^k exceeds twice the
+    larger coefficient norm plus 2; the exact quotients come back with it.
+    After HEU_GCD_TRIES unlucky evaluation points it gives up and returns
+    None.
+    """
+    k = (2 * max(max(map(abs, f)), max(map(abs, g))) + 2).bit_length()
+    for _ in range(HEU_GCD_TRIES):
+        h = _primitive_ints(_unpack(math.gcd(_pack(f, k), _pack(g, k)), k))
+        qf = _exact_quo(f, h)
+        if qf is not None:
+            qg = _exact_quo(g, h)
+            if qg is not None:
+                return h, qf, qg
+        k += k // 4 + 2
+    return None
+
+
+def _gcd_cofactors(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for nonzero integer polynomials, h primitive with a
+    positive leading coefficient; the cofactors are exact integer quotients."""
+    cf, cg = math.gcd(*f), math.gcd(*g)
+    pf, pg = [z // cf for z in f], [z // cg for z in g]
+    found = _heu_gcd(pf, pg)
+    if found is None:
+        h = list(primitive(_field_gcd(Poly(pf), Poly(pg))).c)
+        found = h, _exact_quo(pf, h), _exact_quo(pg, h)
+    h, qf, qg = found
+    return h, [cf * z for z in qf], [cg * z for z in qg]
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """GCD in the canonical form of ``primitive``.
+
+    Rational inputs run GCDHEU on integer coefficients, certified by exact
+    division, with the field Euclid as fallback; Gaussian inputs use the
+    field Euclid alone.
+    """
+    if a.is_zero() or b.is_zero() or _is_gauss(a) or _is_gauss(b):
+        return primitive(_field_gcd(a, b))
+    (f,), (g,) = _integral(a.c), _integral(b.c)
+    return Poly(_gcd_cofactors(f, g)[0])
 
 
 def normalize_pair(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Reduce a homogeneous polynomial pair: cancel the GCD, tame coefficients."""
+    """Reduce a homogeneous polynomial pair: cancel the GCD, tame coefficients.
+
+    Rational pairs come out as jointly primitive integer polynomials with the
+    leading coefficient of ``b`` (of ``a`` when ``b`` is zero) positive;
+    Gaussian pairs come out with that coefficient equal to 1.
+    """
     if a.is_zero() and b.is_zero():
         return a, b
-    if not a.is_zero() and not b.is_zero():
-        g = poly_gcd(a, b)
-        if g.degree > 0:
-            a = a // g
-            b = b // g
-    ref = b if not b.is_zero() else a
-    lead = ref.c[-1]
-    if isinstance(lead, GaussQ):
-        a, b = a.scale(GaussQ(1) / lead), b.scale(GaussQ(1) / lead)
-        return a, b
-    a, b = a.scale(1 / lead), b.scale(1 / lead)
-    a, b = _int_content_normalize([a, b])
-    return a, b
+    if _is_gauss(a) or _is_gauss(b):
+        if not a.is_zero() and not b.is_zero():
+            g = _field_gcd(a, b)
+            if g.degree > 0:
+                a = a // g
+                b = b // g
+        lead = (b if not b.is_zero() else a).c[-1]
+        return a.scale(GaussQ(1) / lead), b.scale(GaussQ(1) / lead)
+    f, g = _integral(a.c, b.c)
+    if f and g:
+        _, f, g = _gcd_cofactors(f, g)
+    k = math.gcd(*f, *g)
+    if (g or f)[-1] < 0:
+        k = -k
+    return Poly([z // k for z in f]), Poly([z // k for z in g])
 
 
 def primitive(p: Poly) -> Poly:
@@ -312,12 +438,10 @@ def primitive(p: Poly) -> Poly:
     (rational case) or monic (Gaussian case)."""
     if p.is_zero():
         return p
-    if isinstance(p.c[-1], GaussQ):
+    if _is_gauss(p):
         return p.monic()
-    (q,) = _int_content_normalize([p.monic()])
-    if q.c[-1] < 0:
-        q = q.scale(Fraction(-1))
-    return q
+    (f,) = _integral(p.c)
+    return Poly(_primitive_ints(f))
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +480,39 @@ def variable_vector(gaussian: bool) -> PolyVec:
     return Poly([zero, one]), Poly([one])
 
 
-def round_dyadic(x: Coeff, bits: int = 200) -> Coeff:
-    """Round an exact scalar to the 2^-bits grid to cap denominator growth."""
-    if isinstance(x, GaussQ):
-        return GaussQ(_round_frac(x.re, bits), _round_frac(x.im, bits))
-    return _round_frac(Fraction(x), bits)
+def _round_div(n: int, d: int) -> int:
+    """n / d rounded half to even, as ``round(Fraction(n, d))``; d > 0."""
+    q, r = divmod(n, d)
+    r2 = 2 * r
+    if r2 > d or (r2 == d and q & 1):
+        q += 1
+    return q
 
 
-def _round_frac(f: Fraction, bits: int) -> Fraction:
-    scaled = f * (1 << bits)
-    return Fraction(round(scaled), 1 << bits)
+def _ratio_float(n: int, d: int) -> float:
+    try:
+        return n / d
+    except OverflowError:
+        return _frac_to_float(Fraction(n, d))
+
+
+def _gauss_ints(p: Poly) -> tuple[list[tuple[int, int]], int]:
+    """Coefficients as Gaussian-integer pairs times their common denominator,
+    and that denominator."""
+    parts = [x for z in p.c for x in ((z.re, z.im) if isinstance(z, GaussQ) else (z, 0))]
+    den = math.lcm(*(x.denominator for x in parts))
+    flat = [x.numerator * (den // x.denominator) for x in parts]
+    return list(zip(flat[0::2], flat[1::2])), den
+
+
+def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, int]:
+    """w^deg * p(x) at x = (xr + i*xi) / w, exactly in Gaussian integers."""
+    ar, ai = c[-1]
+    wk = 1
+    for cr, ci in reversed(c[:-1]):
+        wk *= w
+        ar, ai = ar * xr - ai * xi + cr * wk, ar * xi + ai * xr + ci * wk
+    return ar, ai
 
 
 def exact_newton(
@@ -373,28 +520,38 @@ def exact_newton(
 ) -> tuple[Coeff, complex]:
     """Polish a root with Newton steps in exact arithmetic.
 
-    Iterates in the field of the coefficients (dyadically rounded between
-    steps) so clustered roots separate far below double precision; returns
-    both the exact iterate and its complex value.
+    The iterate is kept on the 2^-bits grid as an integer (or Gaussian
+    integer) numerator; each step evaluates p and p' homogeneously in
+    integers and rounds the new iterate half to even, so clustered roots
+    separate far below double precision.  Returns both the exact iterate and
+    its complex value.
     """
     gaussian = isinstance(p.c[0], GaussQ) or abs(seed.imag) > 0
-    x: Coeff = round_dyadic(_as_gauss(seed) if gaussian else Fraction(seed.real), bits)
-    dp = p.derivative()
+    one = 1 << bits
+    xr = round(Fraction(seed.real) * one)
+    xi = round(Fraction(seed.imag) * one) if gaussian else 0
+    c, _ = _gauss_ints(p)
+    dc = [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
     for _ in range(steps):
-        fx = p.eval_exact(x)
-        if not fx:
+        fr, fi = _hom_eval(c, xr, xi, one)
+        if not (fr or fi):
             break
-        dx = dp.eval_exact(x)
-        if not dx:
+        dr, di = _hom_eval(dc, xr, xi, one) if dc else (0, 0)
+        if not (dr or di):
             break
-        step = fx / dx
-        x = round_dyadic(x - step, bits)
-        if isinstance(step, GaussQ):
-            mag = math.hypot(_frac_to_float(step.re), _frac_to_float(step.im))
+        # step = f / (d * 2^bits); the new numerator is round(x - f / d)
+        if gaussian:
+            den = dr * dr + di * di
+            nr, ni = fr * dr + fi * di, fi * dr - fr * di
+            xr = _round_div(xr * den - nr, den)
+            xi = _round_div(xi * den - ni, den)
+            mag = math.hypot(_ratio_float(nr, den << bits), _ratio_float(ni, den << bits))
         else:
-            mag = abs(_frac_to_float(step))
+            if dr < 0:
+                fr, dr = -fr, -dr
+            xr = _round_div(xr * dr - fr, dr)
+            mag = abs(_ratio_float(fr, dr << bits))
         if mag < 1e-45:
             break
-    if isinstance(x, GaussQ):
-        return x, complex(_frac_to_float(x.re), _frac_to_float(x.im))
-    return x, complex(_frac_to_float(x), 0.0)
+    x: Coeff = GaussQ(Fraction(xr, one), Fraction(xi, one)) if gaussian else Fraction(xr, one)
+    return x, to_complex(x)

@@ -143,6 +143,23 @@ class TestCountCommand:
     def test_bad_values_exit_2(self):
         assert run(["count", "--n", "8", "--values=1,2"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--n", "5", "--values=-1,0,1,4,5"],
+        ["--n", "8", "--values=1,1,2,3,4"],
+        ["--n", "5", "--seed", "3"],
+    ])
+    def test_rejected_inputs_exit_2_without_retries(self, args, capsys, monkeypatch):
+        from poncelet import chains
+
+        calls = []
+        solve = chains.closure_roots
+        monkeypatch.setattr(chains, "closure_roots", lambda *a: calls.append(a) or solve(*a))
+        assert run(["count", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "retries" not in err
+        assert len(calls) <= 1
+
 
 class TestRenderCommand:
     def test_heptagon_svg_element_counts(self, tmp_path):

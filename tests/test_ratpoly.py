@@ -1,5 +1,6 @@
 """Exact polynomial engine: field ops, gcd, Newton polishing."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,28 @@ class TestExactNewton:
         p = P(1, 0, 1)  # x^2 + 1
         _, approx = exact_newton(p, complex(0.1, 1.2))
         assert abs(approx - 1j) < 1e-12
+
+
+class TestHugeIntegerCoefficients:
+    """Integer coefficients past the float range convert without OverflowError."""
+
+    BIG = 1 << 2000
+
+    def test_scalar_conversions(self):
+        from poncelet.chains import _mag
+        from poncelet.ratpoly import _coeff_norm, _frac_to_float, to_complex
+
+        assert _coeff_norm(self.BIG) == math.inf
+        assert _frac_to_float(-self.BIG) == -math.inf
+        assert to_complex(-self.BIG) == complex(-math.inf, 0.0)
+        assert _mag(self.BIG) == math.inf
+        assert _mag(GaussQ(self.BIG, 1)) == math.inf
+
+    def test_poly_float_views(self):
+        p = Poly([1, self.BIG])
+        assert math.isinf(p.eval_complex(0.5, scale=1.0).real)
+        assert p.complex_coefficients()[0] == 0j
+
+    def test_huge_values_stay_exact(self):
+        p = Poly([self.BIG, 1])
+        assert p.eval_exact(Fraction(1, 3)) == self.BIG + Fraction(1, 3)
