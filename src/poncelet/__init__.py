@@ -100,8 +100,6 @@ from .rp1 import (
     octagon_point7_residual,
     quadset_residual,
     rp1_distance,
-    stereo_lift,
-    stereo_project,
 )
 from .settings import DEFAULT, Tolerances
 from .svg import render_svg

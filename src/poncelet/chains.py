@@ -41,6 +41,7 @@ from .ratpoly import (
     GaussQ,
     Poly,
     PolyVec,
+    _pv_bracket,
     chain_next_vector,
     constant_vector,
     exact_newton,
@@ -260,6 +261,13 @@ class ClosureSystem:
     second_wrap: Poly             # reduced numerator of the second-wrap condition
     genuine: Poly                 # gcd of the two wraps: exactly the genuine roots
 
+    def exact(self, x):
+        """``x`` as an exact scalar: floats and complexes convert exactly."""
+        if not isinstance(x, (float, complex)):
+            return x
+        z = complex(x)
+        return GaussQ.from_complex(z) if self.gaussian or z.imag != 0 else Fraction(z.real)
+
     def wrap_residuals(self, x) -> tuple[float, float]:
         """Both wrap gaps of the chain at a candidate root, in exact arithmetic.
 
@@ -267,12 +275,7 @@ class ClosureSystem:
         (converted exactly).  Exact evaluation means a spurious root can
         never masquerade as closing through float cancellation.
         """
-        if isinstance(x, (float, complex)):
-            z = complex(x)
-            if self.gaussian or z.imag != 0:
-                x = GaussQ.from_complex(z)
-            else:
-                x = Fraction(z.real)
+        x = self.exact(x)
         return (
             self._wrap_gap(x, self.n, 0),
             self._wrap_gap(x, self.n + 1, 1),
@@ -328,8 +331,8 @@ def closure_system(
     while len(work) < n + 2:
         work.append(chain_next_vector(work[-6:]))
     vecs += work[6:]
-    closing = _closure_bracket(work[n], work[0])
-    second = _closure_bracket(work[n + 1], work[1])
+    closing = _pv_bracket(work[n], work[0])
+    second = _pv_bracket(work[n + 1], work[1])
     if closing.is_zero() or second.is_zero():
         raise DegenerateInput("closure condition vanished identically")
     # a common root forces both chain states to repeat, hence true closure;
@@ -338,10 +341,6 @@ def closure_system(
         n, var_slot, gaussian, tuple(vecs),
         primitive(closing), primitive(second), poly_gcd(closing, second),
     )
-
-
-def _closure_bracket(u: PolyVec, v: PolyVec) -> Poly:
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def closure_polynomial(points5: Sequence[ChainValue], n: int) -> Poly:
@@ -451,10 +450,7 @@ def chain_values(
 ) -> list[RP1Point]:
     """First ``n_points`` chain points for a concrete sixth value (symbolic path)."""
     system = closure_system(points5, max(6, n_points - 2))
-    val = x6.value() if isinstance(x6, RP1Point) else x6
-    if isinstance(val, (float, complex)):
-        z = complex(val)
-        val = GaussQ.from_complex(z) if (system.gaussian or z.imag != 0) else Fraction(z.real)
+    val = system.exact(x6.value() if isinstance(x6, RP1Point) else x6)
     out = []
     for vec in system.vectors[:n_points]:
         a, b = vec

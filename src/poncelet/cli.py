@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: construct, verify, count, chain, render.  Exit codes are part
-of the contract: 0 success, 2 bad input (parse errors, degenerate input),
-3 construction degeneracy, 4 numeric failure (verification failed or the
-retry budget ran out).
+Subcommands: construct (6, 7, 8, 9, double, chain), verify, count, render.
+Exit codes are part of the contract: 0 success, 2 bad input (parse errors,
+malformed documents, degenerate input), 3 construction degeneracy (also when
+construct's retry budget runs out), 4 numeric failure (verification failed, or
+count's retry budget ran out).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import chains
 from .chains import PonceletScene, closure_test
@@ -46,7 +48,6 @@ from .rp1 import (
     ninegon_residual,
     octagon_point7_residual,
 )
-from .settings import DEFAULT, check_precision
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -83,148 +84,151 @@ def _proper(points, gap: float = PROPERNESS_GAP) -> bool:
     )
 
 
-def _scene_residuals(scene: PonceletScene, n: int) -> dict[str, float]:
-    rep = closure_test(scene.outer, scene.inner, scene.vertices[0], n)
-    out = dict(scene.verify())
-    out["closure_p"] = rep.residual_p
-    out["closure_q"] = rep.residual_q
-    return out
+def _proper_scene(verts: list[ProjPoint], gap: float = PROPERNESS_GAP) -> PonceletScene | None:
+    """Closed polygon scene on the vertices; None when two nearly coincide."""
+    return polygon_scene(verts, len(verts)) if _proper(verts, gap) else None
 
 
-def _bracket_residual_for(kind: str, scene: PonceletScene) -> dict[str, float]:
+def _input_scene(path: str, min_vertices: int = 1) -> PonceletScene:
+    scene = _load_document(path).scene
+    if scene is None or len(scene.vertices) < min_vertices:
+        raise DocumentError(f"input document needs a scene with >= {min_vertices} vertices")
+    return scene
+
+
+def _build_hexagon(rng, args):
+    pts = sample_ring_points(rng, 5)
+    return _proper_scene(pts + [complete_hexagon_p6(pts)]), None
+
+
+def _build_heptagon(rng, args):
+    pts = sample_ring_points(rng, 5)
+    p6, trace = construct_heptagon_p6(pts, args.branch)
+    return _proper_scene(pts + [p6, complete_heptagon(pts + [p6])]), trace
+
+
+def _build_octagon(rng, args):
+    pts = sample_ring_points(rng, 5)
+    p7, trace = construct_octagon_p7(pts, args.branch)
+    p6, p8, center = complete_octagon(pts, p7)
+    trace.add("center", center)
+    return _proper_scene(pts + [p6, p7, p8]), trace
+
+
+def _build_ninegon(rng, args):
+    pts = sample_ring_points(rng, 5)
+    cands, trace = construct_ninegon_p4(pts)
+    p4 = cands[args.branch % 3]
+    chart = moderate_chart(conic_fit(pts + [p4]), pts + [p4])
+    xs = [chart.project(p) for p in (pts[0], pts[1], pts[2], p4, pts[3], pts[4])]
+    while len(xs) < 9:
+        xs.append(next_chain_point(xs[-6:]))
+    return _proper_scene([chart.lift(x) for x in xs], gap=0.02), trace
+
+
+def _build_doubled(rng, args):
+    if args.infile:
+        src = _input_scene(args.infile)
+    else:
+        src = polygon_scene(sample_ring_points(rng, 5), 5)
+    return doubling(src)
+
+
+def _build_chain(rng, args) -> SceneDocument | None:
+    if args.infile:
+        base = _input_scene(args.infile, min_vertices=6)
+        seed_pts, conic = list(base.vertices[:6]), base.outer
+    else:
+        # chain seeds must be conconic: put them on the unit circle
+        seed_pts = [
+            ProjPoint(math.cos(a), math.sin(a), 1)
+            for a in sorted(rng.uniform(0, 2 * math.pi) for _ in range(6))
+        ]
+        if not _proper(seed_pts):
+            return None
+        conic = conic_fit(seed_pts)
+    chain = chain_iterate_joinmeet(seed_pts, conic, args.steps)
+    doc = SceneDocument(kind="chain", n=chain.closed_period, trace=chain.trace)
+    doc.residuals = {"max_on_conic": max(conic_contains(conic, p) for p in chain.points)}
+    if chain.closed_period is not None and chain.closed_period >= 7:
+        doc.configuration, _ = config_from_chain_trace(chain)
+        doc.residuals["n4_pass"] = float(verify_n4(doc.configuration).passed)
+    return doc
+
+
+class ConstructKind(NamedTuple):
+    """One kind of ``construct``.
+
+    ``build(rng, args)`` makes one attempt: it returns the scene (None if the
+    draw is improper and must be redrawn) and its trace, or a finished
+    document for kinds without a scene.  ``bracket`` is the residual name,
+    function and vertex indices of the polygon's bracket condition, which
+    ``construct`` and ``verify`` both report.
+    """
+
+    doc_kind: str
+    build: Callable
+    bracket: tuple[str, Callable, tuple[int, ...]] | None = None
+    reads_input: bool = False
+
+
+CONSTRUCT_KINDS = {
+    "6": ConstructKind("hexagon", _build_hexagon),
+    "7": ConstructKind("heptagon", _build_heptagon,
+                       ("heptagon6_gap", heptagon6_residual, (0, 1, 2, 3, 4, 5))),
+    "8": ConstructKind("octagon", _build_octagon,
+                       ("octagon_point7_gap", octagon_point7_residual, (0, 1, 2, 3, 4, 6))),
+    "9": ConstructKind("ninegon", _build_ninegon,
+                       ("ninegon_gap", ninegon_residual, (0, 1, 2, 3, 4, 6))),
+    "double": ConstructKind("doubled", _build_doubled, reads_input=True),
+    "chain": ConstructKind("chain", _build_chain, reads_input=True),
+}
+_BRACKETS = {k.doc_kind: k.bracket for k in CONSTRUCT_KINDS.values() if k.bracket}
+
+
+def _bracket_residuals(doc_kind: str, scene: PonceletScene) -> dict[str, float]:
+    if doc_kind not in _BRACKETS:
+        return {}
+    name, residual, picks = _BRACKETS[doc_kind]
     verts = list(scene.vertices)
+    if len(verts) <= max(picks):
+        raise DegenerateInput(f"the {doc_kind} bracket condition needs {max(picks) + 1} vertices")
     chart = moderate_chart(scene.outer, verts)
-    xs = [chart.project(p) for p in verts]
-    if kind == "heptagon":
-        return {"heptagon6_gap": heptagon6_residual(xs[:6]).scaled_gap}
-    if kind == "octagon":
-        sel = [xs[0], xs[1], xs[2], xs[3], xs[4], xs[6]]
-        return {"octagon_point7_gap": octagon_point7_residual(sel).scaled_gap}
-    if kind == "ninegon":
-        sel = [xs[0], xs[1], xs[2], xs[3], xs[4], xs[6]]
-        return {"ninegon_gap": ninegon_residual(sel).scaled_gap}
-    return {}
+    return {name: residual([chart.project(verts[i]) for i in picks]).scaled_gap}
+
+
+def _scene_document(doc_kind: str, scene: PonceletScene | None, trace) -> SceneDocument | None:
+    if scene is None:
+        return None
+    rep = closure_test(scene.outer, scene.inner, scene.vertices[0], scene.n)
+    residuals = {**scene.verify(), "closure_p": rep.residual_p, "closure_q": rep.residual_q}
+    residuals.update(_bracket_residuals(doc_kind, scene))
+    return SceneDocument(doc_kind, scene.n, scene=scene, trace=trace, residuals=residuals)
 
 
 def _build_construct(args) -> SceneDocument:
+    spec = CONSTRUCT_KINDS[args.kind]
     rng = random.Random(args.seed)
-    kind = args.kind
-    branch = args.branch or 0
-    for _ in range(RETRY_BUDGET):
+    # an input document fails the same way on every attempt: try it once
+    attempts = 1 if args.infile and spec.reads_input else RETRY_BUDGET
+    for _ in range(attempts):
         try:
-            if kind == "6":
-                pts = sample_ring_points(rng, 5)
-                p6 = complete_hexagon_p6(pts)
-                verts = pts + [p6]
-                if not _proper(verts):
-                    continue
-                scene = polygon_scene(verts, 6)
-                doc = SceneDocument(kind="hexagon", n=6)
-                doc.scene = scene
-                doc.residuals = _scene_residuals(scene, 6)
-                return doc
-            if kind == "7":
-                pts = sample_ring_points(rng, 5)
-                p6, trace = construct_heptagon_p6(pts, branch)
-                p7 = complete_heptagon(pts + [p6])
-                verts = pts + [p6, p7]
-                if not _proper(verts):
-                    continue
-                scene = polygon_scene(verts, 7)
-                doc = SceneDocument(kind="heptagon", n=7)
-                doc.scene = scene
-                doc.trace = trace
-                doc.residuals = _scene_residuals(scene, 7)
-                doc.residuals.update(_bracket_residual_for("heptagon", scene))
-                return doc
-            if kind == "8":
-                pts = sample_ring_points(rng, 5)
-                p7, trace = construct_octagon_p7(pts, branch)
-                p6, p8, center = complete_octagon(pts, p7)
-                order = [pts[0], pts[1], pts[2], pts[3], pts[4], p6, p7, p8]
-                if not _proper(order):
-                    continue
-                trace.add("center", center)
-                scene = polygon_scene(order, 8)
-                doc = SceneDocument(kind="octagon", n=8)
-                doc.scene = scene
-                doc.trace = trace
-                doc.residuals = _scene_residuals(scene, 8)
-                doc.residuals.update(_bracket_residual_for("octagon", scene))
-                return doc
-            if kind == "9":
-                pts = sample_ring_points(rng, 5)
-                cands, trace = construct_ninegon_p4(pts)
-                p4 = cands[branch % 3]
-                chart = moderate_chart(conic_fit(list(pts) + [p4]), list(pts) + [p4])
-                xs = [chart.project(p) for p in (pts[0], pts[1], pts[2], p4, pts[3], pts[4])]
-                while len(xs) < 9:
-                    xs.append(next_chain_point(xs[-6:]))
-                verts = [chart.lift(x) for x in xs]
-                if not _proper(verts, gap=0.02):
-                    continue
-                scene = polygon_scene(verts, 9)
-                doc = SceneDocument(kind="ninegon", n=9)
-                doc.scene = scene
-                doc.trace = trace
-                doc.residuals = _scene_residuals(scene, 9)
-                doc.residuals.update(_bracket_residual_for("ninegon", scene))
-                return doc
-            if kind == "double":
-                if args.infile:
-                    base = _load_document(args.infile)
-                    if base.scene is None:
-                        raise DocumentError("input document carries no scene")
-                    src = base.scene
-                else:
-                    verts = sample_ring_points(rng, 5)
-                    src = polygon_scene(verts, 5)
-                scene, trace = doubling(src)
-                doc = SceneDocument(kind="doubled", n=scene.n)
-                doc.scene = scene
-                doc.trace = trace
-                doc.residuals = _scene_residuals(scene, scene.n)
-                return doc
-            if kind == "chain":
-                steps = args.steps if args.steps is not None else 12
-                if args.infile:
-                    base = _load_document(args.infile)
-                    if base.scene is None or len(base.scene.vertices) < 6:
-                        raise DocumentError("input document needs >= 6 scene vertices")
-                    seed_pts = list(base.scene.vertices[:6])
-                    conic = base.scene.outer
-                else:
-                    # chain seeds must be conconic: put them on the unit circle
-                    seed_pts = [
-                        ProjPoint(math.cos(a), math.sin(a), 1)
-                        for a in sorted(rng.uniform(0, 2 * math.pi) for _ in range(6))
-                    ]
-                    if not _proper(seed_pts):
-                        continue
-                    conic = conic_fit(seed_pts)
-                chain = chain_iterate_joinmeet(seed_pts, conic, steps)
-                doc = SceneDocument(kind="chain", n=chain.closed_period)
-                doc.residuals = {
-                    "max_on_conic": max(conic_contains(conic, p) for p in chain.points)
-                }
-                doc.trace = chain.trace
-                if chain.closed_period is not None and chain.closed_period >= 7:
-                    cfg, colors = config_from_chain_trace(chain)
-                    doc.configuration = cfg
-                    doc.residuals["n4_pass"] = float(verify_n4(cfg).passed)
-                return doc
-            raise DegenerateInput(f"unsupported construct kind {kind!r}")
-        except (ConstructionDegeneracy, NoValidLabeling):
+            doc = spec.build(rng, args)
+            if isinstance(doc, tuple):
+                doc = _scene_document(spec.doc_kind, *doc)
+        except (ConstructionDegeneracy, NoValidLabeling, DegenerateInput):
+            if attempts == 1:
+                raise
             continue
-        except DegenerateInput:
-            continue
-    raise ConstructionDegeneracy(f"retry budget exhausted for construct {kind}")
+        if doc is not None:
+            return doc
+    raise ConstructionDegeneracy(f"retry budget exhausted for construct {args.kind}")
 
 
 def _load_document(path: str) -> SceneDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return SceneDocument.from_json(text)
 
@@ -239,8 +243,6 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
     doc.seed = args.seed
-    doc.precision = check_precision(args.precision)
-    doc.tolerance = args.tolerance
     doc.command = f"construct {args.kind} --seed {args.seed}"
     text = doc.to_json()
     if args.out:
@@ -250,7 +252,7 @@ def cmd_construct(args) -> int:
     if args.svg:
         Path(args.svg).write_text(render_svg(doc), encoding="utf-8")
     threshold = 1e-6
-    bad = {k: v for k, v in doc.residuals.items() if k != "n4_pass" and v > threshold}
+    bad = {k: v for k, v in doc.residuals.items() if k != "n4_pass" and not v <= threshold}
     if bad:
         print(f"residuals above threshold: {bad}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -286,7 +288,7 @@ def cmd_verify(args) -> int:
                 checks["closure_p"] = rep.residual_p
                 checks["closure_q"] = rep.residual_q
             attempt("closure", closure)
-        attempt("bracket", lambda: checks.update(_bracket_residual_for(doc.kind, doc.scene)))
+        attempt("bracket", lambda: checks.update(_bracket_residuals(doc.kind, doc.scene)))
     if doc.trace is not None and doc.trace.incidences:
         attempt("trace", lambda: checks.__setitem__("trace_replay", doc.trace.replay()))
     if doc.configuration is not None:
@@ -300,7 +302,7 @@ def cmd_verify(args) -> int:
     for key, val in checks.items():
         if key == "n4_pass":
             continue
-        if val > tol:
+        if not val <= tol:  # a NaN residual fails too
             passed = False
     report = {"passed": passed, "n": n, "checks": checks}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -362,11 +364,6 @@ def cmd_count(args) -> int:
     return EXIT_NUMERIC
 
 
-def cmd_chain(args) -> int:
-    args.kind = "chain"
-    return cmd_construct(args)
-
-
 def cmd_render(args) -> int:
     try:
         doc = _load_document(args.infile)
@@ -381,6 +378,12 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="poncelet",
@@ -388,24 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--tolerance", type=float, default=DEFAULT.rel)
-        p.add_argument("--precision", default="double", choices=["double"])
-        p.add_argument("--branch", type=int, default=0, help="two-valued intersection choice")
-        p.add_argument("--steps", type=int, default=None, help="iteration steps (chain)")
-        p.add_argument("--in", dest="infile", default=None, help="input scene document")
-        p.add_argument("--out", default=None, help="output JSON path (default stdout)")
-        p.add_argument("--svg", default=None, help="also write an SVG rendering here")
-
     pc = sub.add_parser("construct", help="build a Poncelet polygon scene")
-    pc.add_argument("kind", choices=["6", "7", "8", "9", "double", "chain"])
-    common(pc)
+    pc.add_argument("kind", choices=list(CONSTRUCT_KINDS))
+    pc.add_argument("--seed", type=int, default=0, help="random seed")
+    pc.add_argument("--branch", type=int, default=0, help="two-valued intersection choice")
+    pc.add_argument("--steps", type=_at_least_one, default=12, help="iteration steps (chain)")
+    pc.add_argument("--in", dest="infile", default=None, help="input scene document")
+    pc.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    pc.add_argument("--svg", default=None, help="also write an SVG rendering here")
     pc.set_defaults(func=cmd_construct)
 
     pv = sub.add_parser("verify", help="re-verify a scene document")
     pv.add_argument("--in", dest="infile", required=True)
-    pv.add_argument("--n", type=int, default=None)
+    pv.add_argument("--n", type=_at_least_one, default=None)
     pv.set_defaults(func=cmd_verify)
 
     pn = sub.add_parser("count", help="closure solution count for random or given inputs")
@@ -413,10 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--seed", type=int, default=0)
     pn.add_argument("--values", default=None, help="5 comma-separated rationals")
     pn.set_defaults(func=cmd_count)
-
-    ph = sub.add_parser("chain", help="iterate the join/meet chain construction")
-    common(ph)
-    ph.set_defaults(func=cmd_chain)
 
     pr = sub.add_parser("render", help="render a scene document to SVG")
     pr.add_argument("--in", dest="infile", required=True)

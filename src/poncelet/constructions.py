@@ -33,8 +33,8 @@ from .projective import (
     Conic,
     ProjLine,
     ProjPoint,
+    _no_three_collinear,
     apply_map,
-    collinear,
     conic_conic_intersect,
     conic_contains,
     conic_through_5,
@@ -106,16 +106,6 @@ def _guard(fn, *args, step: str = ""):
         return fn(*args)
     except (CoincidentElements, DegenerateInput, NumericalRankDeficiency) as exc:
         raise ConstructionDegeneracy(f"step {step or fn.__name__} degenerate: {exc}") from exc
-
-
-def _no_three_collinear(points: Sequence[ProjPoint]) -> None:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            for k in range(j + 1, len(points)):
-                if collinear(points[i], points[j], points[k], tol=1e-10):
-                    raise DegenerateInput(
-                        f"input points {i + 1}, {j + 1}, {k + 1} are collinear"
-                    )
 
 
 def moderate_chart(conic: Conic, pts: Sequence[ProjPoint], variants: int = 6) -> StereoChart:

@@ -15,9 +15,9 @@ from typing import Any
 from .chains import PonceletScene
 from .configurations import IncidenceConfiguration, incidence_configuration
 from .constructions import ConstructionTrace
-from .errors import DocumentError
+from .errors import DocumentError, GeometryError
 from .projective import Conic, ProjLine, ProjMap, ProjPoint
-from .settings import DEFAULT, check_precision
+from .settings import DEFAULT
 
 FORMAT = "poncelet-scene"
 VERSION = 1
@@ -34,16 +34,12 @@ def _to_cplx(v) -> complex:
     return complex(v[0], v[1])
 
 
+def _cplxs(values) -> tuple[complex, ...]:
+    return tuple(_to_cplx(v) for v in values)
+
+
 def _vec(coords) -> list[list[float]]:
     return [_cplx(z) for z in coords]
-
-
-def _point(p: ProjPoint) -> list[list[float]]:
-    return _vec(p.coords)
-
-
-def _conic(c: Conic) -> list[list[float]]:
-    return _vec(c.entries)
 
 
 def _element_to_json(el) -> dict[str, Any]:
@@ -61,14 +57,47 @@ def _element_to_json(el) -> dict[str, Any]:
 def _element_from_json(d) -> Any:
     kind = d.get("kind")
     if kind == "point":
-        return ProjPoint(tuple(_to_cplx(v) for v in d["coords"]))
+        return ProjPoint(_cplxs(d["coords"]), stored=True)
     if kind == "line":
-        return ProjLine(tuple(_to_cplx(v) for v in d["coords"]))
+        return ProjLine(_cplxs(d["coords"]), stored=True)
     if kind == "conic":
-        return Conic(tuple(_to_cplx(v) for v in d["entries"]))
+        return Conic(_cplxs(d["entries"]), stored=True)
     if kind == "map":
-        return ProjMap(tuple(tuple(_to_cplx(v) for v in row) for row in d["rows"]))
+        return ProjMap(tuple(_cplxs(row) for row in d["rows"]), stored=True)
     raise DocumentError(f"unknown trace element kind {kind!r}")
+
+
+def _typed(d: dict, key: str, kind: type, default):
+    value = d.get(key, default)
+    if value is not default and (type(value) is bool or not isinstance(value, kind)):
+        raise DocumentError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _period(n) -> int | None:
+    if n is not None and (type(n) is not int or n < 1):
+        raise DocumentError(f"period n must be a positive integer, got {n!r}")
+    return n
+
+
+# element types an incidence relates, in the order the trace records them
+_INCIDENCE_TYPES = {"incident": (ProjPoint, ProjLine), "on_conic": (ProjPoint, Conic)}
+
+
+def _trace_from_json(t: dict) -> ConstructionTrace:
+    tr = ConstructionTrace()
+    for k, v in t.get("elements", {}).items():
+        tr.elements[k] = _element_from_json(v)
+    tr.branches = [(s, int(i)) for s, i in t.get("branches", [])]
+    tr.incidences = [tuple(x) for x in t.get("incidences", [])]
+    tr.notes = list(t.get("notes", []))
+    for inc in tr.incidences:
+        types = _INCIDENCE_TYPES.get(inc[0]) if len(inc) == 3 else None
+        if types is None or not all(
+            isinstance(tr.elements.get(label), t) for label, t in zip(inc[1:], types)
+        ):
+            raise DocumentError(f"trace incidence {list(inc)!r} names a missing element")
+    return tr
 
 
 @dataclass
@@ -101,10 +130,10 @@ class SceneDocument:
             out["seed"] = self.seed
         if self.scene is not None:
             out["scene"] = {
-                "outer": _conic(self.scene.outer),
-                "inner": _conic(self.scene.inner),
-                "vertices": [_point(p) for p in self.scene.vertices],
-                "touch_points": [_point(p) for p in self.scene.touch_points],
+                "outer": _vec(self.scene.outer.entries),
+                "inner": _vec(self.scene.inner.entries),
+                "vertices": [_vec(p.coords) for p in self.scene.vertices],
+                "touch_points": [_vec(p.coords) for p in self.scene.touch_points],
                 "n": self.scene.n,
             }
         if self.trace is not None:
@@ -121,7 +150,7 @@ class SceneDocument:
         if self.configuration is not None:
             cfg = self.configuration
             out["configuration"] = {
-                "points": [_point(p) for p in cfg.points],
+                "points": [_vec(p.coords) for p in cfg.points],
                 "lines": [_vec(l.coords) for l in cfg.lines],
                 "point_labels": cfg.point_labels,
                 "line_labels": cfg.line_labels,
@@ -140,44 +169,35 @@ class SceneDocument:
             raise DocumentError(f"not a {FORMAT} document")
         if d.get("version") != VERSION:
             raise DocumentError(f"unsupported document version {d.get('version')!r}")
-        doc = cls(
-            kind=d.get("kind", ""),
-            n=d.get("n"),
-            seed=d.get("seed"),
-            command=d.get("command", ""),
-            precision=check_precision(d.get("precision", "double")),
-            tolerance=float(d.get("tolerance", DEFAULT.rel)),
-        )
+        if d.get("precision", "double") != "double":
+            raise DocumentError(f"unsupported precision {d['precision']!r}")
         try:
+            doc = cls(
+                kind=_typed(d, "kind", str, ""),
+                n=_period(d.get("n")),
+                seed=_typed(d, "seed", int, None),
+                command=_typed(d, "command", str, ""),
+                tolerance=float(d.get("tolerance", DEFAULT.rel)),
+            )
             if "scene" in d:
                 s = d["scene"]
                 doc.scene = PonceletScene(
-                    Conic(tuple(_to_cplx(v) for v in s["outer"])),
-                    Conic(tuple(_to_cplx(v) for v in s["inner"])),
-                    tuple(
-                        ProjPoint(tuple(_to_cplx(v) for v in p)) for p in s["vertices"]
-                    ),
-                    tuple(
-                        ProjPoint(tuple(_to_cplx(v) for v in p))
-                        for p in s["touch_points"]
-                    ),
-                    s.get("n"),
+                    Conic(_cplxs(s["outer"]), stored=True),
+                    Conic(_cplxs(s["inner"]), stored=True),
+                    tuple(ProjPoint(_cplxs(p), stored=True) for p in s["vertices"]),
+                    tuple(ProjPoint(_cplxs(p), stored=True) for p in s["touch_points"]),
+                    _period(s.get("n")),
                 )
+                if not doc.scene.vertices:
+                    raise DocumentError("scene has no vertices")
             if "trace" in d:
-                t = d["trace"]
-                tr = ConstructionTrace()
-                for k, v in t.get("elements", {}).items():
-                    tr.elements[k] = _element_from_json(v)
-                tr.branches = [(s, int(i)) for s, i in t.get("branches", [])]
-                tr.incidences = [tuple(x) for x in t.get("incidences", [])]
-                tr.notes = list(t.get("notes", []))
-                doc.trace = tr
+                doc.trace = _trace_from_json(d["trace"])
             if "residuals" in d:
                 doc.residuals = {k: float(v) for k, v in d["residuals"].items()}
             if "configuration" in d:
                 c = d["configuration"]
-                points = [ProjPoint(tuple(_to_cplx(v) for v in p)) for p in c["points"]]
-                lines = [ProjLine(tuple(_to_cplx(v) for v in l)) for l in c["lines"]]
+                points = [ProjPoint(_cplxs(p), stored=True) for p in c["points"]]
+                lines = [ProjLine(_cplxs(l), stored=True) for l in c["lines"]]
                 doc.configuration = incidence_configuration(
                     points,
                     lines,
@@ -187,7 +207,7 @@ class SceneDocument:
                 )
         except DocumentError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (GeometryError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"malformed document: {exc}") from exc
         return doc
 

@@ -14,6 +14,7 @@ negligible after normalization report themselves as real.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -40,7 +41,18 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _normalize3(coords: Iterable[complex]) -> Vec3:
+def _normalized_lead(top: complex) -> bool:
+    """True if ``top`` leads entries that were normalized already.
+
+    For complex z, z / z can come out as 1 + (rounding error)j, and dividing
+    by that entry again would move the others.  Elements read back from a
+    document (``stored=True``) therefore keep such entries as written, so
+    parsing what was serialized gives back the same element.
+    """
+    return top.real == 1.0 and abs(top.imag) <= 1e-15
+
+
+def _normalize3(coords: Iterable[complex], stored: bool = False) -> Vec3:
     c = tuple(complex(z) for z in coords)
     if len(c) != 3:
         raise ValueError("expected 3 homogeneous coordinates")
@@ -50,6 +62,8 @@ def _normalize3(coords: Iterable[complex]) -> Vec3:
     top = c[k]
     if top == 0:
         raise NonFiniteElement("zero vector is not a projective element")
+    if stored and _normalized_lead(top):
+        return c
     return (c[0] / top, c[1] / top, c[2] / top)
 
 
@@ -86,10 +100,10 @@ def _det3(rows: Sequence[Sequence[complex]]) -> complex:
 class _HomogeneousVector:
     __slots__ = ("coords",)
 
-    def __init__(self, *coords):
+    def __init__(self, *coords, stored: bool = False):
         if len(coords) == 1 and not isinstance(coords[0], (int, float, complex)):
             coords = tuple(coords[0])
-        object.__setattr__(self, "coords", _normalize3(coords))
+        object.__setattr__(self, "coords", _normalize3(coords, stored))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -152,6 +166,12 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint, tol: float | None = None
     return abs(_det3((p.coords, q.coords, r.coords))) < tol
 
 
+def _no_three_collinear(points: Sequence[ProjPoint], tol: float = 1e-10) -> None:
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        if collinear(points[i], points[j], points[k], tol):
+            raise DegenerateInput(f"points {i + 1}, {j + 1}, {k + 1} are collinear")
+
+
 # ---------------------------------------------------------------------------
 # conics
 
@@ -170,7 +190,7 @@ class Conic:
 
     __slots__ = ("entries", "det", "degenerate", "_adjugate")
 
-    def __init__(self, entries: Sequence[complex]):
+    def __init__(self, entries: Sequence[complex], stored: bool = False):
         e = tuple(complex(z) for z in entries)
         if len(e) != 6:
             raise ValueError("Conic expects 6 packed symmetric entries")
@@ -179,7 +199,8 @@ class Conic:
         top = max(e, key=abs)
         if top == 0:
             raise NonFiniteElement("zero matrix is not a conic")
-        e = tuple(z / top for z in e)
+        if not (stored and _normalized_lead(top)):
+            e = tuple(z / top for z in e)
         object.__setattr__(self, "entries", e)
         a00, a01, a02, a11, a12, a22 = e
         det = (
@@ -302,28 +323,8 @@ def conic_through_5(points: Sequence[ProjPoint]) -> Conic:
     """Unique conic through five points, no three collinear."""
     if len(points) != 5:
         raise ValueError("conic_through_5 expects exactly 5 points")
-    for i in range(5):
-        for j in range(i + 1, 5):
-            for k in range(j + 1, 5):
-                if collinear(points[i], points[j], points[k], tol=1e-10):
-                    raise DegenerateInput(
-                        f"points {i}, {j}, {k} are collinear; no unique conic"
-                    )
-    rows = []
-    for p in points:
-        x, y, z = p.coords
-        rows.append([x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z])
-    m = np.array(rows, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    if s[4] < 1e-10 * s[0]:
-        raise NumericalRankDeficiency(
-            f"null space not one-dimensional (sigma1={s[0]:.3g}, sigma5={s[4]:.3g})"
-        )
-    a00, a01, a02, a11, a12, a22 = vh[-1]
-    conic = Conic((a00, a01, a02, a11, a12, a22))
-    if conic.degenerate:
-        raise DegenerateInput("five points determine only a degenerate conic")
-    return conic
+    _no_three_collinear(points)
+    return conic_fit(points)
 
 
 def conic_through_5_lines(lines: Sequence[ProjLine]) -> Conic:
@@ -630,7 +631,7 @@ class ProjMap:
 
     __slots__ = ("rows", "det", "inv_rows")
 
-    def __init__(self, rows: Sequence[Sequence[complex]]):
+    def __init__(self, rows: Sequence[Sequence[complex]], stored: bool = False):
         r = tuple(tuple(complex(z) for z in row) for row in rows)
         if len(r) != 3 or any(len(row) != 3 for row in r):
             raise ValueError("ProjMap expects a 3x3 matrix")
@@ -640,7 +641,8 @@ class ProjMap:
         top = max(flat, key=abs)
         if top == 0:
             raise NonFiniteElement("zero matrix")
-        r = tuple(tuple(z / top for z in row) for row in r)
+        if not (stored and _normalized_lead(top)):
+            r = tuple(tuple(z / top for z in row) for row in r)
         det = _det3(r)
         if abs(det) < DEFAULT.degeneracy:
             raise DegenerateInput("projective map must be non-singular")
@@ -724,13 +726,7 @@ def proj_map_from_4(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> ProjM
         raise ValueError("proj_map_from_4 expects two quadruples")
 
     def frame_matrix(quad):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    if abs(_det3((quad[i].coords, quad[j].coords, quad[k].coords))) < 1e-12:
-                        raise DegenerateInput(
-                            f"points {i}, {j}, {k} of a quadruple are collinear"
-                        )
+        _no_three_collinear(quad, tol=1e-12)
         m = tuple(zip(quad[0].coords, quad[1].coords, quad[2].coords))  # columns p1,p2,p3
         det = _det3(m)
         # solve m . lam = p4 via Cramer

@@ -29,6 +29,7 @@ from .projective import (
     ProjPoint,
     _cross,
     _dot,
+    _finite,
     _normalize3,
     join,
     line_conic_intersect,
@@ -40,10 +41,6 @@ from .projective import (
 from .settings import DEFAULT
 
 Vec2 = tuple[complex, complex]
-
-
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 class RP1Point:
@@ -222,16 +219,6 @@ class StereoChart:
         u, v = self._u, self._v
         q = tuple(alpha * ui + beta * vi for ui, vi in zip(u, v))
         return second_intersection(self.conic, self.center, ProjPoint(q))
-
-
-def stereo_project(chart: StereoChart, p: ProjPoint) -> RP1Point:
-    """Transfer a conic point to the chart's projective line."""
-    return chart.project(p)
-
-
-def stereo_lift(chart: StereoChart, x: RP1Point) -> ProjPoint:
-    """Inverse transfer: the conic point over a line coordinate."""
-    return chart.lift(x)
 
 
 def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:

@@ -1,4 +1,4 @@
-"""Tolerance and precision configuration.
+"""Tolerance configuration.
 
 All "is zero" decisions in the package are relative: residuals are scaled
 by the magnitudes of the operands before comparison.  Two knobs control
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     rel: float = 1e-9            # generic "equal / incident / on-conic" threshold
     degeneracy: float = 1e-12    # "this element is degenerate" threshold
@@ -22,13 +22,3 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-SUPPORTED_PRECISIONS = ("double",)
-
-
-def check_precision(name: str) -> str:
-    if name not in SUPPORTED_PRECISIONS:
-        raise ValueError(
-            f"unsupported precision {name!r}; supported: {SUPPORTED_PRECISIONS}"
-        )
-    return name

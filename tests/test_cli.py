@@ -59,6 +59,41 @@ class TestConstructCommand:
         assert len(doc.configuration.points) == 21
 
 
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--steps", "8"],
+        ["construct", "7", "--tolerance", "1e-6"],
+        ["construct", "7", "--precision", "double"],
+        ["construct", "chain", "--steps", "0"],
+        ["construct", "chain", "--steps", "-3"],
+        ["verify", "--in", "x.json", "--n", "0"],
+    ])
+    def test_removed_or_invalid_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["double", "chain"])
+    def test_input_document_is_tried_once(self, kind, tmp_path, capsys, monkeypatch):
+        from poncelet import cli
+        from poncelet.errors import DegenerateInput
+
+        hept = tmp_path / "hept.json"
+        assert run(["construct", "7", "--seed", "3", "--out", str(hept)]) == 0
+        calls = []
+
+        def build(rng, args):
+            calls.append(args.infile)
+            raise DegenerateInput("degenerate on purpose")
+
+        spec = cli.CONSTRUCT_KINDS[kind]
+        monkeypatch.setitem(cli.CONSTRUCT_KINDS, kind, spec._replace(build=build))
+        capsys.readouterr()
+        assert run(["construct", kind, "--in", str(hept)]) == 2
+        assert calls == [str(hept)]
+        assert capsys.readouterr().err == "error: degenerate on purpose\n"
+
+
 class TestVerifyCommand:
     def golden_octagon_doc(self, tmp_path):
         x6 = (209 - 5 * S649) / 66

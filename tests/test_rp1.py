@@ -27,8 +27,6 @@ from poncelet import (
     quadset_residual,
     rp1_distance,
     six_on_conic_residual,
-    stereo_lift,
-    stereo_project,
 )
 from poncelet.errors import DegenerateChain, DegenerateCrossRatio, PointNotOnConic
 
@@ -104,7 +102,7 @@ class TestStereoChart:
         pts = ring_points(rng, 5)
         conic = conic_through_5(pts)
         chart = make_chart(conic, avoid=pts)
-        assert stereo_project(chart, chart.center).is_same(RP1Point.infinity())
+        assert chart.project(chart.center).is_same(RP1Point.infinity())
 
     def test_lift_of_infinity_is_center(self, rng):
         pts = ring_points(rng, 5)
@@ -112,7 +110,7 @@ class TestStereoChart:
         chart = make_chart(conic, avoid=pts)
         from poncelet import proj_distance
 
-        assert proj_distance(stereo_lift(chart, RP1Point.infinity()), chart.center) < 1e-12
+        assert proj_distance(chart.lift(RP1Point.infinity()), chart.center) < 1e-12
 
     def test_roundtrip_100_points(self, rng):
         pts = ring_points(rng, 5)
@@ -124,8 +122,8 @@ class TestStereoChart:
         while count < 100:
             l = ProjLine(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             for p in line_conic_intersect(l, conic)[:2]:
-                x = stereo_project(chart, p)
-                assert proj_distance(stereo_lift(chart, x), p) < 1e-9
+                x = chart.project(p)
+                assert proj_distance(chart.lift(x), p) < 1e-9
                 count += 1
 
     def test_lift_random_values_on_conic(self, rng):
@@ -136,22 +134,22 @@ class TestStereoChart:
         chart = make_chart(conic, avoid=pts)
         for _ in range(100):
             x = rnd_rp1(rng, real=False)
-            assert conic_contains(conic, stereo_lift(chart, x)) < 1e-10
+            assert conic_contains(conic, chart.lift(x)) < 1e-10
 
     def test_off_conic_projection_rejected(self, rng):
         pts = ring_points(rng, 5)
         conic = conic_through_5(pts)
         chart = make_chart(conic, avoid=pts)
         with pytest.raises(PointNotOnConic):
-            stereo_project(chart, ProjPoint(5, 5, 1))
+            chart.project(ProjPoint(5, 5, 1))
 
     def test_cross_ratio_chart_independent(self, rng):
         pts = ring_points(rng, 5)
         conic = conic_through_5(pts)
         c1 = make_chart(conic, avoid=pts, variant=0)
         c2 = make_chart(conic, avoid=pts, variant=2)
-        xs1 = [stereo_project(c1, p) for p in pts[:4]]
-        xs2 = [stereo_project(c2, p) for p in pts[:4]]
+        xs1 = [c1.project(p) for p in pts[:4]]
+        xs2 = [c2.project(p) for p in pts[:4]]
         r1, r2 = cross_ratio(*xs1), cross_ratio(*xs2)
         assert abs(r1 - r2) < 1e-10 * max(1, abs(r1))
 
@@ -160,8 +158,8 @@ class TestStereoChart:
         from poncelet.chains import canonical_chart
 
         chart = canonical_chart()
-        lifted = [stereo_lift(chart, RP1Point.affine(v)) for v in GOLDEN_FIVE]
-        sixth = stereo_lift(chart, RP1Point.affine(2.0))
+        lifted = [chart.lift(RP1Point.affine(v)) for v in GOLDEN_FIVE]
+        sixth = chart.lift(RP1Point.affine(2.0))
         assert six_on_conic_residual(lifted + [sixth]) < 1e-10
 
 
@@ -176,7 +174,7 @@ class TestQuadset:
         o = meet(join(p1, p4), join(p2, p5))
         p6 = second_intersection(conic, p3, o)
         chart = make_chart(conic, avoid=pts + [p6])
-        xs = [stereo_project(chart, p) for p in (p1, p2, p3, p4, p5, p6)]
+        xs = [chart.project(p) for p in (p1, p2, p3, p4, p5, p6)]
         return xs
 
     def test_concurrence_gives_quadset(self, rng):
