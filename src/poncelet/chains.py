@@ -35,6 +35,7 @@ from .projective import (
     join,
     line_conic_intersect,
     proj_distance,
+    tangency_residual,
     tangents_from_point,
 )
 from .ratpoly import (
@@ -130,11 +131,7 @@ class PonceletScene:
         """Worst-case residuals of the scene invariants."""
         vert = max(conic_contains(self.outer, p) for p in self.vertices)
         edges = self.edges()
-        scale = max(abs(z) for z in self.inner.adjugate_entries())
-        tang = max(
-            abs(self.inner.dual_qform(e.coords)) / max(scale, DEFAULT.floor)
-            for e in edges
-        )
+        tang = tangency_residual(self.inner, edges)
         touch = 0.0
         for q, e in zip(self.touch_points, edges):
             touch = max(touch, conic_contains(self.inner, q))
@@ -486,10 +483,8 @@ def scene_from_rp1(points: Sequence[RP1Point]) -> PonceletScene:
         inner = conic_through_5_lines(edges)
     except Exception as exc:
         raise DegenerateInput(f"inner conic fit failed: {exc}") from exc
-    scale = max(abs(z) for z in inner.adjugate_entries())
-    for e in edges:
-        if abs(inner.dual_qform(e.coords)) / scale > 1e-7:
-            raise DegenerateInput("inner conic does not touch every edge")
+    if tangency_residual(inner, edges) > 1e-7:
+        raise DegenerateInput("inner conic does not touch every edge")
     return PonceletScene.assemble(chart.conic, inner, lifted)
 
 

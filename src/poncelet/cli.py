@@ -169,7 +169,6 @@ class ConstructKind(NamedTuple):
     doc_kind: str
     build: Callable
     bracket: tuple[str, Callable, tuple[int, ...]] | None = None
-    reads_input: bool = False
 
 
 CONSTRUCT_KINDS = {
@@ -180,8 +179,15 @@ CONSTRUCT_KINDS = {
                        ("octagon_point7_gap", octagon_point7_residual, (0, 1, 2, 3, 4, 6))),
     "9": ConstructKind("ninegon", _build_ninegon,
                        ("ninegon_gap", ninegon_residual, (0, 1, 2, 3, 4, 6))),
-    "double": ConstructKind("doubled", _build_doubled, reads_input=True),
-    "chain": ConstructKind("chain", _build_chain, reads_input=True),
+    "double": ConstructKind("doubled", _build_doubled),
+    "chain": ConstructKind("chain", _build_chain),
+}
+# construct options that only some kinds read: flag -> (argparse dest,
+# value when not given, the kinds that read it); other kinds reject it
+KIND_OPTIONS = {
+    "--branch": ("branch", 0, {"7", "8", "9"}),
+    "--in": ("infile", None, {"double", "chain"}),
+    "--steps": ("steps", 12, {"chain"}),
 }
 _BRACKETS = {k.doc_kind: k.bracket for k in CONSTRUCT_KINDS.values() if k.bracket}
 
@@ -210,7 +216,7 @@ def _build_construct(args) -> SceneDocument:
     spec = CONSTRUCT_KINDS[args.kind]
     rng = random.Random(args.seed)
     # an input document fails the same way on every attempt: try it once
-    attempts = 1 if args.infile and spec.reads_input else RETRY_BUDGET
+    attempts = 1 if args.infile else RETRY_BUDGET
     for _ in range(attempts):
         try:
             doc = spec.build(rng, args)
@@ -234,6 +240,14 @@ def _load_document(path: str) -> SceneDocument:
 
 
 def cmd_construct(args) -> int:
+    unread = [flag for flag, (dest, _, kinds) in KIND_OPTIONS.items()
+              if args.kind not in kinds and getattr(args, dest) is not None]
+    if unread:
+        print(f"error: construct {args.kind} does not read {', '.join(unread)}", file=sys.stderr)
+        return EXIT_INPUT
+    for dest, default, _ in KIND_OPTIONS.values():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         doc = _build_construct(args)
     except (DocumentError, DegenerateInput) as exc:
@@ -394,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="build a Poncelet polygon scene")
     pc.add_argument("kind", choices=list(CONSTRUCT_KINDS))
     pc.add_argument("--seed", type=int, default=0, help="random seed")
-    pc.add_argument("--branch", type=int, default=0, help="two-valued intersection choice")
-    pc.add_argument("--steps", type=_at_least_one, default=12, help="iteration steps (chain)")
-    pc.add_argument("--in", dest="infile", default=None, help="input scene document")
+    pc.add_argument("--branch", type=int, help="intersection choice (7, 8, 9; default 0)")
+    pc.add_argument("--steps", type=_at_least_one, help="iteration steps (chain; default 12)")
+    pc.add_argument("--in", dest="infile", help="input scene document (double, chain)")
     pc.add_argument("--out", default=None, help="output JSON path (default stdout)")
     pc.add_argument("--svg", default=None, help="also write an SVG rendering here")
     pc.set_defaults(func=cmd_construct)

@@ -31,6 +31,7 @@ from .projective import (
     join,
     meet,
     proj_distance,
+    tangency_residual,
 )
 from .settings import DEFAULT
 
@@ -279,9 +280,7 @@ def color_structure_report(colors: ChainConfigColors) -> dict[str, float]:
         ("diagonal_tangent", colors.diagonal_lines),
         ("pivot_tangent", colors.pivot_lines),
     ):
-        conic = conic_fit_lines(list(lines))
-        scale = max(abs(z) for z in conic.adjugate_entries())
-        out[name] = max(abs(conic.dual_qform(l.coords)) / scale for l in lines)
+        out[name] = tangency_residual(conic_fit_lines(list(lines)), lines)
     return out
 
 

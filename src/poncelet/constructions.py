@@ -44,14 +44,15 @@ from .projective import (
     meet,
     proj_distance,
     proj_map_from_4,
+    tangency_residual,
     tangent_line_at,
 )
 from .chains import PonceletScene, pole
 from .rp1 import (
     StereoChart,
+    chart_centers,
     heptagon6_residual,
     hexagon_point6,
-    make_chart,
     next_chain_point,
     octagon_point7_residual,
 )
@@ -108,17 +109,18 @@ def _guard(fn, *args, step: str = ""):
         raise ConstructionDegeneracy(f"step {step or fn.__name__} degenerate: {exc}") from exc
 
 
-def moderate_chart(conic: Conic, pts: Sequence[ProjPoint], variants: int = 6) -> StereoChart:
+def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     """Chart keeping every tracked point's transferred value moderate.
 
     Residual conditioning of the bracket conditions degrades with extreme
-    transferred values, so scan a few chart variants and keep the tamest.
+    transferred values, so score the six best-ranked chart centers and keep
+    the tamest (the first on ties).
     """
     best = None
     best_m = math.inf
-    for v in range(variants):
+    for center in chart_centers(conic, pts)[:6]:
         try:
-            ch = make_chart(conic, avoid=pts, variant=v)
+            ch = StereoChart(conic, center)
             m = max(abs(ch.project(p).value()) for p in pts)
         except GeometryError:
             continue
@@ -412,22 +414,18 @@ def _self_polar_frame(
     return o, x, y
 
 
-def _real_chart(conic: Conic, verts: Sequence[ProjPoint], variants: int = 8) -> StereoChart | None:
-    """First chart variant whose transferred values are all real."""
-    for v in range(variants):
+def _real_chart(conic: Conic, verts: Sequence[ProjPoint]) -> StereoChart | None:
+    """First of the eight best-ranked charts whose transferred values are all real."""
+    for center in chart_centers(conic, verts)[:8]:
         try:
-            ch = make_chart(conic, avoid=verts, variant=v)
+            ch = StereoChart(conic, center)
         except GeometryError:
             continue
-        vals = []
-        ok = True
         for p in verts:
             val = ch.project(p).value()
             if math.isfinite(abs(val)) and abs(val.imag) > 1e-6 * max(1.0, abs(val)):
-                ok = False
                 break
-            vals.append(val)
-        if ok:
+        else:
             return ch
     return None
 
@@ -524,9 +522,7 @@ def doubling(scene: PonceletScene) -> tuple[PonceletScene, ConstructionTrace]:
                 inner2 = conic_through_5_lines(edges[:5])
             except GeometryError:
                 continue
-            scale = max(abs(z) for z in inner2.adjugate_entries())
-            tang = max(abs(inner2.dual_qform(e.coords)) / scale for e in edges)
-            if tang > 1e-6:
+            if tangency_residual(inner2, edges) > 1e-6:
                 continue
             if chart is None:
                 chart = _real_chart(a, list(verts))
@@ -688,8 +684,7 @@ def polygon_scene(points: Sequence[ProjPoint], n: int | None = None) -> Poncelet
     outer = conic_fit(pts)
     edges = [join(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
     inner = conic_fit_lines(edges)
-    scale = max(abs(z) for z in inner.adjugate_entries())
-    worst = max(abs(inner.dual_qform(e.coords)) / scale for e in edges)
+    worst = tangency_residual(inner, edges)
     if worst > 1e-6:
         raise DegenerateInput(f"edges are not tangent to a common conic ({worst:.2e})")
     return PonceletScene.assemble(outer, inner, pts, n if n is not None else len(pts))

@@ -126,9 +126,6 @@ class _HomogeneousVector:
         tol = DEFAULT.rel if tol is None else tol
         return all(abs(z.imag) <= tol for z in self.coords)
 
-    def real_coords(self) -> tuple[float, float, float]:
-        return tuple(z.real for z in self.coords)
-
 
 class ProjPoint(_HomogeneousVector):
     """Point of the projective plane, homogeneous (x, y, z)."""
@@ -309,6 +306,12 @@ def conic_contains(conic: Conic, p: ProjPoint) -> float:
     return abs(val) / max(scale, DEFAULT.floor)
 
 
+def tangency_residual(conic: Conic, lines: Iterable[ProjLine]) -> float:
+    """Worst |l^T adj(A) l| over the lines, scaled by the largest |adj(A)| entry."""
+    scale = max(abs(z) for z in conic.adjugate_entries())
+    return max(abs(conic.dual_qform(l.coords)) for l in lines) / max(scale, DEFAULT.floor)
+
+
 def tangent_line_at(conic: Conic, p: ProjPoint, tol: float | None = None) -> ProjLine:
     """Tangent line A p at a point of the conic."""
     tol = DEFAULT.rel if tol is None else tol
@@ -357,8 +360,8 @@ def conic_fit_lines(lines: Sequence[ProjLine]) -> Conic:
     return Conic(dual.adjugate_entries())
 
 
-def _line_base_points(l: ProjLine) -> tuple[Vec3, Vec3]:
-    """Two independent points spanning a line."""
+def _line_base_points(l: _HomogeneousVector) -> tuple[Vec3, Vec3]:
+    """Two independent points spanning a line (or lines through a point)."""
     candidates = [
         _cross(l.coords, e)
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -425,11 +428,7 @@ def tangents_from_point(
     """
     if conic.degenerate:
         raise DegenerateInput("tangents_from_point requires a non-degenerate conic")
-    candidates = [
-        _cross(p.coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    m1 = _normalize3(max(candidates, key=lambda c: max(abs(z) for z in c)))
-    m2 = _normalize3(_cross(p.coords, m1))
+    m1, m2 = _line_base_points(p)  # two lines spanning the pencil through p
     b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
 
     def dq(x, y):
@@ -676,16 +675,6 @@ class ProjMap:
 
     def inverse(self) -> "ProjMap":
         return ProjMap(self.inv_rows)
-
-    def compose(self, other: "ProjMap") -> "ProjMap":
-        """self after other."""
-        a, b = self.rows, other.rows
-        return ProjMap(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
 
     def __call__(self, x):
         return apply_map(self, x)

@@ -240,11 +240,18 @@ class Poly:
         return Poly([k * z for k, z in enumerate(self.c)][1:])
 
     def complex_coefficients(self) -> tuple[complex, ...]:
-        """Coefficients as floats, jointly normalized by the largest magnitude."""
+        """Coefficients as floats, jointly normalized by the largest magnitude
+        (past the float range, after division by an exact power of two)."""
         if self.is_zero():
             return ()
-        scale = max(_coeff_norm(z) for z in self.c)
-        return tuple(_coeff_to_complex(z, scale) for z in self.c)
+        c = self.c
+        scale = max(_coeff_norm(z) for z in c)
+        if math.isinf(scale):
+            parts = [f for z in c for f in ((z.re, z.im) if isinstance(z, GaussQ) else (z,))]
+            shift = max(f.numerator.bit_length() - f.denominator.bit_length() for f in parts)
+            c = [_quo(z, 1 << shift) for z in c]
+            scale = max(_coeff_norm(z) for z in c)
+        return tuple(_coeff_to_complex(z, scale) for z in c)
 
     def __repr__(self):
         return f"Poly({list(self.c)})"

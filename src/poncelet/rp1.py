@@ -31,6 +31,7 @@ from .projective import (
     _dot,
     _finite,
     _normalize3,
+    conic_contains,
     join,
     line_conic_intersect,
     meet,
@@ -146,21 +147,44 @@ def _pairwise_distinct(points: Sequence[RP1Point], tol: float | None = None) -> 
 # stereographic transfer
 
 
+# probe lines whose intersections with a conic are the candidate chart centers
+CHART_PROBES = (
+    ProjLine(1.0, 0.37, -0.22),
+    ProjLine(0.53, 1.0, 0.31),
+    ProjLine(1.0, -0.81, 0.47),
+    ProjLine(-0.29, 1.0, 0.83),
+    ProjLine(1.0, 1.13, -0.71),
+    ProjLine(0.91, -0.44, 1.0),
+    ProjLine(1.0, 0.08, 0.64),
+    ProjLine(-0.67, 0.25, 1.0),
+)
+# fixed axis lines; a chart projects onto the one farthest from its center
+CHART_AXES = (
+    ProjLine(0.61, -1.0, 0.34),
+    ProjLine(1.0, 0.52, 0.18),
+    ProjLine(-0.23, 0.77, 1.0),
+    ProjLine(1.0, -0.35, -0.93),
+)
+
+
 class StereoChart:
     """Identification of the points of a conic with RP^1.
 
     Projects from ``center`` (a point of the conic) onto ``axis`` (a line
-    not through the center).  The center itself corresponds to (1, 0), the
-    point at infinity of the chart; the frame on the axis is anchored at
-    the intersection of the axis with the tangent at the center, which is
+    not through the center; by default the ``CHART_AXES`` line farthest
+    from the center).  The center itself corresponds to (1, 0), the point
+    at infinity of the chart; the frame on the axis is anchored at the
+    intersection of the axis with the tangent at the center, which is
     exactly the image of the center under the limiting projection.
     """
 
-    __slots__ = ("conic", "center", "axis", "_u", "_v")
+    __slots__ = ("conic", "center", "axis", "_u", "_v", "_rows")
 
-    def __init__(self, conic: Conic, center: ProjPoint, axis: ProjLine):
-        from .projective import conic_contains
-
+    def __init__(self, conic: Conic, center: ProjPoint, axis: ProjLine | None = None):
+        if axis is None:
+            axis = max(CHART_AXES, key=lambda a: abs(_dot(center.coords, a.coords)))
+            if abs(_dot(center.coords, axis.coords)) <= 1e-6:
+                raise DegenerateChain("no axis avoids the chart center")
         if conic_contains(conic, center) > 1e-7:
             raise PointNotOnConic("chart center must lie on the conic")
         if abs(_dot(center.coords, axis.coords)) < 1e-12:
@@ -168,22 +192,21 @@ class StereoChart:
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axis", axis)
-        tangent = tangent_line_at(conic, center)
-        u = meet(tangent, axis)
+        u = meet(tangent_line_at(conic, center), axis).coords
         # second frame point: axis cut by the best coordinate line avoiding u
-        best = None
-        best_gap = -1.0
-        for probe in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)):
-            cand = _cross(axis.coords, probe)
-            if max(abs(z) for z in cand) < 1e-12:
-                continue
-            cand_n = _normalize3(cand)
-            gap = max(abs(z) for z in _cross(u.coords, cand_n))
-            if gap > best_gap:
-                best_gap = gap
-                best = cand_n
-        object.__setattr__(self, "_u", u.coords)
-        object.__setattr__(self, "_v", best)
+        cuts = (_cross(axis.coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        v = max(
+            (_normalize3(c) for c in cuts if max(abs(z) for z in c) >= 1e-12),
+            key=lambda c: max(abs(z) for z in _cross(u, c)),
+        )
+        # the best-conditioned pair of rows for solving q = alpha*u + beta*v
+        i, j = max(
+            ((i, j) for i in range(3) for j in range(i + 1, 3)),
+            key=lambda ij: abs(u[ij[0]] * v[ij[1]] - u[ij[1]] * v[ij[0]]),
+        )
+        object.__setattr__(self, "_u", u)
+        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_rows", (i, j, u[i] * v[j] - u[j] * v[i]))
 
     def __setattr__(self, *a):
         raise AttributeError("StereoChart is immutable")
@@ -191,20 +214,13 @@ class StereoChart:
     def _axis_coords(self, q: Sequence[complex]) -> RP1Point:
         """Express an axis point as alpha*u + beta*v."""
         u, v = self._u, self._v
-        best_rows = max(
-            ((i, j) for i in range(3) for j in range(i + 1, 3)),
-            key=lambda ij: abs(u[ij[0]] * v[ij[1]] - u[ij[1]] * v[ij[0]]),
-        )
-        i, j = best_rows
-        det = u[i] * v[j] - u[j] * v[i]
+        i, j, det = self._rows
         alpha = (q[i] * v[j] - q[j] * v[i]) / det
         beta = (u[i] * q[j] - u[j] * q[i]) / det
         return RP1Point(alpha, beta)
 
     def project(self, p: ProjPoint) -> RP1Point:
         """Transfer a conic point to the line: meet(join(center, p), axis)."""
-        from .projective import conic_contains
-
         if conic_contains(self.conic, p) > 1e-6:
             raise PointNotOnConic(f"{p} is not on the chart conic")
         if proj_distance(p, self.center) < DEFAULT.degeneracy:
@@ -221,26 +237,15 @@ class StereoChart:
         return second_intersection(self.conic, self.center, ProjPoint(q))
 
 
-def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:
-    """Deterministic chart on a conic.
+def chart_centers(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> list[ProjPoint]:
+    """Candidate chart centers on a conic, best first.
 
-    Probe-line intersections are ranked by their clearance from the points
-    in ``avoid`` (distant centers keep transferred values tame) and
-    ``variant`` walks down that order, giving distinct charts for
-    invariance tests.  The axis is the fixed line farthest from the center.
+    The ``CHART_PROBES`` intersections, minus those within 1e-6 of a point
+    in ``avoid`` and repeats within 1e-9, sorted stably by descending
+    clearance from ``avoid``: distant centers keep transferred values tame.
     """
-    probes = [
-        ProjLine(1.0, 0.37, -0.22),
-        ProjLine(0.53, 1.0, 0.31),
-        ProjLine(1.0, -0.81, 0.47),
-        ProjLine(-0.29, 1.0, 0.83),
-        ProjLine(1.0, 1.13, -0.71),
-        ProjLine(0.91, -0.44, 1.0),
-        ProjLine(1.0, 0.08, 0.64),
-        ProjLine(-0.67, 0.25, 1.0),
-    ]
     candidates: list[tuple[float, ProjPoint]] = []
-    for probe in probes:
+    for probe in CHART_PROBES:
         try:
             p1, p2, tangential = line_conic_intersect(probe, conic)
         except Exception:
@@ -256,27 +261,20 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
             if any(proj_distance(cand, c) < 1e-9 for _, c in candidates):
                 continue
             candidates.append((clearance, cand))
-    # centers far from every tracked point keep projected values tame;
-    # ``variant`` walks down that preference order to give distinct charts
-    ordered = sorted(candidates, key=lambda t: -t[0])
-    if not ordered:
+    candidates.sort(key=lambda t: -t[0])
+    return [center for _, center in candidates]
+
+
+def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:
+    """Chart centered at ``chart_centers(conic, avoid)[variant]``.
+
+    ``variant`` wraps past the end of the list; distinct variants give
+    distinct charts for invariance tests.
+    """
+    centers = chart_centers(conic, avoid)
+    if not centers:
         raise DegenerateChain("no valid stereographic chart found")
-    _, center = ordered[variant % len(ordered)]
-    best_axis = None
-    best_gap = 0.0
-    for axis in (
-        ProjLine(0.61, -1.0, 0.34),
-        ProjLine(1.0, 0.52, 0.18),
-        ProjLine(-0.23, 0.77, 1.0),
-        ProjLine(1.0, -0.35, -0.93),
-    ):
-        gap = abs(_dot(center.coords, axis.coords))
-        if gap > best_gap:
-            best_gap = gap
-            best_axis = axis
-    if best_axis is None or best_gap <= 1e-6:
-        raise DegenerateChain("no axis avoids the chart center")
-    return StereoChart(conic, center, best_axis)
+    return StereoChart(conic, centers[variant % len(centers)])
 
 
 # ---------------------------------------------------------------------------

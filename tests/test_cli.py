@@ -73,6 +73,24 @@ class TestConstructCommand:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,option,value", [
+        ("6", "--branch", "1"), ("6", "--in", "x.json"), ("6", "--steps", "5"),
+        ("7", "--in", "x.json"), ("7", "--steps", "5"),
+        ("8", "--in", "x.json"), ("8", "--steps", "5"),
+        ("9", "--in", "x.json"), ("9", "--steps", "5"),
+        ("double", "--branch", "0"), ("double", "--steps", "12"),
+        ("chain", "--branch", "1"),
+    ])
+    def test_options_a_kind_does_not_read_are_rejected(self, kind, option, value, capsys):
+        assert run(["construct", kind, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: construct {kind} does not read {option}\n"
+
+    def test_every_unread_option_is_named(self, capsys):
+        assert run(["construct", "7", "--in", "/nonexistent.json", "--steps", "5"]) == 2
+        assert capsys.readouterr().err == "error: construct 7 does not read --in, --steps\n"
+
     @pytest.mark.parametrize("kind", ["double", "chain"])
     def test_input_document_is_tried_once(self, kind, tmp_path, capsys, monkeypatch):
         from poncelet import cli

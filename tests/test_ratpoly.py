@@ -135,6 +135,29 @@ class TestHugeIntegerCoefficients:
         p = Poly([1, self.BIG])
         assert math.isinf(p.eval_complex(0.5, scale=1.0).real)
         assert p.complex_coefficients()[0] == 0j
+        assert p.complex_coefficients()[1] == 1
+
+    def test_float_range_coefficients_convert_as_before(self):
+        p = Poly([Fraction(1, 3), -7, 2 ** 1000, GaussQ(5, -2 ** 900)])
+        scale = 2.0 ** 1000
+        assert p.complex_coefficients() == (
+            complex(1 / 3 / scale, 0.0), complex(-7 / scale, 0.0), 1 + 0j,
+            complex(5 / scale, -(2.0 ** 900) / scale),
+        )
+
+    @pytest.mark.parametrize(
+        "big", [3 ** 700, GaussQ(2 ** 1500, -(3 ** 1000))], ids=["int", "gauss"]
+    )
+    def test_roots_past_the_float_range(self, big):
+        import numpy as np
+
+        # big * (x + 1)(x - 2)(x - 3): every coefficient is over 1024 bits
+        p = Poly([6 * big, 1 * big, -4 * big, 1 * big])
+        coeffs = p.complex_coefficients()
+        assert all(math.isfinite(abs(z)) for z in coeffs) and max(map(abs, coeffs)) == 1
+        seeds = np.roots(np.array(coeffs[::-1], dtype=complex))
+        polished = sorted(exact_newton(p, complex(s))[1].real for s in seeds)
+        assert polished == [-1.0, 2.0, 3.0]
 
     def test_huge_values_stay_exact(self):
         p = Poly([self.BIG, 1])
