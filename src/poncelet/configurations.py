@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .constructions import ChainConstruction
 from .errors import (
     CoincidentElements,
@@ -92,16 +90,16 @@ def ring_meet(ring: LineRing, b: int) -> PointRing:
 class IncidenceConfiguration:
     points: list[ProjPoint]
     lines: list[ProjLine]
-    incidence: np.ndarray  # bool matrix, rows = points
+    incidence: tuple[tuple[bool, ...], ...]  # one row per point, one column per line
     threshold: float
     point_labels: list[str] = field(default_factory=list)
     line_labels: list[str] = field(default_factory=list)
 
-    def point_degrees(self) -> np.ndarray:
-        return self.incidence.sum(axis=1)
+    def point_degrees(self) -> list[int]:
+        return [sum(row) for row in self.incidence]
 
-    def line_degrees(self) -> np.ndarray:
-        return self.incidence.sum(axis=0)
+    def line_degrees(self) -> list[int]:
+        return [sum(row[j] for row in self.incidence) for j in range(len(self.lines))]
 
 
 def incidence_configuration(
@@ -112,15 +110,14 @@ def incidence_configuration(
     line_labels: Sequence[str] | None = None,
 ) -> IncidenceConfiguration:
     threshold = DEFAULT.incidence if threshold is None else threshold
-    m = np.zeros((len(points), len(lines)), dtype=bool)
-    for i, p in enumerate(points):
-        for j, l in enumerate(lines):
-            v = abs(sum(a * b for a, b in zip(p.coords, l.coords)))
-            m[i, j] = v < threshold
+    incidence = tuple(
+        tuple(abs(sum(a * b for a, b in zip(p.coords, l.coords))) < threshold for l in lines)
+        for p in points
+    )
     return IncidenceConfiguration(
         list(points),
         list(lines),
-        m,
+        incidence,
         threshold,
         list(point_labels or [f"p{i}" for i in range(len(points))]),
         list(line_labels or [f"l{j}" for j in range(len(lines))]),
@@ -154,10 +151,10 @@ def verify_n4(cfg: IncidenceConfiguration) -> N4Report:
             violations.append(f"line {cfg.line_labels[j]} has degree {d}")
     hist_p: dict[int, int] = {}
     for d in pd:
-        hist_p[int(d)] = hist_p.get(int(d), 0) + 1
+        hist_p[d] = hist_p.get(d, 0) + 1
     hist_l: dict[int, int] = {}
     for d in ld:
-        hist_l[int(d)] = hist_l.get(int(d), 0) + 1
+        hist_l[d] = hist_l.get(d, 0) + 1
     return N4Report(not violations, len(cfg.points), len(cfg.lines), hist_p, hist_l, violations)
 
 
@@ -292,16 +289,21 @@ def canonical_certificate(cfg: IncidenceConfiguration) -> bytes:
     """Canonical form of the bipartite incidence structure.
 
     Two configurations get equal certificates iff their incidence matrices
-    agree up to independent relabeling of points and lines.  Iterative
-    color refinement plus individualization with full backtracking; sizes
-    here (tens of elements) keep the search tiny.
+    agree up to independent relabeling of points and lines.  The search is
+    colour refinement plus individualization, as in nauty: every leaf is a
+    discrete colouring, read out as the incidence matrix with points and
+    lines sorted by colour, and the certificate is the least such matrix.
+    Two leaves with equal matrices give an automorphism of the incidence
+    graph (points to points, lines to lines).  A node skips every child in
+    the orbit of an explored sibling under the automorphisms found so far
+    that fix the node's individualized vertices, since the two subtrees hold
+    the same matrices.  The bytes are those of the unpruned search over
+    every leaf.
     """
     m, k = len(cfg.points), len(cfg.lines)
-    adj: list[frozenset[int]] = []
-    for i in range(m):
-        adj.append(frozenset(m + j for j in range(k) if cfg.incidence[i, j]))
-    for j in range(k):
-        adj.append(frozenset(i for i in range(m) if cfg.incidence[i, j]))
+    rows = cfg.incidence
+    adj = [tuple(m + j for j, on in enumerate(row) if on) for row in rows]
+    adj += [tuple(i for i, row in enumerate(rows) if row[j]) for j in range(k)]
     total = m + k
 
     def refine(colors: list[int]) -> list[int]:
@@ -315,21 +317,50 @@ def canonical_certificate(cfg: IncidenceConfiguration) -> bytes:
                 return new
             colors = new
 
-    def matrix_string(colors: list[int]) -> bytes:
-        pts = sorted(range(m), key=lambda v: colors[v])
-        lns = sorted(range(m, total), key=lambda v: colors[v])
+    def matrix_string(order: list[int]) -> bytes:
+        lns = [l - m for l in order[m:]]
         bits = bytearray()
-        for i in pts:
+        for i in order[:m]:
             row = 0
-            for l in lns:
-                row = (row << 1) | (1 if l in adj[i] else 0)
+            for j in lns:
+                row = (row << 1) | rows[i][j]
             bits.extend(row.to_bytes((k + 7) // 8, "big"))
         return bytes(bits)
 
-    best: bytes | None = None
+    first: tuple[bytes, list[int]] | None = None
+    best: tuple[bytes, list[int]] | None = None
+    # vertex maps between the orders of two leaves with equal matrices
+    automorphisms: list[dict[int, int]] = []
 
-    def search(colors: list[int]) -> None:
-        nonlocal best
+    def leaf(colors: list[int]) -> None:
+        nonlocal first, best
+        order = sorted(range(m), key=colors.__getitem__)
+        order += sorted(range(m, total), key=colors.__getitem__)
+        s = matrix_string(order)
+        if first is None:
+            first = best = (s, order)
+            return
+        if s == first[0]:
+            automorphisms.append(dict(zip(first[1], order)))
+        if s < best[0]:
+            best = (s, order)
+        elif s == best[0] and best is not first:
+            automorphisms.append(dict(zip(best[1], order)))
+
+    def pruned(v: int, explored: list[int], path: tuple[int, ...]) -> bool:
+        """Whether v is in the orbit of an explored sibling under the
+        automorphisms found so far that fix the path pointwise."""
+        gens = [g for g in automorphisms if all(g[u] == u for u in path)]
+        orbit, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    stack.append(g[x])
+        return not orbit.isdisjoint(explored)
+
+    def search(colors: list[int], path: tuple[int, ...]) -> None:
         colors = refine(colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -340,17 +371,18 @@ def canonical_certificate(cfg: IncidenceConfiguration) -> bytes:
                 target = cells[c]
                 break
         if target is None:
-            s = matrix_string(colors)
-            if best is None or s < best:
-                best = s
+            leaf(colors)
             return
         fresh = max(colors) + 1
+        explored: list[int] = []
         for v in target:
+            if explored and pruned(v, explored, path):
+                continue
             branch = list(colors)
             branch[v] = fresh
-            search(branch)
+            search(branch, path + (v,))
+            explored.append(v)
 
-    init = [0] * m + [1] * k
-    search(init)
+    search([0] * m + [1] * k, ())
     assert best is not None
-    return m.to_bytes(2, "big") + k.to_bytes(2, "big") + best
+    return m.to_bytes(2, "big") + k.to_bytes(2, "big") + best[0]

@@ -650,19 +650,18 @@ def chain_iterate_joinmeet(
 def butterfly_check(
     a_points: Sequence[ProjPoint],
     b_points: Sequence[ProjPoint],
-    conic: Conic,
     line: ProjLine,
 ) -> float:
     """Residual of the conic butterfly incidence.
 
-    With X_i the cuts of the lines A_iA_{i+1} on ``line``, and the B ring
-    threaded through X_1..X_3, returns the gap between X_4 and the cut of
-    B_4B_1 (zero when the hypotheses hold).
+    With both quadruples on one conic, X_i the cuts of the lines A_iA_{i+1}
+    on ``line``, and the B ring threaded through X_1..X_3, returns the gap
+    between X_4 and the cut of B_4B_1 (zero when the hypotheses hold).
     """
     if len(a_points) != 4 or len(b_points) != 4:
         raise ValueError("butterfly_check expects two quadruples")
-    a1, a2, a3, a4 = a_points
-    b1, b2, b3, b4 = b_points
+    a1, a4 = a_points[0], a_points[3]
+    b1, b4 = b_points[0], b_points[3]
     x4 = _guard(meet, _guard(join, a4, a1, step="A4A1"), line, step="X4")
     x4b = _guard(meet, _guard(join, b4, b1, step="B4B1"), line, step="X4'")
     return proj_distance(x4, x4b)

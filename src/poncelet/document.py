@@ -188,8 +188,13 @@ class SceneDocument:
                     tuple(ProjPoint(_cplxs(p), stored=True) for p in s["touch_points"]),
                     _period(s.get("n")),
                 )
-                if not doc.scene.vertices:
+                count = len(doc.scene.vertices)
+                if not count:
                     raise DocumentError("scene has no vertices")
+                # the closure check walks n chain steps: n must be the scene's own period
+                for name, n in (("n", doc.n), ("scene.n", doc.scene.n)):
+                    if n is not None and n != count:
+                        raise DocumentError(f"{name} = {n} differs from the scene's {count} vertices")
             if "trace" in d:
                 doc.trace = _trace_from_json(d["trace"])
             if "residuals" in d:

@@ -487,7 +487,7 @@ def test_criterion_11_butterfly_theorem():
             for chord in (join(a_pts[3], a_pts[0]), join(b4, b1)):
                 if max(abs(z) for z in _cross(chord.coords, line.coords)) < 0.05:
                     raise GeometryError("near-parallel closing chord")
-            res = butterfly_check(a_pts, [b1, b2, b3, b4], uc, line)
+            res = butterfly_check(a_pts, [b1, b2, b3, b4], line)
         except GeometryError:
             continue
         worst = max(worst, res)

@@ -1,6 +1,9 @@
 """Ring operators, the (21_4), chain-trace (3n_4) and generic verification."""
 
 import math
+import random
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +18,7 @@ from poncelet import (
     config_from_chain_trace,
     conic_fit,
     complete_heptagon,
+    concentric_scene,
     construct_heptagon_p6,
     grunbaum_rigby,
     incidence_configuration,
@@ -24,7 +28,7 @@ from poncelet import (
 )
 from poncelet.errors import CoincidentElements, DegenerateInput, NotClosed
 
-from conftest import proper, random_map, ring_points
+from conftest import proper, random_closing_scene, random_map, ring_points
 
 
 def regular_heptagon(start=0.0):
@@ -210,3 +214,115 @@ class TestCanonicalCertificate:
             cfg_reg.points[1:], cfg_reg.lines, cfg_reg.threshold,
         )
         assert canonical_certificate(cfg_reg) != canonical_certificate(smaller)
+
+
+def exhaustive_certificate(cfg):
+    """Reference: the certificate search without automorphism pruning, which
+    visits one leaf per labelling the individualization tree reaches."""
+    m, k = len(cfg.points), len(cfg.lines)
+    adj = [frozenset(m + j for j in range(k) if cfg.incidence[i][j]) for i in range(m)]
+    adj += [frozenset(i for i in range(m) if cfg.incidence[i][j]) for j in range(k)]
+    total = m + k
+
+    def refine(colors):
+        while True:
+            signatures = [
+                (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(total)
+            ]
+            palette = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+            new = [palette[sig] for sig in signatures]
+            if new == colors:
+                return new
+            colors = new
+
+    def matrix_string(colors):
+        pts = sorted(range(m), key=lambda v: colors[v])
+        lns = sorted(range(m, total), key=lambda v: colors[v])
+        bits = bytearray()
+        for i in pts:
+            row = 0
+            for l in lns:
+                row = (row << 1) | (1 if l in adj[i] else 0)
+            bits.extend(row.to_bytes((k + 7) // 8, "big"))
+        return bytes(bits)
+
+    leaves = []
+
+    def search(colors):
+        colors = refine(colors)
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            leaves.append(matrix_string(colors))
+            return
+        fresh = max(colors) + 1
+        for v in target:
+            branch = list(colors)
+            branch[v] = fresh
+            search(branch)
+
+    search([0] * m + [1] * k)
+    return m.to_bytes(2, "big") + k.to_bytes(2, "big") + min(leaves)
+
+
+def chain_configuration(scene):
+    chain = chain_iterate_joinmeet(list(scene.vertices[:6]), scene.outer, scene.n - 3)
+    assert chain.closed_period == scene.n
+    return config_from_chain_trace(chain)[0]
+
+
+@lru_cache(maxsize=None)
+def reference_configurations():
+    """Chain (3n_4) for n = 7..16, the (21_4) and projective images of chains."""
+    cfgs = {f"chain{n}": chain_configuration(concentric_scene(n)) for n in range(7, 17)}
+    cfgs["gr"] = grunbaum_rigby(regular_heptagon())[0]
+    rng = random.Random(7)
+    for n in (7, 9, 12):
+        cfgs[f"image{n}"] = chain_configuration(random_closing_scene(rng, n))
+    return cfgs
+
+
+def relabelled(cfg, rng, flip):
+    """cfg with points and lines shuffled; with ``flip``, one incidence toggled."""
+    rows = [list(row) for row in cfg.incidence]
+    if flip:
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[i][j] = not rows[i][j]
+    pts = rng.sample(range(len(cfg.points)), len(cfg.points))
+    lns = rng.sample(range(len(cfg.lines)), len(cfg.lines))
+    return replace(
+        cfg,
+        points=[cfg.points[i] for i in pts],
+        lines=[cfg.lines[j] for j in lns],
+        incidence=tuple(tuple(rows[i][j] for j in lns) for i in pts),
+    )
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("name", sorted(reference_configurations()))
+    def test_equals_exhaustive_search(self, name):
+        cfg = reference_configurations()[name]
+        assert canonical_certificate(cfg) == exhaustive_certificate(cfg)
+
+    def test_chain_images_match_their_period(self):
+        cfgs = reference_configurations()
+        for n in (7, 9, 12):
+            assert canonical_certificate(cfgs[f"image{n}"]) == canonical_certificate(cfgs[f"chain{n}"])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_relabelled_equals_exhaustive_search(self, seed):
+        rng = random.Random(seed)
+        bases = reference_configurations()
+        base = bases[rng.choice(["gr", "chain8", "chain9", "chain10", "chain11"])]
+        flip = seed % 2 == 1
+        cfg = relabelled(base, rng, flip)
+        cert = canonical_certificate(cfg)
+        assert cert == exhaustive_certificate(cfg)
+        assert (cert == canonical_certificate(base)) is not flip
+
+    def test_point_and_line_degrees_are_plain_ints(self):
+        cfg = reference_configurations()["gr"]
+        assert cfg.point_degrees() == [4] * 21 and cfg.line_degrees() == [4] * 21
+        assert all(type(d) is int for d in cfg.point_degrees() + cfg.line_degrees())

@@ -427,18 +427,22 @@ class TestButterflyTheorem:
                     b4 = second_intersection(uc, b3, xs[2])
                 except Exception:
                     continue
-                yield a_pts, [b1, b2, b3, b4], uc, line
+                yield a_pts, [b1, b2, b3, b4], line
 
     def test_conclusion_holds(self, rng):
         count = 0
-        for a_pts, b_pts, conic, line in self.cases(rng):
-            assert butterfly_check(a_pts, b_pts, conic, line) < 1e-9
+        for a_pts, b_pts, line in self.cases(rng):
+            assert butterfly_check(a_pts, b_pts, line) < 1e-9
             count += 1
         assert count >= 50
 
     def test_broken_hypothesis_fails(self, rng):
-        uc = Conic.unit_circle()
         line = join(ProjPoint(0.3, 0.1, 1), ProjPoint(-0.2, 0.4, 1))
         a_pts = circle_points(rng, 4, minsep=0.3)
         b_pts = circle_points(rng, 4, minsep=0.3)  # not threaded through the cuts
-        assert butterfly_check(a_pts, b_pts, uc, line) > 1e-4
+        assert butterfly_check(a_pts, b_pts, line) > 1e-4
+
+    def test_needs_two_quadruples(self, rng):
+        line = join(ProjPoint(0.3, 0.1, 1), ProjPoint(-0.2, 0.4, 1))
+        with pytest.raises(ValueError):
+            butterfly_check(circle_points(rng, 4), circle_points(rng, 3), line)

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import time
 from functools import lru_cache
 
 import pytest
@@ -47,6 +48,8 @@ MALFORMED = {
     "incidence_names_missing_element": lambda d: d["trace"]["incidences"].append(
         ["incident", "no-such-point", "l"]
     ),
+    "n_differs_from_vertices": lambda d: d.__setitem__("n", 20000),
+    "scene_n_differs_from_vertices": lambda d: d["scene"].__setitem__("n", 6),
 }
 
 
@@ -60,6 +63,18 @@ def test_malformed_document_exits_2(case, command, tmp_path):
     code, _, err = run_quiet([*command, "--in", str(path)])
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_period_is_rejected_before_any_chain_walk(tmp_path):
+    # accepted, the closure check would walk 10**5 chain steps
+    doc = json.loads(constructed("6"))
+    doc["n"] = doc["scene"]["n"] = 10**5
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, _, err = run_quiet(["verify", "--in", str(path)])
+    assert code == 2 and err.count("\n") == 1
+    assert time.perf_counter() - t0 < 5
 
 
 def test_invalid_utf8_exits_2(tmp_path):
