@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateInput,
     PointNotOnConic,
@@ -157,7 +155,7 @@ def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
     d1 = proj_distance(p1, state.point)
     d2 = proj_distance(p2, state.point)
     nxt = p1 if d1 >= d2 else p2
-    if max(d1, d2) < 1e-9:
+    if max(d1, d2) < DEFAULT.rel:
         raise TangentialDegeneracy("both intersection candidates coincide with the vertex")
     l1, l2, doubled = tangents_from_point(nxt, inner)
     if doubled:
@@ -165,7 +163,7 @@ def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
     e1 = proj_distance(l1, state.line)
     e2 = proj_distance(l2, state.line)
     nxt_line = l1 if e1 >= e2 else l2
-    if max(e1, e2) < 1e-9:
+    if max(e1, e2) < DEFAULT.rel:
         raise TangentialDegeneracy("both tangent candidates coincide")
     return ChainState(nxt, nxt_line)
 
@@ -361,6 +359,8 @@ class ClosureRoot:
 
 def _poly_roots(system: ClosureSystem, poly: Poly) -> list[tuple[object, complex]]:
     """Polished, deduplicated roots of one factor polynomial."""
+    import numpy as np
+
     coeffs = poly.complex_coefficients()
     if len(coeffs) <= 1:
         return []

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     CoincidentElements,
     ConstructionDegeneracy,
@@ -398,8 +396,10 @@ def _self_polar_frame(
         tr.record_meet("X", "l13", "l24", x)
         tr.record_meet("Y", "l14", "l23", y)
         return o, x, y
+    import numpy as np
+
     tr.notes.append("pencil intersections collide; frame from dual(B)A eigenvectors")
-    m = b.dual().as_array() @ a.as_array()
+    m = np.array(b.dual().rows(), dtype=complex) @ np.array(a.rows(), dtype=complex)
     _, vecs = np.linalg.eig(m)
     frame = []
     for k in range(3):

@@ -18,8 +18,6 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     CoincidentElements,
     DegenerateInput,
@@ -34,7 +32,7 @@ Vec3 = tuple[complex, complex, complex]
 
 
 # ---------------------------------------------------------------------------
-# tuple-level helpers (hot paths avoid numpy's per-call overhead)
+# tuple-level helpers
 
 
 def _finite(z: complex) -> bool:
@@ -53,18 +51,25 @@ def _normalized_lead(top: complex) -> bool:
 
 
 def _normalize3(coords: Iterable[complex], stored: bool = False) -> Vec3:
-    c = tuple(complex(z) for z in coords)
+    c = tuple(map(complex, coords))
     if len(c) != 3:
         raise ValueError("expected 3 homogeneous coordinates")
-    if not all(_finite(z) for z in c):
+    x, y, z = c
+    if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):
         raise NonFiniteElement(f"non-finite coordinates {c}")
-    k = max(range(3), key=lambda i: abs(c[i]))
-    top = c[k]
+    # the first entry of largest magnitude leads, as max() would pick it
+    ax, ay, az = abs(x), abs(y), abs(z)
+    if ay > ax:
+        top, big = y, ay
+    else:
+        top, big = x, ax
+    if az > big:
+        top = z
     if top == 0:
         raise NonFiniteElement("zero vector is not a projective element")
     if stored and _normalized_lead(top):
         return c
-    return (c[0] / top, c[1] / top, c[2] / top)
+    return (x / top, y / top, z / top)
 
 
 def _cross(u: Sequence[complex], v: Sequence[complex]) -> Vec3:
@@ -81,7 +86,11 @@ def _dot(u: Sequence[complex], v: Sequence[complex]) -> complex:
 
 def _minor_gap(u: Sequence[complex], v: Sequence[complex]) -> float:
     """Largest 2x2 minor of two normalized 3-vectors: 0 iff projectively equal."""
-    return max(abs(z) for z in _cross(u, v))
+    return max(
+        abs(u[1] * v[2] - u[2] * v[1]),
+        abs(u[2] * v[0] - u[0] * v[2]),
+        abs(u[0] * v[1] - u[1] * v[0]),
+    )
 
 
 def _det3(rows: Sequence[Sequence[complex]]) -> complex:
@@ -238,16 +247,18 @@ class Conic:
         a00, a01, a02, a11, a12, a22 = self.entries
         return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows(), dtype=complex)
-
     def apply(self, p: Sequence[complex]) -> Vec3:
         """Matrix-vector product A p (polar line of p)."""
-        r = self.rows()
-        return (_dot(r[0], p), _dot(r[1], p), _dot(r[2], p))
+        a00, a01, a02, a11, a12, a22 = self.entries
+        return (
+            a00 * p[0] + a01 * p[1] + a02 * p[2],
+            a01 * p[0] + a11 * p[1] + a12 * p[2],
+            a02 * p[0] + a12 * p[1] + a22 * p[2],
+        )
 
     def qform(self, p: Sequence[complex]) -> complex:
-        return _dot(p, self.apply(p))
+        q0, q1, q2 = self.apply(p)
+        return p[0] * q0 + p[1] * q1 + p[2] * q2
 
     def adjugate_entries(self) -> tuple[complex, ...]:
         cached = self._adjugate
@@ -339,6 +350,8 @@ def conic_through_5_lines(lines: Sequence[ProjLine]) -> Conic:
 
 def conic_fit(points: Sequence[ProjPoint]) -> Conic:
     """Least-squares conic through five or more points (SVD null vector)."""
+    import numpy as np
+
     if len(points) < 5:
         raise ValueError("conic_fit needs at least 5 points")
     rows = []
@@ -362,14 +375,18 @@ def conic_fit_lines(lines: Sequence[ProjLine]) -> Conic:
 
 def _line_base_points(l: _HomogeneousVector) -> tuple[Vec3, Vec3]:
     """Two independent points spanning a line (or lines through a point)."""
-    candidates = [
-        _cross(l.coords, e)
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    u = max(candidates, key=lambda c: max(abs(z) for z in c))
+    lc = l.coords
+    # l x e for the basis vectors e, as full cross products (the signs of
+    # their zero entries reach the output); the first largest one wins
+    u = _cross(lc, (1, 0, 0))
+    big = max(abs(u[0]), abs(u[1]), abs(u[2]))
+    for e in ((0, 1, 0), (0, 0, 1)):
+        c = _cross(lc, e)
+        size = max(abs(c[0]), abs(c[1]), abs(c[2]))
+        if size > big:
+            u, big = c, size
     un = _normalize3(u)
-    v = _normalize3(_cross(l.coords, un))
-    return un, v
+    return un, _normalize3(_cross(lc, un))
 
 
 def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[tuple[complex, complex], tuple[complex, complex], bool]:
@@ -382,7 +399,10 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[tuple[complex,
     if scale == 0:
         raise DegenerateInput("identically zero quadratic")
     disc = b * b - 4 * a * c
-    tangential = abs(disc) <= (1e-9 * scale) ** 2 * 4 or abs(disc) <= 1e-12 * scale * scale
+    tangential = (
+        abs(disc) <= (DEFAULT.rel * scale) ** 2 * 4
+        or abs(disc) <= DEFAULT.degeneracy * scale * scale
+    )
     sd = cmath.sqrt(disc)
     if abs(b + sd) < abs(b - sd):
         sd = -sd
@@ -409,12 +429,14 @@ def line_conic_intersect(
         raise DegenerateInput("line_conic_intersect requires a non-degenerate conic")
     u, v = _line_base_points(l)
     cu = conic.apply(u)
-    a = _dot(v, conic.apply(v))
+    a = conic.qform(v)
     b = 2 * _dot(v, cu)
     c = _dot(u, cu)
     (t1, s1), (t2, s2), tangential = _solve_quadratic(a, b, c)
-    p1 = ProjPoint(tuple(s1 * ui + t1 * vi for ui, vi in zip(u, v)))
-    p2 = ProjPoint(tuple(s2 * ui + t2 * vi for ui, vi in zip(u, v)))
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    p1 = ProjPoint((s1 * u0 + t1 * v0, s1 * u1 + t1 * v1, s1 * u2 + t1 * v2))
+    p2 = ProjPoint((s2 * u0 + t2 * v0, s2 * u1 + t2 * v1, s2 * u2 + t2 * v2))
     return p1, p2, tangential
 
 
@@ -445,8 +467,10 @@ def tangents_from_point(
     b = 2 * dq(m1, m2)
     c = dq(m1, m1)
     (t1, s1), (t2, s2), doubled = _solve_quadratic(a, b, c)
-    l1 = ProjLine(tuple(s1 * ui + t1 * vi for ui, vi in zip(m1, m2)))
-    l2 = ProjLine(tuple(s2 * ui + t2 * vi for ui, vi in zip(m1, m2)))
+    x0, x1, x2 = m1
+    y0, y1, y2 = m2
+    l1 = ProjLine((s1 * x0 + t1 * y0, s1 * x1 + t1 * y1, s1 * x2 + t1 * y2))
+    l2 = ProjLine((s2 * x0 + t2 * y0, s2 * x1 + t2 * y1, s2 * x2 + t2 * y2))
     return l1, l2, doubled
 
 
@@ -545,6 +569,8 @@ def conic_conic_intersect(a: Conic, b: Conic, polish: bool = True) -> list[ProjP
     ``a``.  Tangential contacts appear as repeated points, so the returned
     list always has exactly four entries counted with multiplicity.
     """
+    import numpy as np
+
     if a.degenerate or b.degenerate:
         raise DegenerateInput("conic_conic_intersect requires non-degenerate conics")
     if a.is_same(b):

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poncelet
 from poncelet import SceneDocument, chain_values, render_svg, scene_from_rp1
 from poncelet.cli import main
 from poncelet.errors import DocumentError
@@ -252,3 +257,34 @@ class TestDocumentRoundtrip:
     def test_unknown_version_rejected(self):
         with pytest.raises(DocumentError):
             SceneDocument.from_dict({"format": "poncelet-scene", "version": 99})
+
+
+# runs verify, render and construct chain on a document in one fresh process,
+# then reports the exit codes and whether numpy was ever imported
+NUMPY_PROBE = """
+import json, sys
+from poncelet.cli import main
+doc, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["verify", "--in", doc]),
+    main(["render", "--in", doc, "--out", out + "/scene.svg"]),
+    main(["construct", "chain", "--in", doc, "--steps", "8", "--out", out + "/chain.json"]),
+]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+class TestImports:
+    def test_document_commands_do_not_import_numpy(self, tmp_path):
+        # numpy is imported only where LAPACK runs (conic fits, pencil and
+        # closure-polynomial roots), none of which these commands need
+        hept = tmp_path / "hept.json"
+        assert run(["construct", "7", "--seed", "3", "--out", str(hept)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+        res = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, str(hept), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        probe = json.loads(res.stdout.splitlines()[-1])
+        assert probe == {"codes": [0, 0, 0], "numpy": False}

@@ -2,12 +2,14 @@
 
 import math
 import random
+import timeit
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 from poncelet import (
+    IncidenceConfiguration,
     PointRing,
     ProjLine,
     ProjPoint,
@@ -284,6 +286,49 @@ def reference_configurations():
     return cfgs
 
 
+def cayley_incidence(gens):
+    """Vertex-edge incidence of the Cayley graph of Z4 x Z4 with connection
+    set +-gens, as an abstract configuration: certificates read only the
+    incidence."""
+    conn = {((s * a) % 4, (s * b) % 4) for a, b in gens for s in (1, -1)}
+    edges = sorted({
+        tuple(sorted((4 * x + y, 4 * ((x + a) % 4) + (y + b) % 4)))
+        for x in range(4) for y in range(4) for a, b in conn
+    })
+    incidence = tuple(tuple(v in e for e in edges) for v in range(16))
+    return IncidenceConfiguration([None] * 16, [None] * len(edges), incidence, 0.0)
+
+
+def disjoint_union(a, b):
+    """a and b side by side: no point of one lies on a line of the other."""
+    pad_a, pad_b = (False,) * len(a.lines), (False,) * len(b.lines)
+    return replace(
+        a,
+        points=a.points + b.points,
+        lines=a.lines + b.lines,
+        incidence=tuple(row + pad_b for row in a.incidence)
+        + tuple(pad_a + row for row in b.incidence),
+    )
+
+
+@lru_cache(maxsize=None)
+def union_configurations():
+    """Disjoint unions whose target cells merge several orbits of the path
+    stabiliser: two copies of one configuration, two configurations colour
+    refinement cannot tell apart, and the Shrikhande graph beside the 4x4
+    rook's graph (both strongly regular (16, 6, 2, 2))."""
+    cfgs = reference_configurations()
+    shrikhande = cayley_incidence(((1, 0), (0, 1), (1, 1)))
+    rook = cayley_incidence(((1, 0), (2, 0), (0, 1), (0, 2)))
+    return {
+        "gr+gr": disjoint_union(cfgs["gr"], cfgs["gr"]),
+        "chain7+chain7": disjoint_union(cfgs["chain7"], cfgs["chain7"]),
+        "chain8+chain8": disjoint_union(cfgs["chain8"], cfgs["chain8"]),
+        "gr+chain8": disjoint_union(cfgs["gr"], cfgs["chain8"]),
+        "shrikhande+rook": disjoint_union(shrikhande, rook),
+    }
+
+
 def relabelled(cfg, rng, flip):
     """cfg with points and lines shuffled; with ``flip``, one incidence toggled."""
     rows = [list(row) for row in cfg.incidence]
@@ -321,6 +366,28 @@ class TestPrunedSearch:
         cert = canonical_certificate(cfg)
         assert cert == exhaustive_certificate(cfg)
         assert (cert == canonical_certificate(base)) is not flip
+
+    @pytest.mark.parametrize("name", sorted(union_configurations()))
+    def test_union_certificate_ignores_labels(self, name):
+        base = union_configurations()[name]
+        certs = {canonical_certificate(relabelled(base, random.Random(seed), False)) for seed in range(6)}
+        assert certs == {canonical_certificate(base)}
+
+    @pytest.mark.parametrize("name", sorted(union_configurations()))
+    def test_flipped_union_equals_exhaustive_search(self, name):
+        base = union_configurations()[name]
+        cfg = relabelled(base, random.Random(1), True)
+        cert = canonical_certificate(cfg)
+        assert cert == exhaustive_certificate(cfg)
+        assert cert != canonical_certificate(base)
+
+    def test_pruning_cuts_the_search(self):
+        # a search that prunes nothing returns the same bytes: only its cost
+        # shows it (the (21_4) has 336 leaves unpruned, about 20 pruned)
+        cfg = reference_configurations()["gr"]
+        pruned = min(timeit.repeat(lambda: canonical_certificate(cfg), number=1, repeat=3))
+        exhaustive = min(timeit.repeat(lambda: exhaustive_certificate(cfg), number=1, repeat=3))
+        assert 3 * pruned < exhaustive
 
     def test_point_and_line_degrees_are_plain_ints(self):
         cfg = reference_configurations()["gr"]

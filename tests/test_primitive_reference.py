@@ -1,0 +1,325 @@
+"""Bit identity of the chain-step primitives against their earlier form.
+
+The references below are the generator-and-key implementations that the
+straight-line code in ``poncelet.projective`` replaced.  Both must do the
+same floating-point operations in the same order, so results are compared
+by ``repr``: signed zeros count, because they reach the JSON documents.
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from poncelet import (
+    Conic,
+    ProjLine,
+    ProjPoint,
+    apply_map,
+    concentric_scene,
+    line_conic_intersect,
+    run_chain,
+    tangent_line_at,
+    tangents_from_point,
+    transformed_scene,
+)
+from poncelet.errors import DegenerateInput, NonFiniteElement, TangentialDegeneracy
+from poncelet.projective import _line_base_points, _minor_gap, _normalize3
+
+from conftest import random_map
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_finite(z):
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def ref_normalize3(coords, stored=False):
+    c = tuple(complex(z) for z in coords)
+    if len(c) != 3:
+        raise ValueError("expected 3 homogeneous coordinates")
+    if not all(ref_finite(z) for z in c):
+        raise NonFiniteElement(f"non-finite coordinates {c}")
+    k = max(range(3), key=lambda i: abs(c[i]))
+    top = c[k]
+    if top == 0:
+        raise NonFiniteElement("zero vector is not a projective element")
+    if stored and top.real == 1.0 and abs(top.imag) <= 1e-15:
+        return c
+    return (c[0] / top, c[1] / top, c[2] / top)
+
+
+def ref_cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def ref_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def ref_minor_gap(u, v):
+    return max(abs(z) for z in ref_cross(u, v))
+
+
+def ref_line_base_points(lc):
+    candidates = [ref_cross(lc, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    u = max(candidates, key=lambda c: max(abs(z) for z in c))
+    un = ref_normalize3(u)
+    v = ref_normalize3(ref_cross(lc, un))
+    return un, v
+
+
+def ref_apply(conic, p):
+    a00, a01, a02, a11, a12, a22 = conic.entries
+    r = ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+    return (ref_dot(r[0], p), ref_dot(r[1], p), ref_dot(r[2], p))
+
+
+def ref_qform(conic, p):
+    return ref_dot(p, ref_apply(conic, p))
+
+
+def ref_solve_quadratic(a, b, c):
+    scale = max(abs(a), abs(b), abs(c))
+    if scale == 0:
+        raise DegenerateInput("identically zero quadratic")
+    disc = b * b - 4 * a * c
+    tangential = abs(disc) <= (1e-9 * scale) ** 2 * 4 or abs(disc) <= 1e-12 * scale * scale
+    sd = cmath.sqrt(disc)
+    if abs(b + sd) < abs(b - sd):
+        sd = -sd
+    q = -(b + sd) / 2
+    if abs(q) > 1e-300:
+        return (q, a), (c, q), tangential
+    if abs(a) >= abs(c):
+        return (sd / 2, a), (-sd / 2, a), tangential
+    return (c, -sd / 2), (c, sd / 2), tangential
+
+
+def ref_line_conic_intersect(lc, conic):
+    if conic.degenerate:
+        raise DegenerateInput("line_conic_intersect requires a non-degenerate conic")
+    u, v = ref_line_base_points(lc)
+    cu = ref_apply(conic, u)
+    a = ref_dot(v, ref_apply(conic, v))
+    b = 2 * ref_dot(v, cu)
+    c = ref_dot(u, cu)
+    (t1, s1), (t2, s2), tangential = ref_solve_quadratic(a, b, c)
+    p1 = ref_normalize3(tuple(s1 * ui + t1 * vi for ui, vi in zip(u, v)))
+    p2 = ref_normalize3(tuple(s2 * ui + t2 * vi for ui, vi in zip(u, v)))
+    return p1, p2, tangential
+
+
+def ref_tangents_from_point(pc, conic):
+    if conic.degenerate:
+        raise DegenerateInput("tangents_from_point requires a non-degenerate conic")
+    m1, m2 = ref_line_base_points(pc)
+    b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
+
+    def dq(x, y):
+        return (
+            b00 * x[0] * y[0]
+            + b11 * x[1] * y[1]
+            + b22 * x[2] * y[2]
+            + b01 * (x[0] * y[1] + x[1] * y[0])
+            + b02 * (x[0] * y[2] + x[2] * y[0])
+            + b12 * (x[1] * y[2] + x[2] * y[1])
+        )
+
+    a = dq(m2, m2)
+    b = 2 * dq(m1, m2)
+    c = dq(m1, m1)
+    (t1, s1), (t2, s2), doubled = ref_solve_quadratic(a, b, c)
+    l1 = ref_normalize3(tuple(s1 * ui + t1 * vi for ui, vi in zip(m1, m2)))
+    l2 = ref_normalize3(tuple(s2 * ui + t2 * vi for ui, vi in zip(m1, m2)))
+    return l1, l2, doubled
+
+
+def ref_run_chain(outer, inner, start, choice, steps):
+    """run_chain built from the references (chain_step's decisions)."""
+    t1, t2, doubled = ref_tangents_from_point(start.coords, inner)
+    assert not doubled
+    point, line = start.coords, (t1, t2)[choice % 2]
+    out = [point]
+    for _ in range(steps):
+        p1, p2, tangential = ref_line_conic_intersect(line, outer)
+        if tangential:
+            raise TangentialDegeneracy("chain line is tangent to the outer conic")
+        d1, d2 = ref_minor_gap(p1, point), ref_minor_gap(p2, point)
+        nxt = p1 if d1 >= d2 else p2
+        if max(d1, d2) < 1e-9:
+            raise TangentialDegeneracy("both intersection candidates coincide")
+        l1, l2, doubled = ref_tangents_from_point(nxt, inner)
+        if doubled:
+            raise TangentialDegeneracy("next vertex lies on the inner conic")
+        e1, e2 = ref_minor_gap(l1, line), ref_minor_gap(l2, line)
+        if max(e1, e2) < 1e-9:
+            raise TangentialDegeneracy("both tangent candidates coincide")
+        point, line = nxt, (l1 if e1 >= e2 else l2)
+        out.append(point)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+# entries of equal magnitude in several positions: the first one must lead
+TIES = [
+    (1, -1, 1j), (1j, 1, -1), (-1, 1j, 1), (1, 1, 1), (-1, -1, -1),
+    (2, -2, 0), (0, 1j, -1j), (0, 0, -1), (1 + 1j, 1 - 1j, -1 - 1j),
+    (0.6 + 0.8j, -1, 0.8 - 0.6j), (3 + 4j, -5, 5j), (-0.0, 1, -1),
+]
+SPARSE = [0, 0.0, -0.0, 1, -1, -2.5, 0.5, 1j, -1j, 0.5 - 0.5j, -3 + 0j, complex(-0.0, 2)]
+
+
+def sample_vectors(rng, count):
+    out = list(TIES)
+    while len(out) < count:
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = tuple(rng.uniform(-3, 3) for _ in range(3))
+        elif kind == 1:
+            v = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+        elif kind == 2:
+            v = tuple(rng.choice(SPARSE) for _ in range(3))
+        else:
+            v = tuple(rng.choice((0, -0.0, rng.uniform(-2, 2))) for _ in range(3))
+        if any(v):
+            out.append(v)
+    return out
+
+
+def sample_conics(rng, count):
+    out = [Conic.unit_circle(), Conic.circle(0.5), Conic((1, 0, 0, -1, 0, 1j))]
+    while len(out) < count:
+        if rng.random() < 0.5:
+            entries = tuple(rng.uniform(-2, 2) for _ in range(6))
+        else:
+            entries = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(6))
+        conic = Conic(entries)
+        if not conic.degenerate:
+            out.append(conic)
+    return out
+
+
+DEGENERATE = Conic((1, 0, 0, 0, 0, 0))
+
+
+def points_on(conic, rng, count=8):
+    """Points of the conic, cut out by generic complex lines."""
+    lines = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in range(count)]
+    return [ProjPoint(ref_line_conic_intersect(ProjLine(l).coords, conic)[0]) for l in lines]
+
+
+def outcome(fn, *args):
+    """repr of the result, or the exception class raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+def coords_of(result):
+    a, b, flag = result
+    return a.coords, b.coords, flag
+
+
+@pytest.fixture(scope="module")
+def vectors():
+    return sample_vectors(random.Random(7), 400)
+
+
+@pytest.fixture(scope="module")
+def conics():
+    return sample_conics(random.Random(8), 12)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestPrimitivesBitIdentical:
+    def test_normalize3(self, vectors):
+        for v in vectors:
+            for stored in (False, True):
+                assert repr(_normalize3(v, stored)) == repr(ref_normalize3(v, stored))
+            # read back as stored: a lead of 1 + (rounding)j is kept as written
+            n = ref_normalize3(v)
+            assert repr(_normalize3(n, True)) == repr(ref_normalize3(n, True))
+
+    @pytest.mark.parametrize("bad", [
+        [], [1, 2], [1, 2, 3, 4], ["a", 1, 2], [None, 1, 2], [1, 2, 3, None],
+        [1, 2, None, 4], [math.nan, 0, 1], [1, math.inf, 1], [1, complex(0, math.nan), 0],
+        [0, 0, 0], [0j, -0.0, 0], [complex(1e308, 1e308), 1, 1], "123", "1a3",
+    ])
+    def test_normalize3_malformed(self, bad):
+        for stored in (False, True):
+            got = outcome(_normalize3, iter(bad), stored)
+            assert got == outcome(ref_normalize3, iter(bad), stored)
+
+    def test_minor_gap(self, vectors):
+        normalized = [ref_normalize3(v) for v in vectors]
+        pairs = list(zip(normalized, normalized[1:] + normalized[:1]))
+        pairs += [(u, u) for u in normalized[:50]] + list(zip(vectors, vectors[3:]))
+        for u, v in pairs:
+            assert repr(_minor_gap(u, v)) == repr(ref_minor_gap(u, v))
+
+    def test_line_base_points(self, vectors):
+        for v in vectors:
+            line = ProjLine(v)
+            # isotropic elements such as (0, 1, 1j) raise in both
+            assert outcome(_line_base_points, line) == outcome(ref_line_base_points, line.coords)
+
+    def test_conic_apply_and_qform(self, vectors, conics):
+        for conic in conics:
+            for v in vectors[:100]:
+                assert repr(conic.apply(v)) == repr(ref_apply(conic, v))
+                assert repr(conic.qform(v)) == repr(ref_qform(conic, v))
+            for bad in [(1, 2), (1, 2, 3, 4), ("a", 1, 2), (1, None, 1), [1, 1j, -1]]:
+                assert outcome(conic.apply, bad) == outcome(ref_apply, conic, bad)
+                assert outcome(conic.qform, bad) == outcome(ref_qform, conic, bad)
+
+    def test_line_conic_intersect(self, vectors, conics):
+        rng = random.Random(9)
+        for conic in conics + [DEGENERATE]:
+            lines = [ProjLine(v) for v in vectors[:60]]
+            if not conic.degenerate:
+                # tangent lines: the two intersections coincide
+                lines += [tangent_line_at(conic, p, 1e-6) for p in points_on(conic, rng)]
+            for line in lines:
+                got = outcome(lambda: coords_of(line_conic_intersect(line, conic)))
+                assert got == outcome(ref_line_conic_intersect, line.coords, conic)
+
+    def test_tangents_from_point(self, vectors, conics):
+        rng = random.Random(10)
+        for conic in conics + [DEGENERATE]:
+            points = [ProjPoint(v) for v in vectors[:60]]
+            if not conic.degenerate:
+                # points on the conic: the two tangents coincide
+                points += points_on(conic, rng)
+            for p in points:
+                got = outcome(lambda: coords_of(tangents_from_point(p, conic)))
+                assert got == outcome(ref_tangents_from_point, p.coords, conic)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_run_chain_walks_bit_identical(n):
+    """Porism-style walks: projective images of concentric scenes, three wraps."""
+    rng = random.Random(100 + n)
+    m = random_map(rng)
+    scene = transformed_scene(concentric_scene(n, start_angle=rng.uniform(0, 2 * math.pi)), m)
+    for k in range(4):
+        a = rng.uniform(0, 2 * math.pi)
+        start = apply_map(m, ProjPoint(math.cos(a), math.sin(a), 1))
+        got = run_chain(scene.outer, scene.inner, start, k, steps=3 * n + 1)
+        want = ref_run_chain(scene.outer, scene.inner, start, k, 3 * n + 1)
+        assert repr([p.coords for p in got]) == repr(want)

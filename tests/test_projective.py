@@ -274,7 +274,7 @@ class TestConicConic:
         for _ in range(20):
             a = conic_through_5(ring_points(rng, 5))
             b = conic_through_5(ring_points(rng, 5))
-            A, B = a.as_array(), b.as_array()
+            A, B = (np.array(c.rows(), dtype=complex) for c in (a, b))
             samples = [complex(t) for t in (0, 1, -1, 2)]
             dets = [np.linalg.det(A + t * B) for t in samples]
             V = np.vander(np.array(samples), 4, increasing=True)
