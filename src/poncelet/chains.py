@@ -41,6 +41,7 @@ from .ratpoly import (
     Poly,
     PolyVec,
     _pv_bracket,
+    _ratio_float,
     chain_next_vector,
     constant_vector,
     exact_newton,
@@ -277,17 +278,19 @@ class ClosureSystem:
         )
 
     def _wrap_gap(self, x, idx_new: int, idx_ref: int) -> float:
-        a, b = self.vectors[idx_new]
-        ra, rb = self.vectors[idx_ref]
-        va, vb = a.eval_exact(x), b.eval_exact(x)
-        wa, wb = ra.eval_exact(x), rb.eval_exact(x)
-        det = va * wb - vb * wa
-        scale = max(_mag(va), _mag(vb)) * max(_mag(wa), _mag(wb))
-        return _mag(det) / max(scale, DEFAULT.floor)
+        (ar, ai, ad), (br, bi, bd) = (p.eval_ints(x) for p in self.vectors[idx_new])
+        (cr, ci, cd), (dr, di, dd) = (p.eval_ints(x) for p in self.vectors[idx_ref])
+        # a*d - b*c over the common denominator ad*bd*cd*dd, never reduced
+        s, t = bd * cd, ad * dd
+        det_r = (ar * dr - ai * di) * s - (br * cr - bi * ci) * t
+        det_i = (ar * di + ai * dr) * s - (br * ci + bi * cr) * t
+        scale = max(_mag(ar, ai, ad), _mag(br, bi, bd)) * max(_mag(cr, ci, cd), _mag(dr, di, dd))
+        return _mag(det_r, det_i, s * t) / max(scale, DEFAULT.floor)
 
 
-def _mag(z) -> float:
-    return abs(to_complex(z))
+def _mag(re: int, im: int, den: int) -> float:
+    """|re + i*im| / den, as ``abs(to_complex(...))`` gives it for the exact value."""
+    return abs(complex(_ratio_float(re, den), _ratio_float(im, den)))
 
 
 def closure_system(
@@ -368,13 +371,13 @@ def _poly_roots(system: ClosureSystem, poly: Poly) -> list[tuple[object, complex
     polished = []
     for s in seeds:
         z = complex(s)
-        if abs(z.imag) < 1e-12 * max(1.0, abs(z.real)) and not system.gaussian:
+        if abs(z.imag) < DEFAULT.real_snap * max(1.0, abs(z.real)) and not system.gaussian:
             z = complex(z.real, 0.0)
         exact_x, approx = exact_newton(poly, z)
         polished.append((exact_x, approx))
     merged: list[tuple[object, complex]] = []
     for x, approx in sorted(polished, key=lambda t: (t[1].real, t[1].imag)):
-        if any(abs(approx - m) < 1e-7 * max(1.0, abs(m)) for _, m in merged):
+        if any(abs(approx - m) < DEFAULT.root_merge * max(1.0, abs(m)) for _, m in merged):
             continue
         merged.append((x, approx))
     return merged
@@ -387,7 +390,8 @@ def closure_roots(
 
     The genuine factor (gcd of both wrap polynomials) and the spurious
     cofactor are solved separately, which keeps clustered genuine/spurious
-    neighbourhoods well-conditioned; roots closer than 1e-7 merge as one.
+    neighbourhoods well-conditioned; roots closer than ``DEFAULT.root_merge``
+    (relative) merge as one.
     """
     tol = DEFAULT.closure if tol is None else tol
     system = closure_system(points5, n)
@@ -401,7 +405,7 @@ def closure_roots(
         out.append(ClosureRoot(approx, res_p, res_q, res_p < tol and res_q < tol))
     genuine_vals = [r.value for r in out]
     for x, approx in _poly_roots(system, cofactor):
-        if any(abs(approx - g) < 1e-7 * max(1.0, abs(g)) for g in genuine_vals):
+        if any(abs(approx - g) < DEFAULT.root_merge * max(1.0, abs(g)) for g in genuine_vals):
             continue
         res_p, res_q = system.wrap_residuals(x)
         out.append(ClosureRoot(approx, res_p, res_q, res_p < tol and res_q < tol))

@@ -386,7 +386,14 @@ def _line_base_points(l: _HomogeneousVector) -> tuple[Vec3, Vec3]:
         if size > big:
             u, big = c, size
     un = _normalize3(u)
-    return un, _normalize3(_cross(lc, un))
+    v = _cross(lc, un)
+    if not (v[0] or v[1] or v[2]):
+        # isotropic l (l.l = 0) with u along l: the basis cross product
+        # farthest from u (the first of equals) spans the line with it
+        products = [_cross(lc, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        v = max((c for c in products if c[0] or c[1] or c[2]),
+                key=lambda c: _minor_gap(un, _normalize3(c)))
+    return un, _normalize3(v)
 
 
 def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[tuple[complex, complex], tuple[complex, complex], bool]:

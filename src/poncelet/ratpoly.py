@@ -9,11 +9,24 @@ heuristic GCDHEU certified by exact division, and roots are polished by
 Newton steps in integer fixed point.  Floating inputs are converted to
 exact dyadic rationals, so there is a single exact code path; complex
 inputs use Gaussian rationals and the field Euclid.
+
+The chain step knows most of its common factor in advance.  With
+c1 = [q1q4][q3q4][q5q6] and c2 = [q1q6][q2q3][q4q5] the next point is
+a = c1*q2[0] - c2*q4[0], b = c1*q2[1] - c2*q4[1], and the identities
+
+    a*q4[1] - b*q4[0] = c1*[q2q4],    a*q2[1] - b*q2[0] = c2*[q2q4]
+
+show that gcd(a, b) divides gcd(c1, c2)*[q2q4].  ``chain_next_vector``
+cancels the shared bracket factors before it multiplies and divides by
+[q2q4] where that divides exactly.  ``normalize_pair`` stays the
+certificate: it removes whatever common factor is left, so the reduced
+pair is the same as from the full products.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -155,15 +168,19 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        a, b = self.c, other.c
+        out = list(map(operator.sub, a, b))
+        k = len(out)
+        out += a[k:] if len(a) > k else [-z for z in b[k:]]
+        return Poly(out)
 
     def __neg__(self) -> "Poly":
         return Poly([-z for z in self.c])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
         a, b = self.c, other.c
+        if not a or not b:
+            return Poly(())
         out = [a[0] * b[0] * 0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -222,17 +239,22 @@ class Poly:
     def eval_exact(self, x: Coeff) -> Coeff:
         """Exact value at x (Fraction, or GaussQ on the Gaussian path), from one
         homogeneous evaluation in integers."""
-        gauss = isinstance(x, (GaussQ, complex)) or _is_gauss(self)
-        x = _as_gauss(x) if gauss else Fraction(x)
+        hr, hi, den = self.eval_ints(x)
+        if isinstance(x, (GaussQ, complex)) or _is_gauss(self):
+            return GaussQ(Fraction(hr, den), Fraction(hi, den))
+        return Fraction(hr, den)
+
+    def eval_ints(self, x: Coeff) -> tuple[int, int, int]:
+        """(re, im, den) in integers with p(x) = (re + i*im) / den and den > 0,
+        unreduced; x is an int, Fraction, GaussQ or complex."""
         if self.is_zero():
-            return x * 0
-        xr, xi = (x.re, x.im) if gauss else (x, 0)
+            return 0, 0, 1
+        xr, xi = (x.re, x.im) if isinstance(x, GaussQ) else (Fraction(x.real), Fraction(x.imag))
         w = math.lcm(xr.denominator, xi.denominator)
         c, den = _gauss_ints(self)
         hr, hi = _hom_eval(c, xr.numerator * (w // xr.denominator),
                            xi.numerator * (w // xi.denominator), w)
-        den *= w ** self.degree
-        return GaussQ(Fraction(hr, den), Fraction(hi, den)) if gauss else Fraction(hr, den)
+        return hr, hi, den * w ** self.degree
 
     def derivative(self) -> "Poly":
         if self.degree < 1:
@@ -293,7 +315,7 @@ def _coeff_to_complex(z: Coeff, scale: float) -> complex:
 
 
 def _is_gauss(p: Poly) -> bool:
-    return any(isinstance(z, GaussQ) for z in p.c)
+    return GaussQ in map(type, p.c)
 
 
 def _field_gcd(a: Poly, b: Poly) -> Poly:
@@ -462,13 +484,67 @@ def _pv_bracket(u: PolyVec, v: PolyVec) -> Poly:
     return u[0] * v[1] - u[1] * v[0]
 
 
+def _cancel(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) with h a GCD of f and g (up to a constant) and exact
+    quotients; h is 1 when either polynomial is constant or zero.  When one
+    divides the other, that one is h and no GCD is computed."""
+    if f.degree < 1 or g.degree < 1:
+        return Poly([1]), f, g
+    if g.degree <= f.degree:
+        q = _exact_div(f, g)
+        if q is not None:
+            return g, q, Poly([1])
+    else:
+        q = _exact_div(g, f)
+        if q is not None:
+            return f, Poly([1]), q
+    if _is_gauss(f) or _is_gauss(g):
+        h = _field_gcd(f, g)
+        return h, f // h, g // h
+    h, qf, qg = _gcd_cofactors(list(f.c), list(g.c))
+    return Poly(h), Poly(qf), Poly(qg)
+
+
+def _exact_div(f: Poly, g: Poly) -> Poly | None:
+    """f / g if g divides f exactly, else None."""
+    if _is_gauss(f) or _is_gauss(g):
+        q, r = f.divmod(g)
+        return q if r.is_zero() else None
+    q = _exact_quo(list(f.c), list(g.c))
+    return None if q is None else Poly(q)
+
+
 def chain_next_vector(window: Sequence[PolyVec]) -> PolyVec:
-    """Next chain point from six consecutive ones, as a reduced polynomial pair."""
+    """Next chain point from six consecutive ones, as a reduced polynomial pair.
+
+    The points are pairs as ``normalize_pair`` returns them (integer or
+    Gaussian coefficients).  Of the factor gcd(c1, c2)*[q2q4] that bounds
+    gcd(a, b) (see the module docstring), the brackets with a common centre
+    carry the shared part: a chain through a doubled vertex or edge runs
+    back on itself, so [q2q3] shares its roots with [q1q4] and [q3q4] with
+    [q1q6].  Those two pairs are cancelled before the products are formed,
+    and both components are divided by [q2q4] when it divides them exactly.
+    ``normalize_pair`` then removes whatever common factor is left, so the
+    result is the reduced pair of the full six-bracket products, bit for bit.
+    """
     q1, q2, q3, q4, q5, q6 = window
-    c1 = _pv_bracket(q1, q4) * _pv_bracket(q3, q4) * _pv_bracket(q5, q6)
-    c2 = _pv_bracket(q1, q6) * _pv_bracket(q2, q3) * _pv_bracket(q4, q5)
+    h1, b14, b23 = _cancel(_pv_bracket(q1, q4), _pv_bracket(q2, q3))
+    h2, b34, b16 = _cancel(_pv_bracket(q3, q4), _pv_bracket(q1, q6))
+    c1 = b14 * b34 * _pv_bracket(q5, q6)
+    c2 = b16 * b23 * _pv_bracket(q4, q5)
     a = c1 * q2[0] - c2 * q4[0]
     b = c1 * q2[1] - c2 * q4[1]
+    if a.is_zero() or b.is_zero():
+        # normalize_pair cancels nothing in such a pair: restore the product
+        h = h1 * h2
+        return normalize_pair(a * h, b * h)
+    p24 = _pv_bracket(q2, q4)
+    if p24.degree > 0:
+        p24 = primitive(p24)
+        qa = _exact_div(a, p24)
+        qb = _exact_div(b, p24) if qa is not None else None
+        if qb is not None:
+            a, b = qa, qb
     return normalize_pair(a, b)
 
 
@@ -497,6 +573,8 @@ def _round_div(n: int, d: int) -> int:
 
 
 def _ratio_float(n: int, d: int) -> float:
+    """float(Fraction(n, d)), with _frac_to_float's overflow rule, without
+    reducing the fraction: int/int true division rounds correctly."""
     try:
         return n / d
     except OverflowError:

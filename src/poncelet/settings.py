@@ -19,6 +19,8 @@ class Tolerances:
     incidence: float = 1e-7      # configuration membership threshold
     closure: float = 1e-8        # chain closure residual threshold
     floor: float = 1e-300        # guards 0/0 in relative residuals
+    root_merge: float = 1e-7     # closure roots this close (relative) count as one
+    real_snap: float = 1e-12     # relative imaginary part dropped from a real root seed
 
 
 DEFAULT = Tolerances()

@@ -1,8 +1,10 @@
 """Independent checks of the integer closure engine.
 
 sympy recomputes the genuine factor and its distinct-root count, the field
-Euclid recomputes every heuristic GCD, and a Fraction-arithmetic Newton
-iteration kept here recomputes every polished root bit for bit.
+Euclid recomputes every heuristic GCD, a Fraction-arithmetic Newton
+iteration kept here recomputes every polished root bit for bit, the
+six-bracket chain step kept here recomputes every chain vector, and the
+Fraction route kept here recomputes every wrap residual bit for bit.
 """
 
 import math
@@ -12,16 +14,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poncelet import closure_polynomial, count_solutions
+from poncelet import closure_polynomial, closure_roots, count_solutions
 from poncelet.chains import closure_system
+from poncelet.errors import DegenerateInput
 from poncelet.ratpoly import (
     GaussQ,
     Poly,
     _field_gcd,
+    _pv_bracket,
+    chain_next_vector,
     exact_newton,
     normalize_pair,
     poly_gcd,
     primitive,
+    to_complex,
 )
 import poncelet.ratpoly as ratpoly
 
@@ -210,3 +216,152 @@ class TestFixedPointNewton:
             x, approx = exact_newton(p, seed)
             assert x == reference_newton(p, seed)
             assert approx == complex(x)
+
+
+def reference_next_vector(window):
+    """The six-bracket chain step: full products, one normalize_pair."""
+    q1, q2, q3, q4, q5, q6 = window
+    c1 = _pv_bracket(q1, q4) * _pv_bracket(q3, q4) * _pv_bracket(q5, q6)
+    c2 = _pv_bracket(q1, q6) * _pv_bracket(q2, q3) * _pv_bracket(q4, q5)
+    return normalize_pair(c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1])
+
+
+def assert_reference_chain(vals, n):
+    """Every chain vector of closure_system(vals, n) equals the six-bracket
+    recursion run from the same starting points."""
+    system = closure_system(vals, n)
+    work = [normalize_pair(*v) for v in system.vectors[:6]]
+    while len(work) < n + 2:
+        work.append(reference_next_vector(work[-6:]))
+    got = [(a.c, b.c) for a, b in system.vectors[6:]]
+    assert got == [(a.c, b.c) for a, b in work[6:]]
+
+
+def polyvec(c0, c1):
+    return Poly(c0), Poly(c1)
+
+
+class TestChainStepAgainstSixBrackets:
+    def test_golden(self):
+        # the vectors for n are a prefix of those for n + 2
+        assert_reference_chain(GOLDEN, 20)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 20, 61, 101])
+    def test_count_sampler(self, seed):
+        assert_reference_chain(sampler_input(seed), 16)
+
+    def test_hypothesis_rationals(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        value = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.lists(value, min_size=5, max_size=5, unique=True),
+                          st.integers(6, 12))
+        def check(vals, n):
+            try:
+                assert_reference_chain(vals, n)
+            except DegenerateInput:
+                hypothesis.assume(False)
+
+        check()
+
+    @pytest.mark.parametrize("vals,n", [
+        ([complex(-1, 1), 0, 1, complex(4, -1), 5], 10),
+        ([Fraction(1, 3), complex(2, 1), -1, Fraction(7, 2), 1j], 9),
+    ])
+    def test_gaussian(self, vals, n):
+        assert_reference_chain(vals, n)
+
+    def test_zero_component(self):
+        """a vanishes identically while [q1q4] and [q2q3] share x: the step
+        must give back the cancelled factor, as the full product has it."""
+        x, one, zero = Poly([0, 1]), Poly([1]), Poly([0])
+        window = [(x, one), (zero, one), (x, one), (zero, one),
+                  polyvec([3], [2]), polyvec([-5], [7])]
+        got = chain_next_vector(window)
+        want = reference_next_vector(window)
+        assert got[0].is_zero() and want[0].is_zero()
+        assert got[1].c == want[1].c and want[1].degree == 2
+
+    def test_gcd_divides_the_predicted_factor(self):
+        """gcd(a, b) | gcd(c1, c2) * [q2q4] for every window."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        pair = st.tuples(int_polys(3), int_polys(3))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.lists(pair, min_size=6, max_size=6), int_polys(2))
+        def check(window, g):
+            # a common factor planted in the first point reaches c1 and c2
+            window[0] = (window[0][0] * g, window[0][1] * g)
+            q1, q2, q3, q4, q5, q6 = window
+            c1 = _pv_bracket(q1, q4) * _pv_bracket(q3, q4) * _pv_bracket(q5, q6)
+            c2 = _pv_bracket(q1, q6) * _pv_bracket(q2, q3) * _pv_bracket(q4, q5)
+            a, b = c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1]
+            hypothesis.assume(not (a.is_zero() and b.is_zero()))
+            bound = poly_gcd(c1, c2) * _pv_bracket(q2, q4)
+            assert (bound % poly_gcd(a, b)).is_zero()
+
+        check()
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_cancellation_leaves_a_coprime_pair(self, monkeypatch, n):
+        """On the golden input every common factor is cancelled before the
+        products: normalize_pair inside the step only certifies."""
+        seen = []
+        original = ratpoly.normalize_pair
+
+        def recording(a, b):
+            seen.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(ratpoly, "normalize_pair", recording)
+        closure_system(GOLDEN, n)
+        assert len(seen) == n + 2 - 6
+        for a, b in seen:
+            assert poly_gcd(a, b).degree == 0
+
+
+def reference_wrap_gap(system, x, idx_new, idx_ref):
+    """The wrap residual through reduced Fractions / GaussQ values."""
+    def mag(z):
+        return abs(to_complex(z))
+
+    a, b = system.vectors[idx_new]
+    ra, rb = system.vectors[idx_ref]
+    va, vb = a.eval_exact(x), b.eval_exact(x)
+    wa, wb = ra.eval_exact(x), rb.eval_exact(x)
+    det = va * wb - vb * wa
+    scale = max(mag(va), mag(vb)) * max(mag(wa), mag(wb))
+    return mag(det) / max(scale, 1e-300)
+
+
+class TestWrapResidualsAgainstFractions:
+    def check(self, system, xs):
+        for x in xs:
+            exact = system.exact(x)
+            want = (reference_wrap_gap(system, exact, system.n, 0),
+                    reference_wrap_gap(system, exact, system.n + 1, 1))
+            assert repr(system.wrap_residuals(x)) == repr(want)
+
+    @pytest.mark.parametrize("vals,n", [
+        (GOLDEN, 8), (GOLDEN, 14), (sampler_input(61), 15),
+        ([complex(-1, 1), 0, 1, complex(4, -1), 5], 8),
+    ])
+    def test_at_closure_roots(self, vals, n):
+        system = closure_system(vals, n)
+        roots = closure_roots(vals, n)
+        xs = [system.exact(r.value) for r in roots]
+        self.check(system, xs + [r.value for r in roots])
+
+    @pytest.mark.parametrize("vals", [GOLDEN, [complex(-1, 1), 0, 1, complex(4, -1), 5]])
+    def test_past_the_float_range(self, vals):
+        # values that overflow or underflow a float, and arguments that do
+        system = closure_system(vals, 8)
+        xs = [Fraction(2**1100 + 1, 3), Fraction(-(2**3000), 7), Fraction(1, 2**1500),
+              Fraction(5, 3), 4, GaussQ(Fraction(2**1200, 3), Fraction(-1, 2**900)),
+              GaussQ(2**60, -(2**61)), complex(1e300, 1e300), 1e-300, 1e308]
+        self.check(system, xs)

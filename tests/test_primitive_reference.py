@@ -4,6 +4,9 @@ The references below are the generator-and-key implementations that the
 straight-line code in ``poncelet.projective`` replaced.  Both must do the
 same floating-point operations in the same order, so results are compared
 by ``repr``: signed zeros count, because they reach the JSON documents.
+The one intended difference is isotropic elements such as (0, 1, 1j), on
+which the earlier form raised: there the primitives must now give valid
+output, checked by incidence instead of against the reference.
 """
 
 import cmath
@@ -18,6 +21,7 @@ from poncelet import (
     ProjPoint,
     apply_map,
     concentric_scene,
+    conic_contains,
     line_conic_intersect,
     run_chain,
     tangent_line_at,
@@ -25,7 +29,7 @@ from poncelet import (
     transformed_scene,
 )
 from poncelet.errors import DegenerateInput, NonFiniteElement, TangentialDegeneracy
-from poncelet.projective import _line_base_points, _minor_gap, _normalize3
+from poncelet.projective import _line_base_points, _minor_gap, _normalize3, tangency_residual
 
 from conftest import random_map
 
@@ -178,6 +182,8 @@ TIES = [
     (2, -2, 0), (0, 1j, -1j), (0, 0, -1), (1 + 1j, 1 - 1j, -1 - 1j),
     (0.6 + 0.8j, -1, 0.8 - 0.6j), (3 + 4j, -5, 5j), (-0.0, 1, -1),
 ]
+# l.l = 0 and l x u = 0 for the first largest basis cross product u
+ISOTROPIC = [(0, 1, 1j), (0, 1j, -1), (-0.0, -1, -1j), (0, -1j, 1), (0.0, 2.5, -2.5j)]
 SPARSE = [0, 0.0, -0.0, 1, -1, -2.5, 0.5, 1j, -1j, 0.5 - 0.5j, -3 + 0j, complex(-0.0, 2)]
 
 
@@ -228,6 +234,15 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def isotropic(v):
+    """The earlier form raised on this element: l x u vanished."""
+    return outcome(ref_line_base_points, ref_normalize3(v)) is NonFiniteElement
+
+
+def on_line(lc, pc):
+    return abs(ref_dot(lc, pc)) <= 1e-12 * max(map(abs, lc)) * max(map(abs, pc))
+
+
 def coords_of(result):
     a, b, flag = result
     return a.coords, b.coords, flag
@@ -276,8 +291,17 @@ class TestPrimitivesBitIdentical:
     def test_line_base_points(self, vectors):
         for v in vectors:
             line = ProjLine(v)
-            # isotropic elements such as (0, 1, 1j) raise in both
-            assert outcome(_line_base_points, line) == outcome(ref_line_base_points, line.coords)
+            if not isotropic(v):
+                assert outcome(_line_base_points, line) == outcome(ref_line_base_points, line.coords)
+
+    @pytest.mark.parametrize("v", ISOTROPIC)
+    def test_line_base_points_isotropic(self, v):
+        """Two independent normalized points on the line, also when l.l = 0."""
+        line = ProjLine(v)
+        u, w = _line_base_points(line)
+        assert on_line(line.coords, u) and on_line(line.coords, w)
+        assert _minor_gap(u, w) > 0.5
+        assert max(map(abs, u)) == 1 and max(map(abs, w)) == 1
 
     def test_conic_apply_and_qform(self, vectors, conics):
         for conic in conics:
@@ -291,22 +315,32 @@ class TestPrimitivesBitIdentical:
     def test_line_conic_intersect(self, vectors, conics):
         rng = random.Random(9)
         for conic in conics + [DEGENERATE]:
-            lines = [ProjLine(v) for v in vectors[:60]]
+            lines = [ProjLine(v) for v in vectors[:60] + ISOTROPIC]
             if not conic.degenerate:
                 # tangent lines: the two intersections coincide
                 lines += [tangent_line_at(conic, p, 1e-6) for p in points_on(conic, rng)]
             for line in lines:
+                if isotropic(line.coords) and not conic.degenerate:
+                    p1, p2, _ = line_conic_intersect(line, conic)
+                    for p in (p1, p2):
+                        assert on_line(line.coords, p.coords) and conic_contains(conic, p) < 1e-9
+                    continue
                 got = outcome(lambda: coords_of(line_conic_intersect(line, conic)))
                 assert got == outcome(ref_line_conic_intersect, line.coords, conic)
 
     def test_tangents_from_point(self, vectors, conics):
         rng = random.Random(10)
         for conic in conics + [DEGENERATE]:
-            points = [ProjPoint(v) for v in vectors[:60]]
+            points = [ProjPoint(v) for v in vectors[:60] + ISOTROPIC]
             if not conic.degenerate:
                 # points on the conic: the two tangents coincide
                 points += points_on(conic, rng)
             for p in points:
+                if isotropic(p.coords) and not conic.degenerate:
+                    l1, l2, _ = tangents_from_point(p, conic)
+                    for l in (l1, l2):
+                        assert on_line(l.coords, p.coords) and tangency_residual(conic, [l]) < 1e-9
+                    continue
                 got = outcome(lambda: coords_of(tangents_from_point(p, conic)))
                 assert got == outcome(ref_tangents_from_point, p.coords, conic)
 

@@ -128,8 +128,10 @@ class TestHugeIntegerCoefficients:
         assert _coeff_norm(self.BIG) == math.inf
         assert _frac_to_float(-self.BIG) == -math.inf
         assert to_complex(-self.BIG) == complex(-math.inf, 0.0)
-        assert _mag(self.BIG) == math.inf
-        assert _mag(GaussQ(self.BIG, 1)) == math.inf
+        # wrap-residual magnitudes, taken from (re, im, den) integers
+        assert _mag(self.BIG, 0, 1) == math.inf
+        assert _mag(self.BIG, 1, 1) == math.inf
+        assert _mag(self.BIG, -self.BIG, 3 * self.BIG) == math.hypot(1 / 3, 1 / 3)
 
     def test_poly_float_views(self):
         p = Poly([1, self.BIG])
