@@ -47,6 +47,7 @@ from .projective import (
 )
 from .chains import PonceletScene, pole
 from .rp1 import (
+    _ON_CONIC,
     StereoChart,
     chart_centers,
     heptagon6_residual,
@@ -114,12 +115,17 @@ def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     transferred values, so score the six best-ranked chart centers and keep
     the tamest (the first on ties).
     """
+    # project's on-conic check does not depend on the chart: make it once
+    if any(conic_contains(conic, p) > _ON_CONIC for p in pts):
+        raise ConstructionDegeneracy("no usable chart on the carrier conic")
+    coords = [p.coords for p in pts]
     best = None
     best_m = math.inf
     for center in chart_centers(conic, pts)[:6]:
         try:
             ch = StereoChart(conic, center)
-            m = max(abs(ch.project(p).value()) for p in pts)
+            # |project(p).value()|, infinite at the center
+            m = max(abs(a / b) if b else math.inf for a, b in map(ch._transfer, coords))
         except GeometryError:
             continue
         if m < best_m:

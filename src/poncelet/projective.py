@@ -309,10 +309,18 @@ def conic_contains(conic: Conic, p: ProjPoint) -> float:
     The scale is the largest |A_ij p_i p_j| summand, so the residual is
     invariant under rescaling of both the point and the conic.
     """
-    val = conic.qform(p.coords)
-    r = conic.rows()
+    a00, a01, a02, a11, a12, a22 = conic.entries
+    p0, p1, p2 = p.coords
+    val = (
+        p0 * (a00 * p0 + a01 * p1 + a02 * p2)
+        + p1 * (a01 * p0 + a11 * p1 + a12 * p2)
+        + p2 * (a02 * p0 + a12 * p1 + a22 * p2)
+    )
+    # the nine |A_ij p_i p_j| summands, row by row
     scale = max(
-        abs(r[i][j] * p.coords[i] * p.coords[j]) for i in range(3) for j in range(3)
+        abs(a00 * p0 * p0), abs(a01 * p0 * p1), abs(a02 * p0 * p2),
+        abs(a01 * p1 * p0), abs(a11 * p1 * p1), abs(a12 * p1 * p2),
+        abs(a02 * p2 * p0), abs(a12 * p2 * p1), abs(a22 * p2 * p2),
     )
     return abs(val) / max(scale, DEFAULT.floor)
 
@@ -435,6 +443,13 @@ def line_conic_intersect(
     if conic.degenerate:
         raise DegenerateInput("line_conic_intersect requires a non-degenerate conic")
     u, v = _line_base_points(l)
+    return _span_conic_intersect(u, v, conic)
+
+
+def _span_conic_intersect(
+    u: Vec3, v: Vec3, conic: Conic
+) -> tuple[ProjPoint, ProjPoint, bool]:
+    """``line_conic_intersect`` for the line spanned by base points u and v."""
     cu = conic.apply(u)
     a = conic.qform(v)
     b = 2 * _dot(v, cu)

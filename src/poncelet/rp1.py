@@ -13,13 +13,16 @@ x - y.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    CoincidentElements,
     DegenerateChain,
     DegenerateCrossRatio,
+    DegenerateInput,
     NonFiniteElement,
     PointNotOnConic,
 )
@@ -27,17 +30,17 @@ from .projective import (
     Conic,
     ProjLine,
     ProjPoint,
+    Vec3,
     _cross,
     _dot,
     _finite,
+    _line_base_points,
+    _minor_gap,
     _normalize3,
+    _span_conic_intersect,
     conic_contains,
-    join,
-    line_conic_intersect,
     meet,
-    proj_distance,
     second_intersection,
-    tangent_line_at,
 )
 from .settings import DEFAULT
 
@@ -70,6 +73,13 @@ class RP1Point:
 
     def __getitem__(self, i):
         return self.coords[i]
+
+    @classmethod
+    def _of_normalized(cls, coords: Vec2) -> "RP1Point":
+        """Wrap a pair normalized already; a second division by the lead moves complex bits."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "coords", coords)
+        return pt
 
     @classmethod
     def affine(cls, x) -> "RP1Point":
@@ -158,6 +168,8 @@ CHART_PROBES = (
     ProjLine(1.0, 0.08, 0.64),
     ProjLine(-0.67, 0.25, 1.0),
 )
+# their base points, the part of line_conic_intersect that needs no conic
+_PROBE_SPANS = tuple(_line_base_points(probe) for probe in CHART_PROBES)
 # fixed axis lines; a chart projects onto the one farthest from its center
 CHART_AXES = (
     ProjLine(0.61, -1.0, 0.34),
@@ -165,6 +177,19 @@ CHART_AXES = (
     ProjLine(-0.23, 0.77, 1.0),
     ProjLine(1.0, -0.35, -0.93),
 )
+
+
+def _axis_cuts(axis: Vec3) -> list[Vec3]:
+    """The axis cut by the coordinate lines and by x + y + z = 0, normalized."""
+    cuts = (_cross(axis, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+    return [_normalize3(c) for c in cuts if max(abs(z) for z in c) >= DEFAULT.degeneracy]
+
+
+# each fixed axis with its cuts
+_CHART_AXIS_CUTS = tuple((axis, _axis_cuts(axis.coords)) for axis in CHART_AXES)
+# project rejects points farther than this off the conic (conic_contains)
+_ON_CONIC = 1e-6
+_INFINITY = RP1Point.infinity().coords
 
 
 class StereoChart:
@@ -181,53 +206,97 @@ class StereoChart:
     __slots__ = ("conic", "center", "axis", "_u", "_v", "_rows")
 
     def __init__(self, conic: Conic, center: ProjPoint, axis: ProjLine | None = None):
+        cc = center.coords
         if axis is None:
-            axis = max(CHART_AXES, key=lambda a: abs(_dot(center.coords, a.coords)))
-            if abs(_dot(center.coords, axis.coords)) <= 1e-6:
+            # the first axis of largest |center . axis|
+            gap = -1.0
+            for a, a_cuts in _CHART_AXIS_CUTS:
+                g = abs(_dot(cc, a.coords))
+                if g > gap:
+                    axis, cuts, gap = a, a_cuts, g
+            if gap <= 1e-6:
                 raise DegenerateChain("no axis avoids the chart center")
+        else:
+            cuts = _axis_cuts(axis.coords)
+            gap = abs(_dot(cc, axis.coords))
         if conic_contains(conic, center) > 1e-7:
             raise PointNotOnConic("chart center must lie on the conic")
-        if abs(_dot(center.coords, axis.coords)) < 1e-12:
+        if gap < DEFAULT.degeneracy:
             raise ValueError("chart axis must not pass through the center")
+        if conic.degenerate:
+            raise DegenerateInput("tangent_line_at requires a non-degenerate conic")
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "axis", axis)
-        u = meet(tangent_line_at(conic, center), axis).coords
+        # the tangent at the center (tangent_line_at, whose on-conic check
+        # would repeat the one above) met with the axis
+        u = meet(ProjLine(conic.apply(cc)), axis).coords
         # second frame point: axis cut by the best coordinate line avoiding u
-        cuts = (_cross(axis.coords, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-        v = max(
-            (_normalize3(c) for c in cuts if max(abs(z) for z in c) >= 1e-12),
-            key=lambda c: max(abs(z) for z in _cross(u, c)),
-        )
-        # the best-conditioned pair of rows for solving q = alpha*u + beta*v
-        i, j = max(
-            ((i, j) for i in range(3) for j in range(i + 1, 3)),
-            key=lambda ij: abs(u[ij[0]] * v[ij[1]] - u[ij[1]] * v[ij[0]]),
-        )
+        v = max(cuts, key=lambda c: _minor_gap(u, c))
+        # the best-conditioned pair of rows for solving q = alpha*u + beta*v:
+        # the first of (0, 1), (0, 2), (1, 2) with the largest |minor|
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        rows = (0, 1, u0 * v1 - u1 * v0)
+        for other in ((0, 2, u0 * v2 - u2 * v0), (1, 2, u1 * v2 - u2 * v1)):
+            if abs(other[2]) > abs(rows[2]):
+                rows = other
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_rows", (i, j, u[i] * v[j] - u[j] * v[i]))
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, *a):
         raise AttributeError("StereoChart is immutable")
 
-    def _axis_coords(self, q: Sequence[complex]) -> RP1Point:
-        """Express an axis point as alpha*u + beta*v."""
+    def _transfer(self, p: Vec3) -> Vec2:
+        """Normalized RP1 pair of the conic point with coordinates ``p``.
+
+        meet(join(center, p), axis) written as alpha*u + beta*v, in the
+        floating-point operations of the join, meet and RP1Point steps it
+        replaces, without building any of those elements.
+        """
+        c0, c1, c2 = self.center.coords
+        p0, p1, p2 = p
+        # join(center, p); its largest |entry| is proj_distance(p, center)
+        r0 = c1 * p2 - c2 * p1
+        r1 = c2 * p0 - c0 * p2
+        r2 = c0 * p1 - c1 * p0
+        a0, a1, a2 = abs(r0), abs(r1), abs(r2)
+        top, big = (r1, a1) if a1 > a0 else (r0, a0)
+        if a2 > big:
+            top, big = r2, a2
+        if big < DEFAULT.degeneracy:
+            return _INFINITY
+        l0, l1, l2 = r0 / top, r1 / top, r2 / top
+        # meet with the axis
+        x0, x1, x2 = self.axis.coords
+        m0 = l1 * x2 - l2 * x1
+        m1 = l2 * x0 - l0 * x2
+        m2 = l0 * x1 - l1 * x0
+        a0, a1, a2 = abs(m0), abs(m1), abs(m2)
+        top, big = (m1, a1) if a1 > a0 else (m0, a0)
+        if a2 > big:
+            top, big = m2, a2
+        if big < DEFAULT.degeneracy:
+            raise CoincidentElements("the ray from the chart center runs along the axis")
+        q = (m0 / top, m1 / top, m2 / top)
+        # q = alpha*u + beta*v on the best-conditioned rows
         u, v = self._u, self._v
         i, j, det = self._rows
         alpha = (q[i] * v[j] - q[j] * v[i]) / det
         beta = (u[i] * q[j] - u[j] * q[i]) / det
-        return RP1Point(alpha, beta)
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise NonFiniteElement(f"non-finite coordinates {(alpha, beta)}")
+        top = alpha if abs(alpha) >= abs(beta) else beta
+        if top == 0:
+            raise NonFiniteElement("zero vector is not a point of RP1")
+        return alpha / top, beta / top
 
     def project(self, p: ProjPoint) -> RP1Point:
         """Transfer a conic point to the line: meet(join(center, p), axis)."""
-        if conic_contains(self.conic, p) > 1e-6:
+        if conic_contains(self.conic, p) > _ON_CONIC:
             raise PointNotOnConic(f"{p} is not on the chart conic")
-        if proj_distance(p, self.center) < DEFAULT.degeneracy:
-            return RP1Point.infinity()
-        ray = join(self.center, p)
-        q = meet(ray, self.axis)
-        return self._axis_coords(q.coords)
+        return RP1Point._of_normalized(self._transfer(p.coords))
 
     def lift(self, x: RP1Point) -> ProjPoint:
         """Inverse transfer: second intersection of the ray with the conic."""
@@ -241,26 +310,39 @@ def chart_centers(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> list[ProjPoi
     """Candidate chart centers on a conic, best first.
 
     The ``CHART_PROBES`` intersections, minus those within 1e-6 of a point
-    in ``avoid`` and repeats within 1e-9, sorted stably by descending
-    clearance from ``avoid``: distant centers keep transferred values tame.
+    in ``avoid`` and repeats within ``DEFAULT.rel``, sorted stably by
+    descending clearance from ``avoid``: distant centers keep transferred
+    values tame.  Gaps are ``proj_distance``, written out.
     """
+    if conic.degenerate:
+        return []  # line_conic_intersect rejects every probe
+    others = [a.coords for a in avoid]
     candidates: list[tuple[float, ProjPoint]] = []
-    for probe in CHART_PROBES:
+    for u, v in _PROBE_SPANS:
         try:
-            p1, p2, tangential = line_conic_intersect(probe, conic)
+            p1, p2, tangential = _span_conic_intersect(u, v, conic)
         except Exception:
             continue
         if tangential:
             continue
         for cand in (p1, p2):
+            x0, x1, x2 = cand.coords
             clearance = min(
-                (proj_distance(cand, a) for a in avoid), default=1.0
+                [
+                    max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
+                    for y0, y1, y2 in others
+                ],
+                default=1.0,
             )
             if clearance < 1e-6:
                 continue
-            if any(proj_distance(cand, c) < 1e-9 for _, c in candidates):
-                continue
-            candidates.append((clearance, cand))
+            for _, center in candidates:
+                y0, y1, y2 = center.coords
+                gap = max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
+                if gap < DEFAULT.rel:
+                    break
+            else:
+                candidates.append((clearance, cand))
     candidates.sort(key=lambda t: -t[0])
     return [center for _, center in candidates]
 

@@ -4,7 +4,10 @@
 ``variant``; ``moderate_chart`` scored variants 0-5 and ``_real_chart``
 tried variants 0-7.  The reference below keeps that algorithm verbatim, and
 every chart the ranked-list versions pick must equal it coordinate for
-coordinate, including draws with fewer candidates than variants.
+coordinate, including draws with fewer candidates than variants.  The
+reference charts are ``chart_reference.RefStereoChart``, so the transfers
+that score them are the object-form ``project`` rather than the code under
+test.
 """
 
 import cmath
@@ -17,7 +20,6 @@ from poncelet import (
     Conic,
     ProjLine,
     ProjPoint,
-    StereoChart,
     conic_through_5,
     line_conic_intersect,
     make_chart,
@@ -29,15 +31,8 @@ from poncelet.errors import ConstructionDegeneracy, DegenerateChain, GeometryErr
 from poncelet.projective import _dot
 from poncelet.rp1 import chart_centers
 
+from chart_reference import REF_AXES, REF_PROBES, RefStereoChart, chart_state
 from conftest import ring_points
-
-REF_PROBES = [
-    (1.0, 0.37, -0.22), (0.53, 1.0, 0.31), (1.0, -0.81, 0.47), (-0.29, 1.0, 0.83),
-    (1.0, 1.13, -0.71), (0.91, -0.44, 1.0), (1.0, 0.08, 0.64), (-0.67, 0.25, 1.0),
-]
-REF_AXES = [
-    (0.61, -1.0, 0.34), (1.0, 0.52, 0.18), (-0.23, 0.77, 1.0), (1.0, -0.35, -0.93),
-]
 
 
 def ref_make_chart(conic, avoid=(), variant=0):
@@ -68,7 +63,7 @@ def ref_make_chart(conic, avoid=(), variant=0):
             best_gap, best_axis = gap, axis
     if best_axis is None or best_gap <= 1e-6:
         raise DegenerateChain("no axis avoids the chart center")
-    return StereoChart(conic, center, best_axis)
+    return RefStereoChart(conic, center, best_axis)
 
 
 def ref_moderate_chart(conic, pts):
@@ -108,7 +103,7 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
     if ch is None:
         return None
-    return ch.center.coords, ch.axis.coords, ch._u, ch._v
+    return chart_state(ch)
 
 
 def conic_points_on(line, conic):

@@ -1,0 +1,74 @@
+"""verify and render bytes of committed documents, pinned by sha256.
+
+The documents under ``tests/data`` come from ``construct 7``, ``8`` and
+``9 --seed 3`` and from ``construct double --seed 3 --in`` the document of
+``construct 6 --seed 3``.  ``verify`` recomputes each polygon's bracket
+residual through ``moderate_chart`` and ``StereoChart.project``, so the
+digests hold the chart transfer to its floating-point bits; the output of
+a command is a pure function of its input and the package version.  A
+change that moves these digests changes what users get, and needs a
+version bump.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import poncelet
+
+DATA = Path(__file__).with_name("data")
+
+# name: (sha256 of verify's stdout, sha256 of render's SVG)
+PINNED = {
+    "heptagon.json": (
+        "c95ffdc32b63093b4941db338118abf8f3cf9ca8e07602121f1dc656d517bd5f",
+        "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
+    ),
+    "octagon.json": (
+        "d8b4f8dec2b0a351cc5e8a97d3e3d23f0422224890c5db4c811e91b4d84a0c97",
+        "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
+    ),
+    "ninegon.json": (
+        "e5dd716fb18ca58da7e0ecb3dda8759d8273369cd7ed133a0c34d1f219341411",
+        "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
+    ),
+    "doubled_hexagon.json": (
+        "3ad4ead267a06d27263ac7f1909b600ca0df2b0e97b4fb8a9d1f9a0bd5b513ff",
+        "5622776fb8fc8f6773eca50a30fbddb1b552ae3adfe5ce05f53586e2b524c0b6",
+    ),
+}
+
+# runs verify and render on each document in one fresh process; reports the
+# exit codes and digests, and whether numpy was ever imported
+PROBE = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from poncelet.cli import main
+data, out = Path(sys.argv[1]), Path(sys.argv[2])
+report = {}
+for name in sys.argv[3:]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        verified = main(["verify", "--in", str(data / name)])
+    svg = out / (name + ".svg")
+    rendered = main(["render", "--in", str(data / name), "--out", str(svg)])
+    report[name] = [verified, rendered, hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                    hashlib.sha256(svg.read_bytes()).hexdigest()]
+print(json.dumps({"documents": report, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_verify_and_render_bytes_are_pinned(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", PROBE, str(DATA), str(tmp_path), *PINNED],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout.splitlines()[-1])
+    assert probe["documents"] == {
+        name: [0, 0, verify_sha, svg_sha] for name, (verify_sha, svg_sha) in PINNED.items()
+    }
+    assert probe["numpy"] is False
