@@ -201,12 +201,10 @@ def closure_test(
     inner: Conic,
     start: ProjPoint,
     n: int,
-    first_tangent_choice: int = 0,
-    tol: float | None = None,
 ) -> ClosureReport:
-    """Double-wrap closure check of the synthetic chain."""
-    tol = DEFAULT.closure if tol is None else tol
-    pts = run_chain(outer, inner, start, first_tangent_choice, steps=n + 1)
+    """Double-wrap closure check of the synthetic chain (first tangent 0)."""
+    tol = DEFAULT.closure
+    pts = run_chain(outer, inner, start, steps=n + 1)
     res_p = proj_distance(pts[n], pts[0])
     res_q = proj_distance(pts[n + 1], pts[1])
     closes = res_p < tol and res_q < tol
@@ -383,17 +381,16 @@ def _poly_roots(system: ClosureSystem, poly: Poly) -> list[tuple[object, complex
     return merged
 
 
-def closure_roots(
-    points5: Sequence[ChainValue], n: int, tol: float | None = None
-) -> list[ClosureRoot]:
+def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
     """All closure-polynomial roots, two-wrap filtered.
 
     The genuine factor (gcd of both wrap polynomials) and the spurious
     cofactor are solved separately, which keeps clustered genuine/spurious
     neighbourhoods well-conditioned; roots closer than ``DEFAULT.root_merge``
-    (relative) merge as one.
+    (relative) merge as one.  A root is accepted when both wrap gaps are
+    below ``DEFAULT.closure``.
     """
-    tol = DEFAULT.closure if tol is None else tol
+    tol = DEFAULT.closure
     system = closure_system(points5, n)
     genuine = system.genuine
     cofactor = (
@@ -429,7 +426,7 @@ def count_solutions(points5: Sequence[ChainValue], n: int) -> int:
 
 
 def algebraic_closure_report(
-    points5: Sequence[ChainValue], x6, n: int, tol: float | None = None
+    points5: Sequence[ChainValue], x6, n: int
 ) -> ClosureReport:
     """Two-wrap closure report for a concrete sixth point, via the symbolic chain.
 
@@ -437,7 +434,7 @@ def algebraic_closure_report(
     at candidates where the pointwise iteration hits a removable 0/0 (the
     hallmark of spurious roots).
     """
-    tol = DEFAULT.closure if tol is None else tol
+    tol = DEFAULT.closure
     system = closure_system(points5, n)
     if isinstance(x6, RP1Point):
         x6 = x6.value()

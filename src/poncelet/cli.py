@@ -59,12 +59,13 @@ RETRY_BUDGET = 64
 PROPERNESS_GAP = 0.05
 
 
-def sample_ring_points(rng: random.Random, k: int, minsep: float = 0.35) -> list[ProjPoint]:
-    """Well-separated points near the unit circle; generic for every construction."""
+def sample_ring_points(rng: random.Random, k: int) -> list[ProjPoint]:
+    """Points near the unit circle, at angles more than 0.35 apart; generic for
+    every construction."""
     while True:
         angs = sorted(rng.uniform(0, 2 * math.pi) for _ in range(k))
         gaps = [(angs[(i + 1) % k] - angs[i]) % (2 * math.pi) for i in range(k)]
-        if min(gaps) > minsep:
+        if min(gaps) > 0.35:
             break
     return [
         ProjPoint(

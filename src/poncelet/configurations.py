@@ -162,9 +162,7 @@ def verify_n4(cfg: IncidenceConfiguration) -> N4Report:
 # Gruenbaum-Rigby (21_4) from a Poncelet heptagon
 
 
-def grunbaum_rigby(
-    ring: PointRing, threshold: float | None = None
-) -> tuple[IncidenceConfiguration, float]:
+def grunbaum_rigby(ring: PointRing) -> tuple[IncidenceConfiguration, float]:
     """Apply the operator word meet3 join1 meet2 join3 meet1 join2.
 
     For a Poncelet heptagon the final point ring reproduces the original
@@ -196,7 +194,7 @@ def grunbaum_rigby(
         + [f"chord3_{i}" for i in range(7)]
         + [f"chord1_{i}" for i in range(7)]
     )
-    cfg = incidence_configuration(points, lines, threshold, labels_p, labels_l)
+    cfg = incidence_configuration(points, lines, DEFAULT.incidence, labels_p, labels_l)
     return cfg, residual
 
 
@@ -217,7 +215,7 @@ class ChainConfigColors:
 
 
 def config_from_chain_trace(
-    chain: ChainConstruction, threshold: float | None = None
+    chain: ChainConstruction,
 ) -> tuple[IncidenceConfiguration, ChainConfigColors]:
     """(3n_4) configuration of a closed chain iteration.
 
@@ -248,7 +246,7 @@ def config_from_chain_trace(
         + [f"diag{i + 1}" for i in range(n)]
         + [f"pivot{i + 1}" for i in range(n)]
     )
-    cfg = incidence_configuration(points, lines, threshold, labels_p, labels_l)
+    cfg = incidence_configuration(points, lines, DEFAULT.incidence, labels_p, labels_l)
     colors = ChainConfigColors(
         tuple(pts), tuple(greens), tuple(blues),
         tuple(edges), tuple(diags), tuple(pivots),

@@ -192,10 +192,11 @@ def construct_heptagon_p6(
     return p6, tr
 
 
-def complete_heptagon(points: Sequence[ProjPoint], tol: float = 1e-6) -> ProjPoint:
+def complete_heptagon(points: Sequence[ProjPoint]) -> ProjPoint:
     """Seventh point closing a heptagon prefix, from the chain condition."""
     if len(points) != 6:
         raise ValueError("complete_heptagon expects 6 points")
+    tol = 1e-6  # on-conic residual and bracket gap of the prefix
     conic = conic_through_5(points[:5])
     if conic_contains(conic, points[5]) > tol:
         raise NotAHeptagonPrefix("sixth point does not lie on the carrier conic")
@@ -268,7 +269,7 @@ def construct_octagon_p7(
 
 
 def complete_octagon(
-    points: Sequence[ProjPoint], p7: ProjPoint, tol: float = 1e-6
+    points: Sequence[ProjPoint], p7: ProjPoint
 ) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
     """Points 6 and 8 plus the center, given 1..5 and a valid point 7.
 
@@ -278,6 +279,7 @@ def complete_octagon(
     """
     if len(points) != 5:
         raise ValueError("complete_octagon expects points 1..5")
+    tol = 1e-6  # on-conic residual and bracket gap of point 7
     conic = conic_through_5(points)
     if conic_contains(conic, p7) > tol:
         raise NotAnOctagonPrefix("point 7 does not lie on the carrier conic")
@@ -420,15 +422,22 @@ def _self_polar_frame(
     return o, x, y
 
 
+# _real_chart and _interleaving_ok score with StereoChart._transfer and take
+# RP1Point.value() by hand: doubling passes them only vertices inside
+# its own on-conic cut, which is stricter than project's, so project's check
+# could never fire there.
+
+
 def _real_chart(conic: Conic, verts: Sequence[ProjPoint]) -> StereoChart | None:
     """First of the eight best-ranked charts whose transferred values are all real."""
+    coords = [p.coords for p in verts]
     for center in chart_centers(conic, verts)[:8]:
         try:
             ch = StereoChart(conic, center)
         except GeometryError:
             continue
-        for p in verts:
-            val = ch.project(p).value()
+        for num, den in map(ch._transfer, coords):
+            val = num / den if den else complex(math.inf, 0)
             if math.isfinite(abs(val)) and abs(val.imag) > 1e-6 * max(1.0, abs(val)):
                 break
         else:
@@ -445,8 +454,8 @@ def _interleaving_ok(chart: StereoChart, verts: Sequence[ProjPoint]) -> bool:
     and skip the check.
     """
     angles = []
-    for p in verts:
-        v = chart.project(p).value()
+    for num, den in map(chart._transfer, [p.coords for p in verts]):
+        v = num / den if den else complex(math.inf, 0)
         if not math.isfinite(abs(v)):
             angles.append(math.pi)
             continue

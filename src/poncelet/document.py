@@ -108,7 +108,6 @@ class SceneDocument:
     n: int | None = None
     seed: int | None = None
     command: str = ""
-    precision: str = "double"
     tolerance: float = DEFAULT.rel
     scene: PonceletScene | None = None
     trace: ConstructionTrace | None = None
@@ -120,7 +119,7 @@ class SceneDocument:
             "format": FORMAT,
             "version": VERSION,
             "kind": self.kind,
-            "precision": self.precision,
+            "precision": "double",  # the only precision there is; from_dict checks it
             "tolerance": self.tolerance,
             "command": self.command,
         }

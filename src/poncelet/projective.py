@@ -149,20 +149,18 @@ def proj_distance(a: _HomogeneousVector, b: _HomogeneousVector) -> float:
     return _minor_gap(a.coords, b.coords)
 
 
-def join(p: ProjPoint, q: ProjPoint, tol: float | None = None) -> ProjLine:
+def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """Line through two distinct points."""
-    tol = DEFAULT.degeneracy if tol is None else tol
     c = _cross(p.coords, q.coords)
-    if max(abs(z) for z in c) < max(tol, DEFAULT.degeneracy):
+    if max(abs(z) for z in c) < DEFAULT.degeneracy:
         raise CoincidentElements(f"join of coincident points {p} and {q}")
     return ProjLine(c)
 
 
-def meet(l: ProjLine, m: ProjLine, tol: float | None = None) -> ProjPoint:
+def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """Intersection point of two distinct lines."""
-    tol = DEFAULT.degeneracy if tol is None else tol
     c = _cross(l.coords, m.coords)
-    if max(abs(z) for z in c) < max(tol, DEFAULT.degeneracy):
+    if max(abs(z) for z in c) < DEFAULT.degeneracy:
         raise CoincidentElements(f"meet of coincident lines {l} and {m}")
     return ProjPoint(c)
 
@@ -331,12 +329,11 @@ def tangency_residual(conic: Conic, lines: Iterable[ProjLine]) -> float:
     return max(abs(conic.dual_qform(l.coords)) for l in lines) / max(scale, DEFAULT.floor)
 
 
-def tangent_line_at(conic: Conic, p: ProjPoint, tol: float | None = None) -> ProjLine:
+def tangent_line_at(conic: Conic, p: ProjPoint) -> ProjLine:
     """Tangent line A p at a point of the conic."""
-    tol = DEFAULT.rel if tol is None else tol
     if conic.degenerate:
         raise DegenerateInput("tangent_line_at requires a non-degenerate conic")
-    if conic_contains(conic, p) > max(tol, 1e-7):
+    if conic_contains(conic, p) > 1e-7:
         raise PointNotOnConic(f"{p} is not on {conic}")
     return ProjLine(conic.apply(p.coords))
 
@@ -561,12 +558,12 @@ def _split_degenerate_conic(d: Conic) -> tuple[ProjLine, ProjLine]:
     return g, g
 
 
-def _polish_on_two_conics(p: ProjPoint, a: Conic, b: Conic, iterations: int = 3) -> ProjPoint:
-    """Newton-polish a common point of two conics in a local affine chart."""
+def _polish_on_two_conics(p: ProjPoint, a: Conic, b: Conic) -> ProjPoint:
+    """Newton-polish (three steps) a common point of two conics in a local affine chart."""
     coords = list(p.coords)
     k = max(range(3), key=lambda i: abs(coords[i]))
     idx = [i for i in range(3) if i != k]
-    for _ in range(iterations):
+    for _ in range(3):
         fa = _dot(coords, a.apply(coords))
         fb = _dot(coords, b.apply(coords))
         ga = a.apply(coords)
@@ -583,13 +580,14 @@ def _polish_on_two_conics(p: ProjPoint, a: Conic, b: Conic, iterations: int = 3)
     return ProjPoint(coords)
 
 
-def conic_conic_intersect(a: Conic, b: Conic, polish: bool = True) -> list[ProjPoint]:
+def conic_conic_intersect(a: Conic, b: Conic) -> list[ProjPoint]:
     """All four intersection points of two conics, with multiplicity.
 
     Finds a degenerate member of the pencil a + t b by solving the cubic
-    det(a + t b) = 0, splits it into two lines and intersects each with
-    ``a``.  Tangential contacts appear as repeated points, so the returned
-    list always has exactly four entries counted with multiplicity.
+    det(a + t b) = 0, splits it into two lines, intersects each with ``a``
+    and Newton-polishes the four points on both conics.  Tangential contacts
+    appear as repeated points, so the returned list always has exactly four
+    entries counted with multiplicity.
     """
     import numpy as np
 
@@ -652,8 +650,7 @@ def conic_conic_intersect(a: Conic, b: Conic, polish: bool = True) -> list[ProjP
             pts.extend([p1, p2])
         if not ok:
             continue
-        if polish:
-            pts = [_polish_on_two_conics(p, a, b) for p in pts]
+        pts = [_polish_on_two_conics(p, a, b) for p in pts]
         err = max(
             max(conic_contains(a, p), conic_contains(b, p)) for p in pts
         )

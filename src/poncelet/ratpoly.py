@@ -225,17 +225,6 @@ class Poly:
         lead = self.c[-1]
         return Poly([_quo(z, lead) for z in self.c])
 
-    def eval_complex(self, x: complex, scale: float | None = None) -> complex:
-        """Horner evaluation in complex floats; coefficients pre-scaled."""
-        if self.is_zero():
-            return 0j
-        if scale is None:
-            scale = max(_coeff_norm(z) for z in self.c) or 1.0
-        acc = 0j
-        for z in reversed(self.c):
-            acc = acc * x + _coeff_to_complex(z, scale)
-        return acc
-
     def eval_exact(self, x: Coeff) -> Coeff:
         """Exact value at x (Fraction, or GaussQ on the Gaussian path), from one
         homogeneous evaluation in integers."""
@@ -600,24 +589,23 @@ def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, 
     return ar, ai
 
 
-def exact_newton(
-    p: Poly, seed: complex, steps: int = 16, bits: int = 200
-) -> tuple[Coeff, complex]:
-    """Polish a root with Newton steps in exact arithmetic.
+def exact_newton(p: Poly, seed: complex) -> tuple[Coeff, complex]:
+    """Polish a root with up to 16 Newton steps in exact arithmetic.
 
-    The iterate is kept on the 2^-bits grid as an integer (or Gaussian
+    The iterate is kept on the 2^-200 grid as an integer (or Gaussian
     integer) numerator; each step evaluates p and p' homogeneously in
     integers and rounds the new iterate half to even, so clustered roots
     separate far below double precision.  Returns both the exact iterate and
     its complex value.
     """
     gaussian = isinstance(p.c[0], GaussQ) or abs(seed.imag) > 0
+    bits = 200
     one = 1 << bits
     xr = round(Fraction(seed.real) * one)
     xi = round(Fraction(seed.imag) * one) if gaussian else 0
     c, _ = _gauss_ints(p)
     dc = [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
-    for _ in range(steps):
+    for _ in range(16):
         fr, fi = _hom_eval(c, xr, xi, one)
         if not (fr or fi):
             break

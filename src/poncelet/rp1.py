@@ -144,11 +144,10 @@ class BracketResidual:
         return BracketResidual(lhs, rhs, gap, proper)
 
 
-def _pairwise_distinct(points: Sequence[RP1Point], tol: float | None = None) -> bool:
-    tol = DEFAULT.rel if tol is None else tol
+def _pairwise_distinct(points: Sequence[RP1Point]) -> bool:
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if rp1_distance(points[i], points[j]) < tol:
+            if rp1_distance(points[i], points[j]) < DEFAULT.rel:
                 return False
     return True
 

@@ -16,6 +16,7 @@ from .projective import Conic, ProjLine, ProjPoint, line_conic_intersect, second
 
 CONIC_SAMPLES = 256
 MARGIN = 0.05
+SIZE = 720  # width and height of the SVG canvas
 
 
 def _fmt(v: float) -> str:
@@ -104,7 +105,7 @@ def _clip_line(l: ProjLine, box: tuple[float, float, float, float]) -> tuple[tup
     return uniq[0], uniq[-1]
 
 
-def render_svg(doc: SceneDocument, size: int = 720) -> str:
+def render_svg(doc: SceneDocument) -> str:
     """Render a document as a standalone SVG string."""
     point_groups: list[tuple[str, list[tuple[float, float]]]] = []
     legend: list[str] = []
@@ -155,14 +156,14 @@ def render_svg(doc: SceneDocument, size: int = 720) -> str:
     bound = max(abs(x0), abs(x1), abs(y0), abs(y1)) * 3 + 1
 
     def sx(x: float) -> str:
-        return _fmt((x - x0) / span * size)
+        return _fmt((x - x0) / span * SIZE)
 
     def sy(y: float) -> str:
-        return _fmt((y1 - y) / span * size)  # flip y for SVG
+        return _fmt((y1 - y) / span * SIZE)  # flip y for SVG
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 

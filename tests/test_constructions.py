@@ -239,6 +239,77 @@ class TestOctagonConstruction:
             complete_octagon(pts, bad)
 
 
+def prefix_gaps(five, last, residual):
+    """The two gaps complete_heptagon / complete_octagon check, computed as they do:
+    ``last`` against the conic through ``five``, and the bracket condition."""
+    conic = conic_through_5(five)
+    chart = moderate_chart(conic, list(five) + [last])
+    xs = [chart.project(p) for p in list(five) + [last]]
+    return conic_contains(conic, last), residual(xs).scaled_gap, chart
+
+
+def off_conic(five, last, residual, target):
+    """``last`` moved along the ray from its chart center, ``target`` off the conic;
+    its transferred value, and so the bracket gap, stays put."""
+    _, _, chart = prefix_gaps(five, last, residual)
+    c = chart.center.coords
+
+    def moved(t):
+        return ProjPoint(tuple(a + t * b for a, b in zip(last.coords, c)))
+
+    slope = conic_contains(chart.conic, moved(1e-9)) / 1e-9
+    return moved(target / slope)
+
+
+def along_conic(five, last, residual, target):
+    """``last`` moved along the conic until the bracket gap is about ``target``."""
+    _, _, chart = prefix_gaps(five, last, residual)
+    x = chart.project(last).value()
+
+    def moved(d):
+        return chart.lift(RP1Point.affine(x + d))
+
+    slope = prefix_gaps(five, moved(1e-6), residual)[1] / 1e-6
+    return moved(target / slope)
+
+
+class TestCompletionThresholds:
+    """Both completions gate the on-conic residual and the bracket gap at 1e-6."""
+
+    def cases(self):
+        hept = concentric_scene(7).vertices
+        octa = concentric_scene(8).vertices
+        return [
+            (lambda last: complete_heptagon(list(hept[:5]) + [last]),
+             hept[:5], hept[5], heptagon6_residual),
+            (lambda last: complete_octagon(list(octa[:5]), last),
+             octa[:5], octa[6], octagon_point7_residual),
+        ]
+
+    def test_on_conic_cut(self):
+        for complete, five, last, residual in self.cases():
+            near = off_conic(five, last, residual, 5e-7)
+            far = off_conic(five, last, residual, 2e-6)
+            on_near, gap_near, _ = prefix_gaps(five, near, residual)
+            assert 4e-7 < on_near < 6e-7 and gap_near < 1e-9
+            assert 1.6e-6 < conic_contains(conic_through_5(five), far) < 2.4e-6
+            complete(near)
+            with pytest.raises((NotAHeptagonPrefix, NotAnOctagonPrefix), match="carrier conic"):
+                complete(far)
+
+    def test_bracket_cut(self):
+        for complete, five, last, residual in self.cases():
+            near = along_conic(five, last, residual, 5e-7)
+            far = along_conic(five, last, residual, 2e-6)
+            on_near, gap_near, _ = prefix_gaps(five, near, residual)
+            on_far, gap_far, _ = prefix_gaps(five, far, residual)
+            assert 4e-7 < gap_near < 6e-7 and on_near < 1e-12
+            assert 1.6e-6 < gap_far < 2.4e-6 and on_far < 1e-12
+            complete(near)
+            with pytest.raises((NotAHeptagonPrefix, NotAnOctagonPrefix), match="condition violated"):
+                complete(far)
+
+
 class TestNinegonConstruction:
     def test_three_candidates_close(self, rng):
         done = 0

@@ -2,7 +2,10 @@
 
 The documents under ``tests/data`` come from ``construct 7``, ``8`` and
 ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document of
-``construct 6 --seed 3``.  ``verify`` recomputes each polygon's bracket
+``construct 6 --seed 3``.  ``construct chain --in heptagon.json`` is built
+afresh and pinned too, with its own ``verify`` and ``render``: that path
+runs ``join``, ``meet`` and ``config_from_chain_trace`` without numpy, so
+its bytes do not depend on the LAPACK build.  ``verify`` recomputes each polygon's bracket
 residual through ``moderate_chart`` and ``StereoChart.project``, so the
 digests hold the chart transfer to its floating-point bits; the output of
 a command is a pure function of its input and the package version.  A
@@ -39,24 +42,36 @@ PINNED = {
         "5622776fb8fc8f6773eca50a30fbddb1b552ae3adfe5ce05f53586e2b524c0b6",
     ),
 }
+# sha256 of the JSON of ``construct chain --in heptagon.json``
+CHAIN_SHA = "ed2c0ab482f9165bbfcaf5e872e4f845a53178e7d6d6a6e949502fe918506249"
+CHAIN_PINNED = {
+    "chain.json": (
+        "1e52055ea9f7b7143daa68f7eee0ce29e650a601c3f5de638b7589b691812a59",
+        "96eecb2216acdc00cc22d871f1093663405753397af5f4d46d176bb56bd22cb0",
+    ),
+}
 
-# runs verify and render on each document in one fresh process; reports the
-# exit codes and digests, and whether numpy was ever imported
+# builds the chain document, then runs verify and render on each document
+# in one fresh process; reports the exit codes and digests, and whether
+# numpy was ever imported
 PROBE = """
 import contextlib, hashlib, io, json, sys
 from pathlib import Path
 from poncelet.cli import main
 data, out = Path(sys.argv[1]), Path(sys.argv[2])
+chain = out / "chain.json"
+built = main(["construct", "chain", "--in", str(data / "heptagon.json"), "--out", str(chain)])
 report = {}
-for name in sys.argv[3:]:
+for path in [data / name for name in sys.argv[3:]] + [chain]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        verified = main(["verify", "--in", str(data / name)])
-    svg = out / (name + ".svg")
-    rendered = main(["render", "--in", str(data / name), "--out", str(svg)])
-    report[name] = [verified, rendered, hashlib.sha256(buf.getvalue().encode()).hexdigest(),
-                    hashlib.sha256(svg.read_bytes()).hexdigest()]
-print(json.dumps({"documents": report, "numpy": "numpy" in sys.modules}))
+        verified = main(["verify", "--in", str(path)])
+    svg = out / (path.name + ".svg")
+    rendered = main(["render", "--in", str(path), "--out", str(svg)])
+    report[path.name] = [verified, rendered, hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+                         hashlib.sha256(svg.read_bytes()).hexdigest()]
+print(json.dumps({"chain": [built, hashlib.sha256(chain.read_bytes()).hexdigest()],
+                  "documents": report, "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -68,7 +83,9 @@ def test_verify_and_render_bytes_are_pinned(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     probe = json.loads(res.stdout.splitlines()[-1])
+    assert probe["chain"] == [0, CHAIN_SHA]
     assert probe["documents"] == {
-        name: [0, 0, verify_sha, svg_sha] for name, (verify_sha, svg_sha) in PINNED.items()
+        name: [0, 0, verify_sha, svg_sha]
+        for name, (verify_sha, svg_sha) in {**PINNED, **CHAIN_PINNED}.items()
     }
     assert probe["numpy"] is False

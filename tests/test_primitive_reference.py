@@ -318,7 +318,7 @@ class TestPrimitivesBitIdentical:
             lines = [ProjLine(v) for v in vectors[:60] + ISOTROPIC]
             if not conic.degenerate:
                 # tangent lines: the two intersections coincide
-                lines += [tangent_line_at(conic, p, 1e-6) for p in points_on(conic, rng)]
+                lines += [tangent_line_at(conic, p) for p in points_on(conic, rng)]
             for line in lines:
                 if isotropic(line.coords) and not conic.degenerate:
                     p1, p2, _ = line_conic_intersect(line, conic)

@@ -66,6 +66,16 @@ class TestJoinMeet:
         with pytest.raises(CoincidentElements):
             join(p, ProjPoint(0.6, -0.8, 2))
 
+    def test_coincidence_cut_is_1e12(self):
+        # the cross product of (0, 0, 1) and (eps, 0, 1) is (0, eps, 0)
+        base = ProjPoint(0, 0, 1)
+        join(base, ProjPoint(2e-12, 0, 1))
+        meet(ProjLine(base), ProjLine(2e-12, 0, 1))
+        with pytest.raises(CoincidentElements):
+            join(base, ProjPoint(5e-13, 0, 1))
+        with pytest.raises(CoincidentElements):
+            meet(ProjLine(base), ProjLine(5e-13, 0, 1))
+
     def test_meet_basis(self):
         p = meet(ProjLine(0, 0, 1), ProjLine(0, 1, 0))
         assert p.is_same(ProjPoint(1, 0, 0))
@@ -144,6 +154,16 @@ class TestConics:
     def test_tangent_off_conic_raises(self):
         with pytest.raises(PointNotOnConic):
             tangent_line_at(Conic.unit_circle(), ProjPoint(2, 0, 1))
+
+    def test_tangent_on_conic_cut_is_1e7(self):
+        uc = Conic.unit_circle()
+        near = ProjPoint(0.6, 0.8 * math.sqrt(1 + 7.8125e-8), 1)
+        far = ProjPoint(0.6, 0.8 * math.sqrt(1 + 3.125e-7), 1)
+        assert 4.9e-8 < conic_contains(uc, near) < 5.1e-8
+        assert 1.9e-7 < conic_contains(uc, far) < 2.1e-7
+        assert tangent_line_at(uc, near).is_same(ProjLine(0.6, 0.8, -1), 1e-7)
+        with pytest.raises(PointNotOnConic):
+            tangent_line_at(uc, far)
 
     def test_tangent_satisfies_dual_condition(self, rng):
         for _ in range(50):

@@ -135,7 +135,6 @@ class TestHugeIntegerCoefficients:
 
     def test_poly_float_views(self):
         p = Poly([1, self.BIG])
-        assert math.isinf(p.eval_complex(0.5, scale=1.0).real)
         assert p.complex_coefficients()[0] == 0j
         assert p.complex_coefficients()[1] == 1
 
