@@ -2,15 +2,17 @@
 
 The documents under ``tests/data`` come from ``construct 7``, ``8`` and
 ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document of
-``construct 6 --seed 3``.  ``construct chain --in heptagon.json`` is built
-afresh and pinned too, with its own ``verify`` and ``render``: that path
-runs ``join``, ``meet`` and ``config_from_chain_trace`` without numpy, so
-its bytes do not depend on the LAPACK build.  ``verify`` recomputes each polygon's bracket
+``construct 6 --seed 3``.  ``verify`` recomputes each polygon's bracket
 residual through ``moderate_chart`` and ``StereoChart.project``, so the
 digests hold the chart transfer to its floating-point bits; the output of
 a command is a pure function of its input and the package version.  A
 change that moves these digests changes what users get, and needs a
 version bump.
+
+``construct chain --in heptagon.json`` is built afresh and pinned too, with
+its own ``verify`` and ``render``: that path runs ``join``, ``meet`` and
+``config_from_chain_trace`` without numpy, so its bytes do not depend on
+the LAPACK build.
 """
 
 import json
