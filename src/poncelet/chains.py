@@ -27,14 +27,16 @@ from .projective import (
     ProjLine,
     ProjPoint,
     ProjMap,
+    Vec3,
+    _line_cut,
+    _minor_gap,
+    _tangent_pair,
     apply_map,
     conic_contains,
     conic_through_5_lines,
     join,
-    line_conic_intersect,
     proj_distance,
     tangency_residual,
-    tangents_from_point,
 )
 from .ratpoly import (
     GaussQ,
@@ -150,34 +152,52 @@ def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
     element is taken.  Coinciding candidates mean the chain is stuck at a
     tangential contact.
     """
-    p1, p2, tangential = line_conic_intersect(state.line, outer)
+    p, l = _step(outer, inner, state.point.coords, state.line.coords)
+    return ChainState(ProjPoint._of_normalized(p), ProjLine._of_normalized(l))
+
+
+def _step(outer: Conic, inner: Conic, p: Vec3, l: Vec3) -> tuple[Vec3, Vec3]:
+    """``chain_step`` on coordinate tuples; the returned pair is normalized once."""
+    p1, p2, tangential = _line_cut(l, outer)
     if tangential:
         raise TangentialDegeneracy("chain line is tangent to the outer conic")
-    d1 = proj_distance(p1, state.point)
-    d2 = proj_distance(p2, state.point)
+    d1, d2 = _minor_gap(p1, p), _minor_gap(p2, p)
     nxt = p1 if d1 >= d2 else p2
     if max(d1, d2) < DEFAULT.rel:
         raise TangentialDegeneracy("both intersection candidates coincide with the vertex")
-    l1, l2, doubled = tangents_from_point(nxt, inner)
+    l1, l2, doubled = _tangent_pair(nxt, inner)
     if doubled:
         raise TangentialDegeneracy("next vertex lies on the inner conic")
-    e1 = proj_distance(l1, state.line)
-    e2 = proj_distance(l2, state.line)
-    nxt_line = l1 if e1 >= e2 else l2
+    e1, e2 = _minor_gap(l1, l), _minor_gap(l2, l)
     if max(e1, e2) < DEFAULT.rel:
         raise TangentialDegeneracy("both tangent candidates coincide")
-    return ChainState(nxt, nxt_line)
+    return nxt, (l1 if e1 >= e2 else l2)
 
 
 def start_state(
     outer: Conic, inner: Conic, start: ProjPoint, first_tangent_choice: int = 0
 ) -> ChainState:
+    line = _start_line(outer, inner, start, first_tangent_choice)
+    return ChainState(start, ProjLine._of_normalized(line))
+
+
+def _start_line(outer: Conic, inner: Conic, start: ProjPoint, first_tangent_choice: int) -> Vec3:
     if conic_contains(outer, start) > 1e-6:
         raise PointNotOnConic("chain start must lie on the outer conic")
-    t1, t2, doubled = tangents_from_point(start, inner)
+    t1, t2, doubled = _tangent_pair(start.coords, inner)
     if doubled:
         raise TangentialDegeneracy("start point lies on the inner conic")
-    return ChainState(start, (t1, t2)[first_tangent_choice % 2])
+    return (t1, t2)[first_tangent_choice % 2]
+
+
+def _walk(outer: Conic, inner: Conic, start: ProjPoint, choice: int, steps: int) -> list[Vec3]:
+    """Coordinates of ``run_chain``'s vertices."""
+    p, l = start.coords, _start_line(outer, inner, start, choice)
+    out = [p]
+    for _ in range(steps):
+        p, l = _step(outer, inner, p, l)
+        out.append(p)
+    return out
 
 
 def run_chain(
@@ -188,12 +208,8 @@ def run_chain(
     steps: int = 0,
 ) -> list[ProjPoint]:
     """Chain vertices p_1 .. p_{steps+1} from a start point on the outer conic."""
-    state = start_state(outer, inner, start, first_tangent_choice)
-    out = [state.point]
-    for _ in range(steps):
-        state = chain_step(outer, inner, state)
-        out.append(state.point)
-    return out
+    walk = _walk(outer, inner, start, first_tangent_choice, steps)
+    return [start] + [ProjPoint._of_normalized(p) for p in walk[1:]]
 
 
 def closure_test(
@@ -204,9 +220,9 @@ def closure_test(
 ) -> ClosureReport:
     """Double-wrap closure check of the synthetic chain (first tangent 0)."""
     tol = DEFAULT.closure
-    pts = run_chain(outer, inner, start, steps=n + 1)
-    res_p = proj_distance(pts[n], pts[0])
-    res_q = proj_distance(pts[n + 1], pts[1])
+    pts = _walk(outer, inner, start, 0, n + 1)
+    res_p = _minor_gap(pts[n], pts[0])
+    res_q = _minor_gap(pts[n + 1], pts[1])
     closes = res_p < tol and res_q < tol
     spurious = res_p < tol <= res_q
     return ClosureReport(n, closes, res_p, res_q, spurious)

@@ -54,9 +54,13 @@ def _normalize3(coords: Iterable[complex], stored: bool = False) -> Vec3:
     c = tuple(map(complex, coords))
     if len(c) != 3:
         raise ValueError("expected 3 homogeneous coordinates")
-    x, y, z = c
+    return _unit3(*c, stored)
+
+
+def _unit3(x: complex, y: complex, z: complex, stored: bool = False) -> Vec3:
+    """``_normalize3`` of three complex coordinates."""
     if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):
-        raise NonFiniteElement(f"non-finite coordinates {c}")
+        raise NonFiniteElement(f"non-finite coordinates {(x, y, z)}")
     # the first entry of largest magnitude leads, as max() would pick it
     ax, ay, az = abs(x), abs(y), abs(z)
     if ay > ax:
@@ -68,7 +72,7 @@ def _normalize3(coords: Iterable[complex], stored: bool = False) -> Vec3:
     if top == 0:
         raise NonFiniteElement("zero vector is not a projective element")
     if stored and _normalized_lead(top):
-        return c
+        return (x, y, z)
     return (x / top, y / top, z / top)
 
 
@@ -113,6 +117,13 @@ class _HomogeneousVector:
         if len(coords) == 1 and not isinstance(coords[0], (int, float, complex)):
             coords = tuple(coords[0])
         object.__setattr__(self, "coords", _normalize3(coords, stored))
+
+    @classmethod
+    def _of_normalized(cls, coords: Vec3):
+        """Wrap a normalized triple; dividing by the lead again moves complex bits."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        return v
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -378,9 +389,8 @@ def conic_fit_lines(lines: Sequence[ProjLine]) -> Conic:
     return Conic(dual.adjugate_entries())
 
 
-def _line_base_points(l: _HomogeneousVector) -> tuple[Vec3, Vec3]:
+def _line_base_points(lc: Vec3) -> tuple[Vec3, Vec3]:
     """Two independent points spanning a line (or lines through a point)."""
-    lc = l.coords
     # l x e for the basis vectors e, as full cross products (the signs of
     # their zero entries reach the output); the first largest one wins
     u = _cross(lc, (1, 0, 0))
@@ -390,15 +400,15 @@ def _line_base_points(l: _HomogeneousVector) -> tuple[Vec3, Vec3]:
         size = max(abs(c[0]), abs(c[1]), abs(c[2]))
         if size > big:
             u, big = c, size
-    un = _normalize3(u)
+    un = _unit3(*u)
     v = _cross(lc, un)
     if not (v[0] or v[1] or v[2]):
         # isotropic l (l.l = 0) with u along l: the basis cross product
         # farthest from u (the first of equals) spans the line with it
         products = [_cross(lc, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         v = max((c for c in products if c[0] or c[1] or c[2]),
-                key=lambda c: _minor_gap(un, _normalize3(c)))
-    return un, _normalize3(v)
+                key=lambda c: _minor_gap(un, _unit3(*c)))
+    return un, _unit3(*v)
 
 
 def _solve_quadratic(a: complex, b: complex, c: complex) -> tuple[tuple[complex, complex], tuple[complex, complex], bool]:
@@ -437,25 +447,35 @@ def line_conic_intersect(
     tangent the two returned points coincide (a doubled point) and the flag
     is True.
     """
+    p1, p2, tangential = _line_cut(l.coords, conic)
+    return ProjPoint._of_normalized(p1), ProjPoint._of_normalized(p2), tangential
+
+
+def _line_cut(lc: Vec3, conic: Conic) -> tuple[Vec3, Vec3, bool]:
+    """``line_conic_intersect`` on coordinate tuples."""
     if conic.degenerate:
         raise DegenerateInput("line_conic_intersect requires a non-degenerate conic")
-    u, v = _line_base_points(l)
-    return _span_conic_intersect(u, v, conic)
+    return _conic_cut(*_line_base_points(lc), conic.entries)
 
 
-def _span_conic_intersect(
-    u: Vec3, v: Vec3, conic: Conic
-) -> tuple[ProjPoint, ProjPoint, bool]:
-    """``line_conic_intersect`` for the line spanned by base points u and v."""
-    cu = conic.apply(u)
-    a = conic.qform(v)
-    b = 2 * _dot(v, cu)
-    c = _dot(u, cu)
-    (t1, s1), (t2, s2), tangential = _solve_quadratic(a, b, c)
+def _conic_cut(u: Vec3, v: Vec3, entries: Sequence[complex]) -> tuple[Vec3, Vec3, bool]:
+    """Both normalized cuts of the conic with the line spanned by u and v."""
+    a00, a01, a02, a11, a12, a22 = entries
     u0, u1, u2 = u
     v0, v1, v2 = v
-    p1 = ProjPoint((s1 * u0 + t1 * v0, s1 * u1 + t1 * v1, s1 * u2 + t1 * v2))
-    p2 = ProjPoint((s2 * u0 + t2 * v0, s2 * u1 + t2 * v1, s2 * u2 + t2 * v2))
+    # A u and A v, then v.(A v), 2 v.(A u) and u.(A u), as Conic.apply/qform and _dot
+    cu0 = a00 * u0 + a01 * u1 + a02 * u2
+    cu1 = a01 * u0 + a11 * u1 + a12 * u2
+    cu2 = a02 * u0 + a12 * u1 + a22 * u2
+    cv0 = a00 * v0 + a01 * v1 + a02 * v2
+    cv1 = a01 * v0 + a11 * v1 + a12 * v2
+    cv2 = a02 * v0 + a12 * v1 + a22 * v2
+    a = v0 * cv0 + v1 * cv1 + v2 * cv2
+    b = 2 * (v0 * cu0 + v1 * cu1 + v2 * cu2)
+    c = u0 * cu0 + u1 * cu1 + u2 * cu2
+    (t1, s1), (t2, s2), tangential = _solve_quadratic(a, b, c)
+    p1 = _unit3(s1 * u0 + t1 * v0, s1 * u1 + t1 * v1, s1 * u2 + t1 * v2)
+    p2 = _unit3(s2 * u0 + t2 * v0, s2 * u1 + t2 * v1, s2 * u2 + t2 * v2)
     return p1, p2, tangential
 
 
@@ -467,9 +487,15 @@ def tangents_from_point(
     Dual of line-conic intersection: the pencil of lines through p is cut by
     the dual conic.  When p lies on the conic the two tangents coincide.
     """
+    l1, l2, doubled = _tangent_pair(p.coords, conic)
+    return ProjLine._of_normalized(l1), ProjLine._of_normalized(l2), doubled
+
+
+def _tangent_pair(pc: Vec3, conic: Conic) -> tuple[Vec3, Vec3, bool]:
+    """``tangents_from_point`` on coordinate tuples."""
     if conic.degenerate:
         raise DegenerateInput("tangents_from_point requires a non-degenerate conic")
-    m1, m2 = _line_base_points(p)  # two lines spanning the pencil through p
+    m1, m2 = _line_base_points(pc)  # two lines spanning the pencil through p
     b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
 
     def dq(x, y):
@@ -486,10 +512,8 @@ def tangents_from_point(
     b = 2 * dq(m1, m2)
     c = dq(m1, m1)
     (t1, s1), (t2, s2), doubled = _solve_quadratic(a, b, c)
-    x0, x1, x2 = m1
-    y0, y1, y2 = m2
-    l1 = ProjLine((s1 * x0 + t1 * y0, s1 * x1 + t1 * y1, s1 * x2 + t1 * y2))
-    l2 = ProjLine((s2 * x0 + t2 * y0, s2 * x1 + t2 * y1, s2 * x2 + t2 * y2))
+    l1 = _unit3(s1 * m1[0] + t1 * m2[0], s1 * m1[1] + t1 * m2[1], s1 * m1[2] + t1 * m2[2])
+    l2 = _unit3(s2 * m1[0] + t2 * m2[0], s2 * m1[1] + t2 * m2[1], s2 * m1[2] + t2 * m2[2])
     return l1, l2, doubled
 
 

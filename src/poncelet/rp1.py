@@ -37,7 +37,7 @@ from .projective import (
     _line_base_points,
     _minor_gap,
     _normalize3,
-    _span_conic_intersect,
+    _conic_cut,
     conic_contains,
     meet,
     second_intersection,
@@ -168,7 +168,7 @@ CHART_PROBES = (
     ProjLine(-0.67, 0.25, 1.0),
 )
 # their base points, the part of line_conic_intersect that needs no conic
-_PROBE_SPANS = tuple(_line_base_points(probe) for probe in CHART_PROBES)
+_PROBE_SPANS = tuple(_line_base_points(probe.coords) for probe in CHART_PROBES)
 # fixed axis lines; a chart projects onto the one farthest from its center
 CHART_AXES = (
     ProjLine(0.61, -1.0, 0.34),
@@ -316,16 +316,16 @@ def chart_centers(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> list[ProjPoi
     if conic.degenerate:
         return []  # line_conic_intersect rejects every probe
     others = [a.coords for a in avoid]
-    candidates: list[tuple[float, ProjPoint]] = []
+    candidates: list[tuple[float, Vec3]] = []
     for u, v in _PROBE_SPANS:
         try:
-            p1, p2, tangential = _span_conic_intersect(u, v, conic)
+            p1, p2, tangential = _conic_cut(u, v, conic.entries)
         except Exception:
             continue
         if tangential:
             continue
         for cand in (p1, p2):
-            x0, x1, x2 = cand.coords
+            x0, x1, x2 = cand
             clearance = min(
                 [
                     max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
@@ -336,14 +336,14 @@ def chart_centers(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> list[ProjPoi
             if clearance < 1e-6:
                 continue
             for _, center in candidates:
-                y0, y1, y2 = center.coords
+                y0, y1, y2 = center
                 gap = max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
                 if gap < DEFAULT.rel:
                     break
             else:
                 candidates.append((clearance, cand))
     candidates.sort(key=lambda t: -t[0])
-    return [center for _, center in candidates]
+    return [ProjPoint._of_normalized(center) for _, center in candidates]
 
 
 def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:

@@ -18,6 +18,7 @@ from poncelet import (
     closure_roots,
     closure_test,
     concentric_scene,
+    conic_contains,
     conic_fit_lines,
     count_solutions,
     heptagon6_residual,
@@ -32,7 +33,7 @@ from poncelet import (
     transformed_scene,
 )
 from poncelet.chains import start_state
-from poncelet.errors import DegenerateInput, TangentialDegeneracy
+from poncelet.errors import DegenerateInput, PointNotOnConic, TangentialDegeneracy
 
 from conftest import random_closing_scene, random_map
 
@@ -58,6 +59,18 @@ class TestChainStep:
         for _ in range(2 * n):
             state = chain_step(sc.outer, sc.inner, state)
         assert proj_distance(state.point, first.point) < 1e-9
+
+    def test_start_on_conic_cut_is_1e6(self):
+        sc = concentric_scene(7)
+        near = ProjPoint(0.6, 0.8 * math.sqrt(1 + 7.8125e-7), 1)
+        far = ProjPoint(0.6, 0.8 * math.sqrt(1 + 3.125e-6), 1)
+        assert 4.9e-7 < conic_contains(sc.outer, near) < 5.1e-7
+        assert 1.9e-6 < conic_contains(sc.outer, far) < 2.1e-6
+        assert start_state(sc.outer, sc.inner, near).point is near
+        with pytest.raises(PointNotOnConic):
+            start_state(sc.outer, sc.inner, far)
+        with pytest.raises(PointNotOnConic):
+            closure_test(sc.outer, sc.inner, far, 7)
 
     def test_tangent_to_outer_raises(self):
         sc = concentric_scene(5)

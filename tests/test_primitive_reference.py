@@ -7,6 +7,11 @@ by ``repr``: signed zeros count, because they reach the JSON documents.
 The one intended difference is isotropic elements such as (0, 1, 1j), on
 which the earlier form raised: there the primitives must now give valid
 output, checked by incidence instead of against the reference.
+
+The synthetic walk (``run_chain``, ``chain_step``, ``closure_test``) runs on
+coordinate tuples and wraps its vertices without normalizing them again, so
+its walks and reports must equal the ones built here from the references,
+also on non-real conic pairs where a second normalization would move bits.
 """
 
 import cmath
@@ -16,10 +21,14 @@ import random
 import pytest
 
 from poncelet import (
+    ClosureReport,
     Conic,
     ProjLine,
+    ProjMap,
     ProjPoint,
     apply_map,
+    chain_step,
+    closure_test,
     concentric_scene,
     conic_contains,
     line_conic_intersect,
@@ -28,7 +37,13 @@ from poncelet import (
     tangents_from_point,
     transformed_scene,
 )
-from poncelet.errors import DegenerateInput, NonFiniteElement, TangentialDegeneracy
+from poncelet.chains import start_state
+from poncelet.errors import (
+    DegenerateInput,
+    NonFiniteElement,
+    PointNotOnConic,
+    TangentialDegeneracy,
+)
 from poncelet.projective import _line_base_points, _minor_gap, _normalize3, tangency_residual
 
 from conftest import random_map
@@ -147,12 +162,16 @@ def ref_tangents_from_point(pc, conic):
     return l1, l2, doubled
 
 
-def ref_run_chain(outer, inner, start, choice, steps):
-    """run_chain built from the references (chain_step's decisions)."""
+def ref_walk(outer, inner, start, choice, steps):
+    """(vertex, line) states of a walk built from the references
+    (start_state's and chain_step's decisions)."""
+    if conic_contains(outer, start) > 1e-6:
+        raise PointNotOnConic("chain start must lie on the outer conic")
     t1, t2, doubled = ref_tangents_from_point(start.coords, inner)
-    assert not doubled
+    if doubled:
+        raise TangentialDegeneracy("start point lies on the inner conic")
     point, line = start.coords, (t1, t2)[choice % 2]
-    out = [point]
+    out = [(point, line)]
     for _ in range(steps):
         p1, p2, tangential = ref_line_conic_intersect(line, outer)
         if tangential:
@@ -168,8 +187,21 @@ def ref_run_chain(outer, inner, start, choice, steps):
         if max(e1, e2) < 1e-9:
             raise TangentialDegeneracy("both tangent candidates coincide")
         point, line = nxt, (l1 if e1 >= e2 else l2)
-        out.append(point)
+        out.append((point, line))
     return out
+
+
+def ref_run_chain(outer, inner, start, choice, steps):
+    """run_chain built from the references."""
+    return [point for point, _ in ref_walk(outer, inner, start, choice, steps)]
+
+
+def ref_closure_test(outer, inner, start, n):
+    """closure_test built from the references: first tangent, closure cut 1e-8."""
+    pts = ref_run_chain(outer, inner, start, 0, n + 1)
+    res_p = ref_minor_gap(pts[n], pts[0])
+    res_q = ref_minor_gap(pts[n + 1], pts[1])
+    return ClosureReport(n, res_p < 1e-8 and res_q < 1e-8, res_p, res_q, res_p < 1e-8 <= res_q)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +324,13 @@ class TestPrimitivesBitIdentical:
         for v in vectors:
             line = ProjLine(v)
             if not isotropic(v):
-                assert outcome(_line_base_points, line) == outcome(ref_line_base_points, line.coords)
+                assert outcome(_line_base_points, line.coords) == outcome(ref_line_base_points, line.coords)
 
     @pytest.mark.parametrize("v", ISOTROPIC)
     def test_line_base_points_isotropic(self, v):
         """Two independent normalized points on the line, also when l.l = 0."""
         line = ProjLine(v)
-        u, w = _line_base_points(line)
+        u, w = _line_base_points(line.coords)
         assert on_line(line.coords, u) and on_line(line.coords, w)
         assert _minor_gap(u, w) > 0.5
         assert max(map(abs, u)) == 1 and max(map(abs, w)) == 1
@@ -357,3 +389,96 @@ def test_run_chain_walks_bit_identical(n):
         got = run_chain(scene.outer, scene.inner, start, k, steps=3 * n + 1)
         want = ref_run_chain(scene.outer, scene.inner, start, k, 3 * n + 1)
         assert repr([p.coords for p in got]) == repr(want)
+
+
+def complex_map(rng):
+    """Projective map with non-real entries: it sends the scene to non-real conics."""
+    while True:
+        rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in range(3)]
+        m = ProjMap(rows)
+        if abs(m.det) > 0.05:
+            return m
+
+
+def porism_starts(rng, n, m, count=4):
+    """A projective image of the concentric n-gon scene and starts on its outer conic."""
+    scene = transformed_scene(concentric_scene(n, start_angle=rng.uniform(0, 2 * math.pi)), m)
+    angles = [rng.uniform(0, 2 * math.pi) for _ in range(count)]
+    return scene, [apply_map(m, ProjPoint(math.cos(a), math.sin(a), 1)) for a in angles]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_walks_on_nonreal_conics_bit_identical(n):
+    """run_chain and chain_step on non-real conic pairs, both first tangents.
+
+    Non-real vertices mostly move when normalized a second time, so this
+    fails if a walk normalizes what a step already normalized.
+    """
+    rng = random.Random(300 + n)
+    m = complex_map(rng)
+    scene, starts = porism_starts(rng, n, m)
+    moved = 0
+    for k, start in enumerate(starts):
+        steps = 3 * n + 1
+        want = ref_walk(scene.outer, scene.inner, start, k, steps)
+        got = run_chain(scene.outer, scene.inner, start, k, steps=steps)
+        assert repr([p.coords for p in got]) == repr([point for point, _ in want])
+        state = start_state(scene.outer, scene.inner, start, k)
+        states = [state]
+        for _ in range(steps):
+            state = chain_step(scene.outer, scene.inner, state)
+            states.append(state)
+        assert repr([(s.point.coords, s.line.coords) for s in states]) == repr(want)
+        moved += sum(repr(_normalize3(p.coords)) != repr(p.coords) for p in got)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+@pytest.mark.parametrize("real", [True, False])
+def test_closure_report_bit_identical(n, real):
+    """ClosureReport, residual floats included, at the period and off it."""
+    rng = random.Random(500 + n + 50 * real)
+    m = random_map(rng) if real else complex_map(rng)
+    scene, starts = porism_starts(rng, n, m)
+    for start in starts:
+        for period in (n, n + 1, 3 * n):
+            got = closure_test(scene.outer, scene.inner, start, period)
+            assert repr(got) == repr(ref_closure_test(scene.outer, scene.inner, start, period))
+
+
+UNIT = Conic.unit_circle()
+# circle of radius 1/2 about (1/2, 1/2): the tangent y = z from (0, 1, 1)
+# also touches the unit circle, at (0, 1, 1) itself
+OFFSET = Conic((1, 0, -0.5, 1, -0.5, 0.25))
+# circle of radius 1/2 about (1/2, 0): it passes through (1, 0, 1)
+THROUGH = Conic((1, 0, -0.5, 1, 0, 0))
+
+WALK_FAULTS = {
+    "degenerate outer": (DEGENERATE, Conic.circle(0.5), ProjPoint(0, 1, 1), DegenerateInput),
+    "degenerate inner": (UNIT, DEGENERATE, ProjPoint(0, 1, 1), DegenerateInput),
+    "start on inner": (UNIT, THROUGH, ProjPoint(1, 0, 1), TangentialDegeneracy),
+    "line tangent to outer": (UNIT, OFFSET, ProjPoint(0, 1, 1), TangentialDegeneracy),
+    "start off outer": (UNIT, Conic.circle(0.5), ProjPoint(2, 0, 1), PointNotOnConic),
+    "nan start": (UNIT, Conic.circle(0.5),
+                  ProjPoint._of_normalized((complex(math.nan), 0j, 1 + 0j)), NonFiniteElement),
+    "inf start": (UNIT, Conic.circle(0.5),
+                  ProjPoint._of_normalized((complex(math.inf), 0j, 1 + 0j)), NonFiniteElement),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_FAULTS))
+def test_walk_faults_raise_as_reference(case):
+    """run_chain and closure_test raise what the references raise, first fault first."""
+    outer, inner, start, expected = WALK_FAULTS[case]
+
+    def walk(choice):
+        return [p.coords for p in run_chain(outer, inner, start, choice, steps=6)]
+
+    raised = set()
+    for choice in (0, 1):
+        got = outcome(walk, choice)
+        assert got == outcome(ref_run_chain, outer, inner, start, choice, 6)
+        raised.add(got)
+    got = outcome(closure_test, outer, inner, start, 5)
+    assert got == outcome(ref_closure_test, outer, inner, start, 5)
+    assert expected in raised | {got}
