@@ -377,20 +377,6 @@ class TestPrimitivesBitIdentical:
                 assert got == outcome(ref_tangents_from_point, p.coords, conic)
 
 
-@pytest.mark.parametrize("n", range(5, 13))
-def test_run_chain_walks_bit_identical(n):
-    """Porism-style walks: projective images of concentric scenes, three wraps."""
-    rng = random.Random(100 + n)
-    m = random_map(rng)
-    scene = transformed_scene(concentric_scene(n, start_angle=rng.uniform(0, 2 * math.pi)), m)
-    for k in range(4):
-        a = rng.uniform(0, 2 * math.pi)
-        start = apply_map(m, ProjPoint(math.cos(a), math.sin(a), 1))
-        got = run_chain(scene.outer, scene.inner, start, k, steps=3 * n + 1)
-        want = ref_run_chain(scene.outer, scene.inner, start, k, 3 * n + 1)
-        assert repr([p.coords for p in got]) == repr(want)
-
-
 def complex_map(rng):
     """Projective map with non-real entries: it sends the scene to non-real conics."""
     while True:
@@ -408,28 +394,29 @@ def porism_starts(rng, n, m, count=4):
 
 
 @pytest.mark.parametrize("n", range(5, 13))
-def test_walks_on_nonreal_conics_bit_identical(n):
-    """run_chain and chain_step on non-real conic pairs, both first tangents.
+def test_run_chain_walks_bit_identical(n):
+    """Porism-style walks of three wraps, by run_chain and by chain_step, on
+    projective images of concentric scenes under a real and a non-real map.
 
     Non-real vertices mostly move when normalized a second time, so this
     fails if a walk normalizes what a step already normalized.
     """
-    rng = random.Random(300 + n)
-    m = complex_map(rng)
-    scene, starts = porism_starts(rng, n, m)
+    rng = random.Random(100 + n)
     moved = 0
-    for k, start in enumerate(starts):
-        steps = 3 * n + 1
-        want = ref_walk(scene.outer, scene.inner, start, k, steps)
-        got = run_chain(scene.outer, scene.inner, start, k, steps=steps)
-        assert repr([p.coords for p in got]) == repr([point for point, _ in want])
-        state = start_state(scene.outer, scene.inner, start, k)
-        states = [state]
-        for _ in range(steps):
-            state = chain_step(scene.outer, scene.inner, state)
-            states.append(state)
-        assert repr([(s.point.coords, s.line.coords) for s in states]) == repr(want)
-        moved += sum(repr(_normalize3(p.coords)) != repr(p.coords) for p in got)
+    for m in (random_map(rng), complex_map(rng)):
+        scene, starts = porism_starts(rng, n, m)
+        for k, start in enumerate(starts):
+            steps = 3 * n + 1
+            want = ref_walk(scene.outer, scene.inner, start, k, steps)
+            got = run_chain(scene.outer, scene.inner, start, k, steps=steps)
+            assert repr([p.coords for p in got]) == repr([point for point, _ in want])
+            state = start_state(scene.outer, scene.inner, start, k)
+            states = [state]
+            for _ in range(steps):
+                state = chain_step(scene.outer, scene.inner, state)
+                states.append(state)
+            assert repr([(s.point.coords, s.line.coords) for s in states]) == repr(want)
+            moved += sum(repr(_normalize3(p.coords)) != repr(p.coords) for p in got)
     assert moved > 0
 
 
@@ -459,6 +446,8 @@ WALK_FAULTS = {
     "start on inner": (UNIT, THROUGH, ProjPoint(1, 0, 1), TangentialDegeneracy),
     "line tangent to outer": (UNIT, OFFSET, ProjPoint(0, 1, 1), TangentialDegeneracy),
     "start off outer": (UNIT, Conic.circle(0.5), ProjPoint(2, 0, 1), PointNotOnConic),
+    # ProjPoint rejects non-finite coordinates; only the trusted constructor
+    # lets them reach a walk
     "nan start": (UNIT, Conic.circle(0.5),
                   ProjPoint._of_normalized((complex(math.nan), 0j, 1 + 0j)), NonFiniteElement),
     "inf start": (UNIT, Conic.circle(0.5),
@@ -468,7 +457,7 @@ WALK_FAULTS = {
 
 @pytest.mark.parametrize("case", sorted(WALK_FAULTS))
 def test_walk_faults_raise_as_reference(case):
-    """run_chain and closure_test raise what the references raise, first fault first."""
+    """run_chain and closure_test raise the exception class the references raise."""
     outer, inner, start, expected = WALK_FAULTS[case]
 
     def walk(choice):
