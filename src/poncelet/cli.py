@@ -240,6 +240,11 @@ def _load_document(path: str) -> SceneDocument:
     return SceneDocument.from_json(text)
 
 
+def _failed(checks: dict[str, float], tol: float) -> dict[str, float]:
+    """The checks that fail: n4_pass when false, any other above tol (or NaN)."""
+    return {k: v for k, v in checks.items() if not (v if k == "n4_pass" else v <= tol)}
+
+
 def cmd_construct(args) -> int:
     unread = [flag for flag, (dest, _, kinds) in KIND_OPTIONS.items()
               if args.kind not in kinds and getattr(args, dest) is not None]
@@ -266,8 +271,7 @@ def cmd_construct(args) -> int:
         sys.stdout.write(text)
     if args.svg:
         Path(args.svg).write_text(render_svg(doc), encoding="utf-8")
-    threshold = 1e-6
-    bad = {k: v for k, v in doc.residuals.items() if k != "n4_pass" and not v <= threshold}
+    bad = _failed(doc.residuals, 1e-6)
     if bad:
         print(f"residuals above threshold: {bad}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -282,18 +286,13 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     n = args.n or doc.n
     checks: dict[str, float] = {}
-    passed = True
-    tol = 1e-7
 
     def attempt(name, fn):
-        nonlocal passed
         try:
-            return fn()
+            fn()
         except GeometryError as exc:
             checks[f"{name}_error"] = 1e300  # sentinel keeps the report strict JSON
-            passed = False
             print(f"check {name} failed to run: {exc}", file=sys.stderr)
-            return None
 
     if doc.scene is not None:
         attempt("scene", lambda: checks.update(doc.scene.verify()))
@@ -308,17 +307,9 @@ def cmd_verify(args) -> int:
         attempt("trace", lambda: checks.__setitem__("trace_replay", doc.trace.replay()))
     if doc.configuration is not None:
         def config():
-            rep4 = verify_n4(doc.configuration)
-            checks["n4_pass"] = float(rep4.passed)
-            return rep4
-        rep4 = attempt("configuration", config)
-        if rep4 is not None and not rep4.passed:
-            passed = False
-    for key, val in checks.items():
-        if key == "n4_pass":
-            continue
-        if not val <= tol:  # a NaN residual fails too
-            passed = False
+            checks["n4_pass"] = float(verify_n4(doc.configuration).passed)
+        attempt("configuration", config)
+    passed = not _failed(checks, 1e-7)
     report = {"passed": passed, "n": n, "checks": checks}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_NUMERIC

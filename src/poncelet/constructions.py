@@ -136,6 +136,26 @@ def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     return best
 
 
+def _cut_branch(
+    tr: ConstructionTrace, l: ProjLine, conic: Conic, label: str, branch: int
+) -> ProjPoint:
+    """Cut the line l with the carrier conic A and keep the ``branch`` cut.
+
+    Records both positions (the other as ``<label>_alt``), the branch taken
+    and the incidences of the kept point with l and A.
+    """
+    s1, s2, tangential = line_conic_intersect(l, conic)
+    if tangential:
+        tr.notes.append(f"line l tangent to A; the two positions of {label} coincide")
+    pt = (s1, s2)[branch % 2]
+    tr.add(label, pt)
+    tr.add(f"{label}_alt", (s2, s1)[branch % 2])
+    tr.record_branch("intersect l with A", branch % 2)
+    tr.record_on_conic(label, "A")
+    tr.incidences.append(("incident", label, "l"))
+    return pt
+
+
 # ---------------------------------------------------------------------------
 # heptagon
 
@@ -180,16 +200,7 @@ def construct_heptagon_p6(
     tr.record_meet("R", "15", "OP", r)
     l = _guard(join, r, q, step="l")
     tr.record_join("l", "R", "Q", l)
-    s1, s2, tangential = line_conic_intersect(l, conic)
-    if tangential:
-        tr.notes.append("line l tangent to A; the two positions of 6 coincide")
-    p6 = (s1, s2)[branch % 2]
-    tr.add("6", p6)
-    tr.add("6_alt", (s2, s1)[branch % 2])
-    tr.record_branch("intersect l with A", branch % 2)
-    tr.record_on_conic("6", "A")
-    tr.incidences.append(("incident", "6", "l"))
-    return p6, tr
+    return _cut_branch(tr, l, conic, "6", branch), tr
 
 
 def complete_heptagon(points: Sequence[ProjPoint]) -> ProjPoint:
@@ -256,16 +267,7 @@ def construct_octagon_p7(
     tr.record_meet("R", "24", "3Q", r)
     l = _guard(join, r, pp, step="l")
     tr.record_join("l", "R", "P", l)
-    s1, s2, tangential = line_conic_intersect(l, conic)
-    if tangential:
-        tr.notes.append("line l tangent to A; the two positions of 7 coincide")
-    p7 = (s1, s2)[branch % 2]
-    tr.add("7", p7)
-    tr.add("7_alt", (s2, s1)[branch % 2])
-    tr.record_branch("intersect l with A", branch % 2)
-    tr.record_on_conic("7", "A")
-    tr.incidences.append(("incident", "7", "l"))
-    return p7, tr
+    return _cut_branch(tr, l, conic, "7", branch), tr
 
 
 def complete_octagon(
@@ -422,27 +424,10 @@ def _self_polar_frame(
     return o, x, y
 
 
-# _real_chart and _interleaving_ok score with StereoChart._transfer and take
-# RP1Point.value() by hand: doubling passes them only vertices inside
-# its own on-conic cut, which is stricter than project's, so project's check
-# could never fire there.
-
-
-def _real_chart(conic: Conic, verts: Sequence[ProjPoint]) -> StereoChart | None:
-    """First of the eight best-ranked charts whose transferred values are all real."""
-    coords = [p.coords for p in verts]
-    for center in chart_centers(conic, verts)[:8]:
-        try:
-            ch = StereoChart(conic, center)
-        except GeometryError:
-            continue
-        for num, den in map(ch._transfer, coords):
-            val = num / den if den else complex(math.inf, 0)
-            if math.isfinite(abs(val)) and abs(val.imag) > 1e-6 * max(1.0, abs(val)):
-                break
-        else:
-            return ch
-    return None
+# _interleaving_ok transfers with StereoChart._transfer and takes
+# RP1Point.value() by hand: doubling passes it only vertices inside its own
+# on-conic cut, which is stricter than project's, so project's check could
+# never fire there.
 
 
 def _interleaving_ok(chart: StereoChart, verts: Sequence[ProjPoint]) -> bool:
@@ -540,8 +525,10 @@ def doubling(scene: PonceletScene) -> tuple[PonceletScene, ConstructionTrace]:
             if tangency_residual(inner2, edges) > 1e-6:
                 continue
             if chart is None:
-                chart = _real_chart(a, list(verts))
-            if chart is not None and not _interleaving_ok(chart, verts):
+                # centred on a vertex of the scene: the chart is real
+                # wherever the scene is
+                chart = StereoChart(a, verts[0])
+            if not _interleaving_ok(chart, verts):
                 continue
             tr.add("x", xax)
             tr.add("y", yax)
@@ -563,6 +550,26 @@ def doubling(scene: PonceletScene) -> tuple[PonceletScene, ConstructionTrace]:
 # butterfly chain constructions
 
 
+def _cross(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint, step: str) -> ProjPoint:
+    """(a v b)^(c v d), reporting any degeneracy as ``step``."""
+    return _guard(meet, _guard(join, a, b, step=step), _guard(join, c, d, step=step), step=step)
+
+
+def _pivot_step(p: dict, greens: dict, blues: dict, i: int) -> ProjLine:
+    """Chain point i + 1: the one step of every join/meet chain.
+
+    The line m = G_{i-3}B_{i-3} carries G_{i-2} = m^(i-4)(i-1) and
+    B_i = m^(i-2)(i-1), and i + 1 = (G_{i-2} v i-2)^(B_i v i).  Fills
+    ``greens[i - 2]``, ``blues[i]`` and ``p[i + 1]``; returns m.
+    """
+    m = _guard(join, greens[i - 3], blues[i - 3], step=f"m{i - 3}")
+    g, b = f"G{i - 2}", f"B{i}"
+    greens[i - 2] = _guard(meet, m, _guard(join, p[i - 4], p[i - 1], step=g), step=g)
+    blues[i] = _guard(meet, m, _guard(join, p[i - 2], p[i - 1], step=b), step=b)
+    p[i + 1] = _cross(greens[i - 2], p[i - 2], blues[i], p[i], str(i + 1))
+    return m
+
+
 def chain_point7_joinmeet(
     points: Sequence[ProjPoint], conic: Conic
 ) -> tuple[ProjPoint, ConstructionTrace]:
@@ -574,30 +581,22 @@ def chain_point7_joinmeet(
     """
     if len(points) != 6:
         raise ValueError("chain_point7_joinmeet expects 6 points")
-    p1, p2, p3, p4, p5, p6 = points
+    p = {i + 1: pt for i, pt in enumerate(points)}
     tr = ConstructionTrace()
-    for i, p in enumerate(points, 1):
-        tr.add(str(i), p)
+    for i in range(1, 7):
+        tr.add(str(i), p[i])
     tr.add("A", conic)
-    b3 = _guard(meet, _guard(join, p1, p2, step="12"), _guard(join, p3, p4, step="34"), step="B3")
-    g3 = _guard(meet, _guard(join, p1, p4, step="14"), _guard(join, p3, p6, step="36"), step="G3")
-    tr.add("B3", b3)
-    tr.add("G3", g3)
-    m3 = _guard(join, g3, b3, step="G3B3")
+    blues = {3: _cross(p[1], p[2], p[3], p[4], "B3")}
+    greens = {3: _cross(p[1], p[4], p[3], p[6], "G3")}
+    tr.add("B3", blues[3])
+    tr.add("G3", greens[3])
+    m3 = _pivot_step(p, greens, blues, 6)
     tr.record_join("m3", "G3", "B3", m3)
-    g4 = _guard(meet, m3, _guard(join, p2, p5, step="25"), step="G4")
-    b6 = _guard(meet, m3, _guard(join, p4, p5, step="45"), step="B6")
-    tr.add("G4", g4)
-    tr.add("B6", b6)
-    p7 = _guard(
-        meet,
-        _guard(join, g4, p4, step="G4v4"),
-        _guard(join, b6, p6, step="B6v6"),
-        step="7",
-    )
-    tr.add("7", p7)
+    tr.add("G4", greens[4])
+    tr.add("B6", blues[6])
+    tr.add("7", p[7])
     tr.record_on_conic("7", "A")
-    return p7, tr
+    return p[7], tr
 
 
 @dataclass
@@ -616,10 +615,10 @@ def chain_iterate_joinmeet(
 ) -> ChainConstruction:
     """Iterate the join/meet chain construction for ``steps`` new points.
 
-    Initialization is the point-7 construction plus the two extra pivots
-    B4 = 23^45 and B5 = 34^56; each further step adds one green pivot, one
-    blue pivot and one chain point (a full three-colored triangle).  If
-    the seed belongs to an n-gon the chain revisits its start and
+    Initialization is the pivots B3 = 12^34, B4 = 23^45, B5 = 34^56 and
+    G3 = 14^36; each step adds one green pivot, one blue pivot and one
+    chain point (a full three-colored triangle), the first one point 7.
+    If the seed belongs to an n-gon the chain revisits its start and
     ``closed_period`` records n.  No conic membership is asserted, so the
     iteration also runs on perturbed off-conic seeds.
     """
@@ -630,29 +629,14 @@ def chain_iterate_joinmeet(
     for i in range(1, 7):
         tr.add(str(i), p[i])
     tr.add("A", conic)
-    greens: dict[int, ProjPoint] = {}
-    blues: dict[int, ProjPoint] = {}
-    blues[3] = _guard(meet, join(p[1], p[2]), join(p[3], p[4]), step="B3")
-    blues[4] = _guard(meet, join(p[2], p[3]), join(p[4], p[5]), step="B4")
-    blues[5] = _guard(meet, join(p[3], p[4]), join(p[5], p[6]), step="B5")
-    greens[3] = _guard(meet, join(p[1], p[4]), join(p[3], p[6]), step="G3")
-    m3 = _guard(join, greens[3], blues[3], step="m3")
-    greens[4] = _guard(meet, m3, join(p[2], p[5]), step="G4")
-    blues[6] = _guard(meet, m3, join(p[4], p[5]), step="B6")
-    p[7] = _guard(meet, join(greens[4], p[4]), join(blues[6], p[6]), step="7")
+    blues = {k: _cross(p[k - 2], p[k - 1], p[k], p[k + 1], f"B{k}") for k in (3, 4, 5)}
+    greens = {3: _cross(p[1], p[4], p[3], p[6], "G3")}
     closed: int | None = None
-    top = 7
-    for i in range(7, 6 + steps):
-        m = _guard(join, greens[i - 3], blues[i - 3], step=f"m{i - 3}")
-        greens[i - 2] = _guard(meet, m, join(p[i - 4], p[i - 1]), step=f"G{i - 2}")
-        blues[i] = _guard(meet, m, join(p[i - 2], p[i - 1]), step=f"B{i}")
-        p[i + 1] = _guard(
-            meet, join(greens[i - 2], p[i - 2]), join(blues[i], p[i]), step=str(i + 1)
-        )
-        top = i + 1
+    for i in range(6, 6 + steps):
+        _pivot_step(p, greens, blues, i)
         if closed is None and proj_distance(p[i + 1], p[1]) < 1e-7:
             closed = i
-    pts = [p[i] for i in range(1, top + 1)]
+    pts = [p[i] for i in range(1, 7 + steps)]
     for i, pt in enumerate(pts, 1):
         tr.add(str(i), pt)
     for k, v in greens.items():

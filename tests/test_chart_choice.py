@@ -1,13 +1,16 @@
 """Chart choice against the per-variant reference algorithm.
 
 ``make_chart`` used to rank the probe-line centers afresh for every
-``variant``; ``moderate_chart`` scored variants 0-5 and ``_real_chart``
-tried variants 0-7.  The reference below keeps that algorithm verbatim, and
-every chart the ranked-list versions pick must equal it coordinate for
-coordinate, including draws with fewer candidates than variants.  The
-reference charts are ``chart_reference.RefStereoChart``, so the transfers
-that score them are the object-form ``project`` rather than the code under
-test.
+``variant``, and ``moderate_chart`` scored variants 0-5.  The reference
+below keeps that algorithm verbatim, and every chart the ranked-list
+versions pick must equal it coordinate for coordinate, including draws with
+fewer candidates than variants.  The reference charts are
+``chart_reference.RefStereoChart``, so the transfers that score them are
+the object-form ``project`` rather than the code under test.
+
+``doubling`` takes no ranked chart: it orders the doubled polygon in the
+chart centred on the scene's first vertex, so the interleaving check runs
+on every real scene, small circles included.
 """
 
 import cmath
@@ -21,12 +24,14 @@ from poncelet import (
     ProjLine,
     ProjPoint,
     conic_through_5,
+    doubling,
     line_conic_intersect,
     make_chart,
     moderate_chart,
+    polygon_scene,
     proj_distance,
 )
-from poncelet.constructions import _real_chart
+from poncelet import constructions
 from poncelet.errors import ConstructionDegeneracy, DegenerateChain, GeometryError
 from poncelet.projective import _dot
 from poncelet.rp1 import chart_centers
@@ -81,28 +86,12 @@ def ref_moderate_chart(conic, pts):
     return best
 
 
-def ref_real_chart(conic, verts):
-    for v in range(8):
-        try:
-            ch = ref_make_chart(conic, avoid=verts, variant=v)
-        except GeometryError:
-            continue
-        if all(
-            not (math.isfinite(abs(val)) and abs(val.imag) > 1e-6 * max(1.0, abs(val)))
-            for val in (ch.project(p).value() for p in verts)
-        ):
-            return ch
-    return None
-
-
 def outcome(fn, *args, **kwargs):
-    """Chart coordinates, None, or the exception class: what must agree."""
+    """Chart coordinates or the exception class: what must agree."""
     try:
         ch = fn(*args, **kwargs)
     except GeometryError as exc:
         return type(exc)
-    if ch is None:
-        return None
     return chart_state(ch)
 
 
@@ -165,7 +154,6 @@ def test_chart_choice_matches_reference(chunk):
         conic, avoid = draw(seed)
         n_centers = len(chart_centers(conic, avoid))
         assert outcome(moderate_chart, conic, avoid) == outcome(ref_moderate_chart, conic, avoid)
-        assert outcome(_real_chart, conic, avoid) == outcome(ref_real_chart, conic, avoid)
         for variant in {0, 5, n_centers, 3 * n_centers + 1}:
             assert outcome(make_chart, conic, avoid, variant=variant) == outcome(
                 ref_make_chart, conic, avoid, variant=variant
@@ -184,3 +172,56 @@ def test_chart_choice_tamest_of_six_with_off_conic_points():
     pts = [ProjPoint(5, 5, 1), ProjPoint(cmath.exp(0.3j), 2, 1)]
     assert outcome(moderate_chart, conic, pts) is ConstructionDegeneracy
     assert outcome(ref_moderate_chart, conic, pts) is ConstructionDegeneracy
+
+
+def small_circle_pentagon(seed):
+    """A pentagon on a circle of radius 0.05-0.6 centred in [-1, 1]^2, with
+    its centre and angles; None unless every angular gap is at least 0.4."""
+    rng = random.Random(seed)
+    a, b, r = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.05, 0.6)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(5))
+    if min((angles[(i + 1) % 5] - angles[i]) % (2 * math.pi) for i in range(5)) < 0.4:
+        return None
+    return [ProjPoint(a + r * math.cos(t), b + r * math.sin(t), 1) for t in angles], (a, b)
+
+
+def interleaves(verts, centre):
+    """Each odd vertex strictly inside the arc from its neighbours, one way
+    round, measured by the angle about the circle's centre."""
+    a, b = centre
+    angles = [
+        math.atan2((p.coords[1] / p.coords[2]).real - b, (p.coords[0] / p.coords[2]).real - a)
+        for p in verts
+    ]
+    k = len(angles)
+    for sign in (1, -1):
+        if all(
+            0 < (sign * (angles[i + 1] - angles[i])) % (2 * math.pi)
+            < (sign * (angles[(i + 2) % k] - angles[i])) % (2 * math.pi)
+            for i in range(0, k, 2)
+        ):
+            return True
+    return False
+
+
+def test_doubling_checks_interleaving_on_small_circles(monkeypatch):
+    calls = []
+    real_check = constructions._interleaving_ok
+
+    def counting(chart, verts):
+        calls.append(verts)
+        return real_check(chart, verts)
+
+    monkeypatch.setattr(constructions, "_interleaving_ok", counting)
+    draws = 0
+    for seed in range(400):
+        drawn = small_circle_pentagon(seed)
+        if drawn is None:
+            continue
+        verts, centre = drawn
+        draws += 1
+        before = len(calls)
+        doubled, _ = doubling(polygon_scene(verts, 5))
+        assert len(calls) > before
+        assert len(doubled.vertices) == 10 and interleaves(doubled.vertices, centre)
+    assert draws == 94

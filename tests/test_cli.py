@@ -14,6 +14,7 @@ from poncelet import SceneDocument, chain_values, render_svg, scene_from_rp1
 from poncelet.cli import main
 from poncelet.errors import DocumentError
 
+DATA = Path(__file__).with_name("data")
 S649 = math.sqrt(649)
 GOLDEN = [-1, 0, 1, 4, 5]
 
@@ -62,6 +63,36 @@ class TestConstructCommand:
         assert doc.n == 7
         assert doc.configuration is not None
         assert len(doc.configuration.points) == 21
+
+    def test_hexagon_chain_closes_at_6_without_configuration(self, tmp_path, capsys):
+        out = tmp_path / "chain.json"
+        assert run(["construct", "chain", "--in", str(DATA / "hexagon.json"), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n"] == 6 and "configuration" not in doc
+        assert run(["verify", "--in", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+
+    def test_chain_seed_with_coincident_points_exits_3(self, tmp_path, capsys):
+        doc = json.loads((DATA / "hexagon.json").read_text())
+        doc["scene"]["vertices"][1] = doc["scene"]["vertices"][0]
+        bad = tmp_path / "coincident.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["construct", "chain", "--in", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_construct_and_verify_share_the_n4_gate(self, tmp_path, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from poncelet import cli
+
+        monkeypatch.setattr(cli, "verify_n4", lambda cfg: SimpleNamespace(passed=False))
+        out = tmp_path / "chain.json"
+        assert run(["construct", "chain", "--in", str(DATA / "heptagon.json"), "--out", str(out)]) == 4
+        assert json.loads(out.read_text())["residuals"]["n4_pass"] == 0.0
+        assert "n4_pass" in capsys.readouterr().err
+        assert run(["verify", "--in", str(out)]) == 4
 
 
     @pytest.mark.parametrize("argv", [

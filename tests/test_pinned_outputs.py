@@ -1,18 +1,19 @@
 """verify and render bytes of committed documents, pinned by sha256.
 
-The documents under ``tests/data`` come from ``construct 7``, ``8`` and
-``9 --seed 3`` and from ``construct double --seed 3 --in`` the document of
-``construct 6 --seed 3``.  ``verify`` recomputes each polygon's bracket
-residual through ``moderate_chart`` and ``StereoChart.project``, so the
-digests hold the chart transfer to its floating-point bits; the output of
-a command is a pure function of its input and the package version.  A
-change that moves these digests changes what users get, and needs a
-version bump.
+The documents under ``tests/data`` come from ``construct 6``, ``7``, ``8``
+and ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document
+of ``construct 6 --seed 3`` (``hexagon.json``).  ``verify`` recomputes each
+polygon's bracket residual through ``moderate_chart`` and
+``StereoChart.project``, so the digests hold the chart transfer to its
+floating-point bits; the output of a command is a pure function of its
+input and the package version.  A change that moves these digests changes
+what users get, and needs a version bump.
 
-``construct chain --in heptagon.json`` is built afresh and pinned too, with
-its own ``verify`` and ``render``: that path runs ``join``, ``meet`` and
-``config_from_chain_trace`` without numpy, so its bytes do not depend on
-the LAPACK build.
+``construct chain --in`` the heptagon and the hexagon are built afresh and
+pinned too, with their own ``verify`` and ``render``: that path runs
+``join``, ``meet`` and ``config_from_chain_trace`` without numpy, so its
+bytes do not depend on the LAPACK build.  The hexagon's chain closes at
+period 6 and carries no configuration.
 """
 
 import json
@@ -27,6 +28,10 @@ DATA = Path(__file__).with_name("data")
 
 # name: (sha256 of verify's stdout, sha256 of render's SVG)
 PINNED = {
+    "hexagon.json": (
+        "8bc47cd68f954c5e14e213eed5c6fe74e11a8cbe77de7119f1e027314cd5d749",
+        "4353059aefd6e0f7de34d982cf647cdb44f666aa79ea7eebf885efc2f0da154f",
+    ),
     "heptagon.json": (
         "c95ffdc32b63093b4941db338118abf8f3cf9ca8e07602121f1dc656d517bd5f",
         "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
@@ -44,16 +49,18 @@ PINNED = {
         "5622776fb8fc8f6773eca50a30fbddb1b552ae3adfe5ce05f53586e2b524c0b6",
     ),
 }
-# sha256 of the JSON of ``construct chain --in heptagon.json``
-CHAIN_SHA = "ed2c0ab482f9165bbfcaf5e872e4f845a53178e7d6d6a6e949502fe918506249"
-CHAIN_PINNED = {
-    "chain.json": (
+# source: (sha256 of the JSON of ``construct chain --in <source>``, then of
+# verify's stdout and render's SVG on that chain document)
+CHAINS = {
+    "heptagon.json": (
+        "ed2c0ab482f9165bbfcaf5e872e4f845a53178e7d6d6a6e949502fe918506249",
         "1e52055ea9f7b7143daa68f7eee0ce29e650a601c3f5de638b7589b691812a59",
         "96eecb2216acdc00cc22d871f1093663405753397af5f4d46d176bb56bd22cb0",
     ),
+    "hexagon.json": ("47089dfa1d6f812df5bd9c9114a10179a1c7d7dccf1ff6199165d9f065440318", "241173a6b7aec050388bce468f5bf9ce507e43e627f9e1dd05151c42162ab6cd", "71d42d5365bf0ccb541af619b33328b38871565427d6b5ed495f001615bddcbe"),
 }
 
-# builds the chain document, then runs verify and render on each document
+# builds the chain documents, then runs verify and render on each document
 # in one fresh process; reports the exit codes and digests, and whether
 # numpy was ever imported
 PROBE = """
@@ -61,10 +68,15 @@ import contextlib, hashlib, io, json, sys
 from pathlib import Path
 from poncelet.cli import main
 data, out = Path(sys.argv[1]), Path(sys.argv[2])
-chain = out / "chain.json"
-built = main(["construct", "chain", "--in", str(data / "heptagon.json"), "--out", str(chain)])
+documents, sources = json.loads(sys.argv[3]), json.loads(sys.argv[4])
+chains, paths = {}, [data / name for name in documents]
+for name in sources:
+    chain = out / ("chain_" + name)
+    built = main(["construct", "chain", "--in", str(data / name), "--out", str(chain)])
+    chains[name] = [built, hashlib.sha256(chain.read_bytes()).hexdigest()]
+    paths.append(chain)
 report = {}
-for path in [data / name for name in sys.argv[3:]] + [chain]:
+for path in paths:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         verified = main(["verify", "--in", str(path)])
@@ -72,22 +84,23 @@ for path in [data / name for name in sys.argv[3:]] + [chain]:
     rendered = main(["render", "--in", str(path), "--out", str(svg)])
     report[path.name] = [verified, rendered, hashlib.sha256(buf.getvalue().encode()).hexdigest(),
                          hashlib.sha256(svg.read_bytes()).hexdigest()]
-print(json.dumps({"chain": [built, hashlib.sha256(chain.read_bytes()).hexdigest()],
-                  "documents": report, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"chains": chains, "documents": report, "numpy": "numpy" in sys.modules}))
 """
 
 
 def test_verify_and_render_bytes_are_pinned(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
     res = subprocess.run(
-        [sys.executable, "-c", PROBE, str(DATA), str(tmp_path), *PINNED],
+        [sys.executable, "-c", PROBE, str(DATA), str(tmp_path),
+         json.dumps(list(PINNED)), json.dumps(list(CHAINS))],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
     probe = json.loads(res.stdout.splitlines()[-1])
-    assert probe["chain"] == [0, CHAIN_SHA]
+    assert probe["chains"] == {name: [0, chain_sha] for name, (chain_sha, _, _) in CHAINS.items()}
     assert probe["documents"] == {
-        name: [0, 0, verify_sha, svg_sha]
-        for name, (verify_sha, svg_sha) in {**PINNED, **CHAIN_PINNED}.items()
+        **{name: [0, 0, verify_sha, svg_sha] for name, (verify_sha, svg_sha) in PINNED.items()},
+        **{"chain_" + name: [0, 0, verify_sha, svg_sha]
+           for name, (_, verify_sha, svg_sha) in CHAINS.items()},
     }
     assert probe["numpy"] is False
