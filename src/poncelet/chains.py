@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -39,9 +38,10 @@ from .projective import (
     tangency_residual,
 )
 from .ratpoly import (
-    GaussQ,
+    GaussInt,
     Poly,
     PolyVec,
+    _exact_div,
     _pv_bracket,
     _ratio_float,
     chain_next_vector,
@@ -50,7 +50,6 @@ from .ratpoly import (
     normalize_pair,
     poly_gcd,
     primitive,
-    to_complex,
     variable_vector,
 )
 from .rp1 import RP1Point, StereoChart
@@ -232,14 +231,16 @@ def closure_test(
 # algebraic engine (closure polynomials)
 
 
-ChainValue = object  # RP1Point | int | float | Fraction | complex | (num, den) pair
+ChainValue = object  # RP1Point | int | float | Fraction | complex | GaussInt | (num, den) pair
 
 
 def _exact_pairs(points: Sequence[ChainValue]) -> tuple[list[tuple], bool]:
     """Coordinate pairs kept exact: numbers and Fractions pass through as-is.
 
     RP1Point coordinates are normalized floats, so raw numeric inputs are
-    the way to feed exact rational data (Fractions and ints survive intact).
+    the way to feed exact rational data (Fractions and ints survive intact);
+    a Gaussian rational is a pair (GaussInt, int).  The flag tells whether
+    any coordinate is Gaussian, which puts the system on Z[i].
     """
     pairs = []
     for p in points:
@@ -249,13 +250,10 @@ def _exact_pairs(points: Sequence[ChainValue]) -> tuple[list[tuple], bool]:
             pairs.append((p[0], p[1]))
         else:
             pairs.append((p, 1))
-
-    def _is_complex(z):
-        return isinstance(z, (complex, GaussQ)) and (
-            z.imag != 0 if isinstance(z, complex) else bool(z.im)
-        )
-
-    gaussian = any(_is_complex(z) for pair in pairs for z in pair)
+    gaussian = any(
+        type(z) is GaussInt or isinstance(z, complex) and z.imag != 0
+        for pair in pairs for z in pair
+    )
     return pairs, gaussian
 
 
@@ -271,21 +269,15 @@ class ClosureSystem:
     second_wrap: Poly             # reduced numerator of the second-wrap condition
     genuine: Poly                 # gcd of the two wraps: exactly the genuine roots
 
-    def exact(self, x):
-        """``x`` as an exact scalar: floats and complexes convert exactly."""
-        if not isinstance(x, (float, complex)):
-            return x
-        z = complex(x)
-        return GaussQ.from_complex(z) if self.gaussian or z.imag != 0 else Fraction(z.real)
-
     def wrap_residuals(self, x) -> tuple[float, float]:
         """Both wrap gaps of the chain at a candidate root, in exact arithmetic.
 
-        ``x`` may be an exact scalar (Fraction/GaussQ) or a complex float
-        (converted exactly).  Exact evaluation means a spurious root can
-        never masquerade as closing through float cancellation.
+        ``x`` may be an int, Fraction, Gaussian integer, a float or complex
+        (taken exactly), or a homogeneous pair (num, den) with an int den,
+        the form ``exact_newton`` returns.  Exact evaluation means a
+        spurious root can never masquerade as closing through float
+        cancellation.
         """
-        x = self.exact(x)
         return (
             self._wrap_gap(x, self.n, 0),
             self._wrap_gap(x, self.n + 1, 1),
@@ -302,9 +294,14 @@ class ClosureSystem:
         return _mag(det_r, det_i, s * t) / max(scale, DEFAULT.floor)
 
 
+def _value(re: int, im: int, den: int) -> complex:
+    """(re + i*im) / den, each part rounded correctly from the exact value."""
+    return complex(_ratio_float(re, den), _ratio_float(im, den))
+
+
 def _mag(re: int, im: int, den: int) -> float:
-    """|re + i*im| / den, as ``abs(to_complex(...))`` gives it for the exact value."""
-    return abs(complex(_ratio_float(re, den), _ratio_float(im, den)))
+    """|re + i*im| / den, from the correctly rounded parts."""
+    return abs(_value(re, im, den))
 
 
 def closure_system(
@@ -336,9 +333,9 @@ def closure_system(
             if det.is_zero():
                 raise DegenerateInput("known chain points must be pairwise distinct")
     # the recursion runs on the starting points scaled to reduced integer
-    # pairs; chain_next_vector is homogeneous in each point, so the vectors
-    # it returns do not change, and only the stored starting points keep
-    # the caller's exact values
+    # (or Gaussian-integer) pairs; chain_next_vector is homogeneous in each
+    # point, so the vectors it returns do not change, and only the stored
+    # starting points keep the caller's rational values
     work = [normalize_pair(*v) for v in vecs]
     while len(work) < n + 2:
         work.append(chain_next_vector(work[-6:]))
@@ -358,8 +355,8 @@ def closure_system(
 def closure_polynomial(points5: Sequence[ChainValue], n: int) -> Poly:
     """Reduced closure polynomial for point 6, given points 1..5 and period n.
 
-    Exact rational (or Gaussian-rational) coefficients in canonical
-    primitive form; its roots contain every genuine position of point 6.
+    Integer (or Gaussian-integer) coefficients in the canonical primitive
+    form of ``primitive``; its roots contain every genuine position of point 6.
     Pass ints/Fractions (not pre-normalized RP1 points) to keep the
     coefficients exact.
     """
@@ -410,7 +407,7 @@ def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
     system = closure_system(points5, n)
     genuine = system.genuine
     cofactor = (
-        system.polynomial // genuine if genuine.degree > 0 else system.polynomial
+        _exact_div(system.polynomial, genuine) if genuine.degree > 0 else system.polynomial
     )
     out = []
     for x, approx in _poly_roots(system, genuine) if genuine.degree > 0 else []:
@@ -464,13 +461,9 @@ def chain_values(
 ) -> list[RP1Point]:
     """First ``n_points`` chain points for a concrete sixth value (symbolic path)."""
     system = closure_system(points5, max(6, n_points - 2))
-    val = system.exact(x6.value() if isinstance(x6, RP1Point) else x6)
-    out = []
-    for vec in system.vectors[:n_points]:
-        a, b = vec
-        va, vb = a.eval_exact(val), b.eval_exact(val)
-        out.append(RP1Point(to_complex(va), to_complex(vb)))
-    return out
+    x = x6.value() if isinstance(x6, RP1Point) else x6
+    return [RP1Point(_value(*a.eval_ints(x)), _value(*b.eval_ints(x)))
+            for a, b in system.vectors[:n_points]]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
     GeometryError,
     NoValidLabeling,
 )
-from .projective import ProjPoint, conic_contains, conic_fit, proj_distance
+from .projective import Conic, ProjPoint, conic_contains, conic_fit, proj_distance
 from .rp1 import (
     heptagon6_residual,
     next_chain_point,
@@ -240,6 +240,18 @@ def _load_document(path: str) -> SceneDocument:
     return SceneDocument.from_json(text)
 
 
+def _chain_on_conic(trace) -> float:
+    """Worst on-conic residual of a chain trace's points 1..k on its conic A,
+    as ``construct chain`` reports it in ``max_on_conic``."""
+    elements = trace.elements if trace is not None else {}
+    conic, pts = elements.get("A"), []
+    while str(len(pts) + 1) in elements:
+        pts.append(elements[str(len(pts) + 1)])
+    if not isinstance(conic, Conic) or not pts or not all(isinstance(p, ProjPoint) for p in pts):
+        raise DocumentError("a chain trace needs the conic A and the points 1..k")
+    return max(conic_contains(conic, p) for p in pts)
+
+
 def _failed(checks: dict[str, float], tol: float) -> dict[str, float]:
     """The checks that fail: n4_pass when false, any other above tol (or NaN)."""
     return {k: v for k, v in checks.items() if not (v if k == "n4_pass" else v <= tol)}
@@ -305,6 +317,8 @@ def cmd_verify(args) -> int:
         attempt("bracket", lambda: checks.update(_bracket_residuals(doc.kind, doc.scene)))
     if doc.trace is not None and doc.trace.incidences:
         attempt("trace", lambda: checks.__setitem__("trace_replay", doc.trace.replay()))
+    if doc.kind == "chain":
+        attempt("chain", lambda: checks.__setitem__("max_on_conic", _chain_on_conic(doc.trace)))
     if doc.configuration is not None:
         def config():
             checks["n4_pass"] = float(verify_n4(doc.configuration).passed)

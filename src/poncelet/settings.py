@@ -1,10 +1,13 @@
 """Tolerance configuration.
 
 All "is zero" decisions in the package are relative: residuals are scaled
-by the magnitudes of the operands before comparison.  Two knobs control
-this, a general relative tolerance and a stricter one used to detect
-degenerate elements.  Incidence membership in assembled configurations is
-looser because those coordinates compound many construction steps.
+by the magnitudes of the operands before comparison.  ``Tolerances`` holds
+seven thresholds: a general relative tolerance and a stricter one used to
+detect degenerate elements; incidence membership in assembled
+configurations, looser because those coordinates compound many
+construction steps; the chain closure residual; the floor that guards 0/0
+in relative residuals; and the merge radius and real snap of closure
+roots.
 """
 
 from __future__ import annotations

@@ -143,11 +143,10 @@ class TestClosurePolynomial:
                 assert poly.c[i] * golden[j] == poly.c[j] * golden[i]
 
     def test_golden_cubic_factors(self):
-        from poncelet.ratpoly import Poly
+        from poncelet.ratpoly import Poly, _exact_div
 
         poly = closure_polynomial(GOLDEN, 8)
-        q, r = poly.divmod(Poly([Fraction(-4), Fraction(1)]))
-        assert r.is_zero()
+        assert _exact_div(poly, Poly([-4, 1])) is not None
         # remaining quadratic has the two surd roots
         roots = sorted(x.value.real for x in closure_roots(GOLDEN, 8) if x.accepted)
         assert abs(roots[0] - (209 - 5 * S649) / 66) < 1e-9

@@ -199,6 +199,23 @@ class TestVerifyCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["verify", "--in", str(tmp_path / "nope.json")]) == 2
 
+    def test_chain_point_off_the_conic_fails(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        assert run(["construct", "chain", "--seed", "0", "--out", str(chain)]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--in", str(chain)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and report["checks"]["max_on_conic"] < 1e-9
+        data = json.loads(chain.read_text())
+        # move point 7 radially 0.01 off the unit circle A
+        for coord in data["trace"]["elements"]["7"]["coords"][:2]:
+            coord[0] *= 1.01
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run(["verify", "--in", str(bad)]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert not report["passed"] and report["checks"]["max_on_conic"] > 1e-3
+
     def test_configuration_document_verifies(self, tmp_path, capsys):
         hept = tmp_path / "h.json"
         cfg = tmp_path / "c.json"

@@ -1,10 +1,13 @@
-"""Independent checks of the integer closure engine.
+"""Independent checks of the integer closure engine on Z and Z[i].
 
-sympy recomputes the genuine factor and its distinct-root count, the field
-Euclid recomputes every heuristic GCD, a Fraction-arithmetic Newton
-iteration kept here recomputes every polished root bit for bit, the
-six-bracket chain step kept here recomputes every chain vector, and the
-Fraction route kept here recomputes every wrap residual bit for bit.
+sympy recomputes the genuine factor and its distinct-root count; the
+field Euclid over Q and Q(i) (``ratpoly_reference``) recomputes every
+heuristic GCD and every primitive-PRS fallback up to a unit; the
+Fraction/Gaussian-rational Newton iteration there recomputes every
+polished root bit for bit; the six-bracket chain step kept here recomputes
+every chain vector; and the Fraction route kept here recomputes every wrap
+residual bit for bit.  Gaussian inputs are pinned to counts and accepted
+flags of the field-Euclid engine that preceded the Z[i] one.
 """
 
 import math
@@ -18,18 +21,27 @@ from poncelet import closure_polynomial, closure_roots, count_solutions
 from poncelet.chains import closure_system
 from poncelet.errors import DegenerateInput
 from poncelet.ratpoly import (
-    GaussQ,
+    GaussInt,
     Poly,
-    _field_gcd,
+    _exact_div,
     _pv_bracket,
+    _ratio_float,
     chain_next_vector,
     exact_newton,
     normalize_pair,
     poly_gcd,
     primitive,
-    to_complex,
 )
 import poncelet.ratpoly as ratpoly
+from ratpoly_reference import (
+    as_gauss,
+    canonical,
+    field_divmod,
+    field_gcd,
+    field_value,
+    horner,
+    reference_newton,
+)
 
 GOLDEN = [-1, 0, 1, 4, 5]
 
@@ -79,37 +91,49 @@ def int_polys(max_degree):
 def gauss_polys(max_degree):
     from hypothesis import strategies as st
 
-    entry = st.builds(GaussQ, st.integers(-50, 50), st.integers(-50, 50))
+    entry = st.builds(GaussInt, st.integers(-50, 50), st.integers(-50, 50))
     coeffs = st.lists(entry, min_size=1, max_size=max_degree + 1)
     return coeffs.filter(lambda c: bool(c[-1])).map(Poly)
 
 
+def gcd_heuristic_and_fallback(monkeypatch, a, b):
+    """poly_gcd(a, b) by GCDHEU, then with GCDHEU disabled (primitive PRS)."""
+    got = poly_gcd(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(ratpoly, "HEU_GCD_TRIES", 0)
+        return got, poly_gcd(a, b)
+
+
 class TestGcdAgainstFieldEuclid:
-    def test_integer_planted_factor(self):
+    def test_integer_planted_factor(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
 
         @hypothesis.settings(max_examples=150, deadline=None)
         @hypothesis.given(int_polys(6), int_polys(8), int_polys(8))
         def check(g, u, v):
             a, b = g * u, g * v
-            got = poly_gcd(a, b)
-            assert got.c == primitive(_field_gcd(a, b)).c
-            assert all(type(z) is int for z in got.c)
-            assert (a % got).is_zero() and (b % got).is_zero()
-            assert got.degree >= g.degree
+            want = canonical(field_gcd(a, b)).c
+            for got in gcd_heuristic_and_fallback(monkeypatch, a, b):
+                assert got.c == want
+                assert all(type(z) is int for z in got.c)
+                assert _exact_div(a, got) is not None and _exact_div(b, got) is not None
+                assert got.degree >= g.degree
 
         check()
 
-    def test_gaussian_planted_factor(self):
+    def test_gaussian_planted_factor(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
 
         @hypothesis.settings(max_examples=60, deadline=None)
         @hypothesis.given(gauss_polys(3), gauss_polys(4), gauss_polys(4))
         def check(g, u, v):
             a, b = g * u, g * v
-            got = poly_gcd(a, b)
-            assert got.c == primitive(_field_gcd(a, b)).c
-            assert got.degree >= g.degree and (got % primitive(g)).is_zero()
+            want = canonical(field_gcd(a, b)).c
+            for got in gcd_heuristic_and_fallback(monkeypatch, a, b):
+                assert got.c == want
+                assert got.degree >= g.degree and _exact_div(got, primitive(g)) is not None
+                lead = got.c[-1]
+                assert lead.re > 0 and lead.im >= 0 if isinstance(lead, GaussInt) else lead > 0
 
         check()
 
@@ -123,75 +147,81 @@ class TestGcdAgainstFieldEuclid:
             assert all(type(z) is int for z in a.c + b.c)
             assert math.gcd(*a.c, *b.c) == 1 and b.c[-1] > 0
             # proportional to the reduced pair over Q
-            h = _field_gcd(g * u, g * v)
-            ra, rb = (g * u) // h, (g * v) // h
+            h = field_gcd(g * u, g * v)
+            ra, rb = field_divmod(g * u, h)[0], field_divmod(g * v, h)[0]
             assert (a * rb - b * ra).is_zero()
 
         check()
 
 
+GAUSS_PIN = [complex(-1, 1), 0, 1, complex(4, -1), 5]
+GAUSS_PINS = {"pin1": GAUSS_PIN, "pin2": [Fraction(1, 3), complex(2, 1), -1, Fraction(7, 2), 1j]}
+# count_solutions at n = 6..16 and the accepted flags of closure_roots at
+# n = 8 and 10, as the field-Euclid engine over Q(i) gave them before the
+# Gaussian inputs moved to Z[i]
+PINNED_COUNTS = [1, 2, 2, 3, 4, 5, 5, 7, 8, 9, 10]
+PINNED_FLAGS = {
+    ("pin1", 8): [True, False, True],
+    ("pin1", 10): [True, True, True, True, False],
+    ("pin2", 8): [True, True, False],
+    ("pin2", 10): [True, True, True, False, True],
+}
+UNITS = (1, -1, GaussInt(0, 1), GaussInt(0, -1))
+
+
+def assert_canonical(coeffs):
+    """Primitive over Z[i], the leading coefficient with re > 0 and im >= 0."""
+    assert all(type(z) in (int, GaussInt) for z in coeffs)
+    assert ratpoly._gcd(*coeffs) in UNITS
+    lead = coeffs[-1]
+    assert lead.re > 0 and lead.im >= 0 if isinstance(lead, GaussInt) else lead > 0
+
+
+class TestGaussianPin:
+    @pytest.mark.parametrize("name", sorted(GAUSS_PINS))
+    def test_counts_and_accepted_flags(self, name):
+        vals = GAUSS_PINS[name]
+        assert [count_solutions(vals, n) for n in range(6, 17)] == PINNED_COUNTS
+        for n in (8, 10):
+            assert [r.accepted for r in closure_roots(vals, n)] == PINNED_FLAGS[name, n]
+
+    @pytest.mark.parametrize("name", sorted(GAUSS_PINS))
+    def test_canonical_form(self, name):
+        system = closure_system(GAUSS_PINS[name], 12)
+        for p in (system.polynomial, system.second_wrap, system.genuine):
+            assert_canonical(p.c)
+        assert system.genuine.c == canonical(field_gcd(system.polynomial, system.second_wrap)).c
+        for a, b in system.vectors[6:]:
+            assert_canonical(a.c + b.c)
+
+
 class TestHeuristicFallback:
     def test_fallback_gives_the_same_systems(self, monkeypatch):
-        expected = {n: closure_system(GOLDEN, n) for n in (8, 11)}
+        cases = [(vals, n) for vals in (GOLDEN, GAUSS_PIN) for n in (8, 11)]
+        expected = [closure_system(vals, n) for vals, n in cases]
         monkeypatch.setattr(ratpoly, "HEU_GCD_TRIES", 0)
         calls = []
-        field_gcd = ratpoly._field_gcd
+        prs_gcd = ratpoly._prs_gcd
 
-        def counted(a, b):
+        def counted(f, g):
             calls.append(1)
-            return field_gcd(a, b)
+            return prs_gcd(f, g)
 
-        monkeypatch.setattr(ratpoly, "_field_gcd", counted)
-        for n, want in expected.items():
-            got = closure_system(GOLDEN, n)
+        monkeypatch.setattr(ratpoly, "_prs_gcd", counted)
+        for (vals, n), want in zip(cases, expected):
+            calls.clear()
+            got = closure_system(vals, n)
             assert [(a.c, b.c) for a, b in got.vectors] == [
                 (a.c, b.c) for a, b in want.vectors
             ]
             assert got.genuine.c == want.genuine.c
-        assert calls, "the field Euclid fallback never ran"
+            assert calls, "the primitive PRS fallback never ran"
 
     def test_fallback_cofactors_are_exact(self, monkeypatch):
         monkeypatch.setattr(ratpoly, "HEU_GCD_TRIES", 0)
         g = Poly([3, -1, 2])
         a, b = normalize_pair(g * Poly([1, 4]), g * Poly([-2, 0, 5]))
         assert a.c == (1, 4) and b.c == (-2, 0, 5)
-
-
-def reference_newton(p, seed, steps=16, bits=200):
-    """Newton polishing in Fraction/GaussQ field arithmetic, with the iterate
-    rounded half to even onto the 2^-bits grid after every step."""
-    one = 1 << bits
-
-    def rnd(x):
-        if isinstance(x, GaussQ):
-            return GaussQ(Fraction(round(x.re * one), one), Fraction(round(x.im * one), one))
-        return Fraction(round(x * one), one)
-
-    def horner(q, x):
-        acc = x * 0
-        for z in reversed(q.c):
-            acc = acc * x + z
-        return acc
-
-    gaussian = isinstance(p.c[0], GaussQ) or abs(seed.imag) > 0
-    x = rnd(GaussQ.from_complex(seed) if gaussian else Fraction(seed.real))
-    dp = p.derivative()
-    for _ in range(steps):
-        fx = horner(p, x)
-        if not fx:
-            break
-        dx = horner(dp, x)
-        if not dx:
-            break
-        step = fx / dx
-        x = rnd(x - step)
-        if isinstance(step, GaussQ):
-            mag = math.hypot(float(step.re), float(step.im))
-        else:
-            mag = abs(float(step))
-        if mag < 1e-45:
-            break
-    return x
 
 
 class TestFixedPointNewton:
@@ -206,16 +236,16 @@ class TestFixedPointNewton:
                 z = complex(z.real, 0.0)
             x, approx = exact_newton(poly, z)
             want = reference_newton(poly, z)
-            assert x == want
+            assert field_value(x) == want
             assert approx == complex(want)
 
     def test_gaussian_coefficients_match_reference(self):
-        i = GaussQ(0, 1)
-        p = Poly([GaussQ(Fraction(-1, 3), 2), i, GaussQ(Fraction(1, 2)), GaussQ(1)])
+        # 6 * (x^3 + x^2/2 + i*x - 1/3 + 2i)
+        p = Poly([GaussInt(-2, 12), GaussInt(0, 6), 3, 6])
         for seed in (complex(0.5, -1.0), complex(-1.2, 0.4), complex(0.3, 0.0)):
             x, approx = exact_newton(p, seed)
-            assert x == reference_newton(p, seed)
-            assert approx == complex(x)
+            assert field_value(x) == reference_newton(p, seed)
+            assert approx == complex(field_value(x))
 
 
 def reference_next_vector(window):
@@ -303,7 +333,8 @@ class TestChainStepAgainstSixBrackets:
             a, b = c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1]
             hypothesis.assume(not (a.is_zero() and b.is_zero()))
             bound = poly_gcd(c1, c2) * _pv_bracket(q2, q4)
-            assert (bound % poly_gcd(a, b)).is_zero()
+            # a zero bound is divisible by anything
+            assert bound.is_zero() or _exact_div(bound, poly_gcd(a, b)) is not None
 
         check()
 
@@ -328,12 +359,14 @@ class TestChainStepAgainstSixBrackets:
 def reference_wrap_gap(system, x, idx_new, idx_ref):
     """The wrap residual through reduced Fractions / GaussQ values."""
     def mag(z):
-        return abs(to_complex(z))
+        z = as_gauss(z)
+        return abs(complex(_ratio_float(z.re.numerator, z.re.denominator),
+                           _ratio_float(z.im.numerator, z.im.denominator)))
 
     a, b = system.vectors[idx_new]
     ra, rb = system.vectors[idx_ref]
-    va, vb = a.eval_exact(x), b.eval_exact(x)
-    wa, wb = ra.eval_exact(x), rb.eval_exact(x)
+    va, vb = horner(a, x), horner(b, x)
+    wa, wb = horner(ra, x), horner(rb, x)
     det = va * wb - vb * wa
     scale = max(mag(va), mag(vb)) * max(mag(wa), mag(wb))
     return mag(det) / max(scale, 1e-300)
@@ -342,26 +375,25 @@ def reference_wrap_gap(system, x, idx_new, idx_ref):
 class TestWrapResidualsAgainstFractions:
     def check(self, system, xs):
         for x in xs:
-            exact = system.exact(x)
+            exact = field_value(x)
             want = (reference_wrap_gap(system, exact, system.n, 0),
                     reference_wrap_gap(system, exact, system.n + 1, 1))
             assert repr(system.wrap_residuals(x)) == repr(want)
 
     @pytest.mark.parametrize("vals,n", [
-        (GOLDEN, 8), (GOLDEN, 14), (sampler_input(61), 15),
-        ([complex(-1, 1), 0, 1, complex(4, -1), 5], 8),
+        (GOLDEN, 8), (GOLDEN, 14), (sampler_input(61), 15), (GAUSS_PIN, 8),
     ])
     def test_at_closure_roots(self, vals, n):
         system = closure_system(vals, n)
         roots = closure_roots(vals, n)
-        xs = [system.exact(r.value) for r in roots]
+        xs = [exact_newton(system.polynomial, r.value)[0] for r in roots]
         self.check(system, xs + [r.value for r in roots])
 
-    @pytest.mark.parametrize("vals", [GOLDEN, [complex(-1, 1), 0, 1, complex(4, -1), 5]])
+    @pytest.mark.parametrize("vals", [GOLDEN, GAUSS_PIN])
     def test_past_the_float_range(self, vals):
         # values that overflow or underflow a float, and arguments that do
         system = closure_system(vals, 8)
         xs = [Fraction(2**1100 + 1, 3), Fraction(-(2**3000), 7), Fraction(1, 2**1500),
-              Fraction(5, 3), 4, GaussQ(Fraction(2**1200, 3), Fraction(-1, 2**900)),
-              GaussQ(2**60, -(2**61)), complex(1e300, 1e300), 1e-300, 1e308]
+              Fraction(5, 3), 4, (GaussInt(2**2100, -3), 3 * 2**900),
+              GaussInt(2**60, -(2**61)), complex(1e300, 1e300), 1e-300, 1e308]
         self.check(system, xs)

@@ -333,10 +333,8 @@ class TestNinegonConstruction:
             sensitive = False
             values = [chart.project(c).value() for c in cands]
             for v in values:
-                x, _ = exact_newton(system.genuine, v)
-                from fractions import Fraction
-
-                rp, rq = system.wrap_residuals(x + Fraction(1, 10**12))
+                (num, den), _ = exact_newton(system.genuine, v)
+                rp, rq = system.wrap_residuals((num * 10**12 + den, den * 10**12))
                 if max(rp, rq) > 1e-4:
                     sensitive = True
             if sensitive:

@@ -13,7 +13,9 @@ what users get, and needs a version bump.
 pinned too, with their own ``verify`` and ``render``: that path runs
 ``join``, ``meet`` and ``config_from_chain_trace`` without numpy, so its
 bytes do not depend on the LAPACK build.  The hexagon's chain closes at
-period 6 and carries no configuration.
+period 6 and carries no configuration.  ``verify`` of a chain document
+recomputes ``max_on_conic`` from the trace points on the conic A (since
+0.1.2), which is why both chain ``verify`` digests moved then.
 """
 
 import json
@@ -54,10 +56,14 @@ PINNED = {
 CHAINS = {
     "heptagon.json": (
         "ed2c0ab482f9165bbfcaf5e872e4f845a53178e7d6d6a6e949502fe918506249",
-        "1e52055ea9f7b7143daa68f7eee0ce29e650a601c3f5de638b7589b691812a59",
+        "cf2d941100514b11538e15160a337f3ca0dca385fd8bb4adcf5ab29735af5b32",
         "96eecb2216acdc00cc22d871f1093663405753397af5f4d46d176bb56bd22cb0",
     ),
-    "hexagon.json": ("47089dfa1d6f812df5bd9c9114a10179a1c7d7dccf1ff6199165d9f065440318", "241173a6b7aec050388bce468f5bf9ce507e43e627f9e1dd05151c42162ab6cd", "71d42d5365bf0ccb541af619b33328b38871565427d6b5ed495f001615bddcbe"),
+    "hexagon.json": (
+        "47089dfa1d6f812df5bd9c9114a10179a1c7d7dccf1ff6199165d9f065440318",
+        "15cdc5eb0a040b436dc0203726559aaee03ac0eb1cf5122a2d21085c0e887ab7",
+        "71d42d5365bf0ccb541af619b33328b38871565427d6b5ed495f001615bddcbe",
+    ),
 }
 
 # builds the chain documents, then runs verify and render on each document

@@ -1,4 +1,4 @@
-"""Exact polynomial engine: field ops, gcd, Newton polishing."""
+"""Exact polynomial engine: ring ops over Z and Z[i], gcd, Newton polishing."""
 
 import math
 from fractions import Fraction
@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from poncelet.ratpoly import (
-    GaussQ,
+    GaussInt,
     Poly,
+    _exact_div,
+    _gcd,
     exact_newton,
     normalize_pair,
     poly_gcd,
     primitive,
 )
+from ratpoly_reference import field_divmod, field_value, horner
 
 
 def P(*coeffs):
@@ -31,17 +34,17 @@ class TestPolyArithmetic:
         assert (quad * lin).c == P(-2496, 3132, -1023, 99).c
 
     def test_divmod_roundtrip(self):
+        # the field division the reference Euclid runs on
         a = P(3, -2, 0, 5, 1)
         b = P(1, 4, 2)
-        q, r = a.divmod(b)
-        assert (q * b + r).c == a.c
+        q, r = field_divmod(a, b)
+        assert (a - q * b).c == r.c
         assert r.degree < b.degree
 
     def test_exact_division_of_factor(self):
-        cubic = P(-2496, 3132, -1023, 99)
-        q, r = cubic.divmod(P(-4, 1))
-        assert r.is_zero()
-        assert primitive(q).c == primitive(P(624, -627, 99)).c
+        cubic = Poly([-2496, 3132, -1023, 99])
+        assert _exact_div(cubic, Poly([-4, 1])).c == (624, -627, 99)
+        assert _exact_div(cubic, Poly([-3, 1])) is None
 
     def test_gcd_of_products(self):
         g = P(1, 1, 1)
@@ -68,37 +71,74 @@ class TestPolyArithmetic:
         assert P(5, 3, 2, 1).derivative().c == P(3, 4, 3).c
 
 
-class TestGaussQ:
-    def test_field_ops(self):
-        a = GaussQ(Fraction(1, 2), Fraction(3))
-        b = GaussQ(2, Fraction(-1, 3))
-        assert (a * b) / b == a
-        assert a + b - b == a
-        assert -(-a) == a
+class TestGaussInt:
+    def test_ring_ops(self):
+        a, b = GaussInt(3, -7), GaussInt(-2, 5)
+        assert a * b == GaussInt(29, 29)
+        assert a + b - b == a and -(-a) == a
+        assert 2 * a == a + a == GaussInt(6, -14) and 1 - a == GaussInt(-2, 7)
+        assert GaussInt(4, 0) == 4 and hash(GaussInt(4, 0)) == hash(4)
+        assert not GaussInt(0, 0) and GaussInt(0, 1)
 
-    def test_from_complex_exact(self):
-        z = complex(0.5, -0.25)
-        g = GaussQ.from_complex(z)
-        assert g.re == Fraction(1, 2) and g.im == Fraction(-1, 4)
-        assert complex(g) == z
+    def test_exact_divmod(self):
+        a, b = GaussInt(3, -7), GaussInt(-2, 5)
+        q, r = divmod(a * b, b)
+        assert q == a and not r
+        for num in (a, GaussInt(17, 4), 12, GaussInt(0, -9)):
+            for den in (b, GaussInt(1, 1), 3, GaussInt(0, 2)):
+                q, r = divmod(num, den)
+                assert q * den + r == num
+                # the rounded quotient: |r|^2 <= |den|^2 / 2
+                rr, ri = (r.re, r.im) if isinstance(r, GaussInt) else (r, 0)
+                dr, di = (den.re, den.im) if isinstance(den, GaussInt) else (den, 0)
+                assert 2 * (rr * rr + ri * ri) <= dr * dr + di * di
 
-    def test_division_by_zero(self):
+    def test_exact_conversion(self):
+        from poncelet.ratpoly import _gauss_fraction
+
+        assert _gauss_fraction(complex(0.5, -0.25)) == (2, -1, 4)
+        assert _gauss_fraction(Fraction(-2, 6)) == (-1, 0, 3)
+        assert _gauss_fraction((GaussInt(3, -1), -8)) == (-3, 1, 8)
+        assert _gauss_fraction((complex(0.5, 1), 3)) == (1, 2, 6)
+
+    def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            GaussQ(1, 1) / GaussQ(0, 0)
+            divmod(GaussInt(1, 1), GaussInt(0, 0))
 
-    def test_poly_over_gauss(self):
-        i = GaussQ(0, 1)
-        p = Poly([i, GaussQ(1)])  # x + i
-        q = Poly([-i, GaussQ(1)])  # x - i
+    def test_gcd_up_to_a_unit(self):
+        g, u, v = GaussInt(2, 3), GaussInt(5, -1), GaussInt(-4, 7)
+        h = _gcd(g * u, g * v)
+        assert not divmod(h, g)[1] and not divmod(g, h)[1]
+        # 2 = -i (1 + i)^2, so gcd(2, 1 + i) is an associate of 1 + i
+        h = _gcd(2, GaussInt(1, 1))
+        assert not divmod(2, h)[1]
+        assert divmod(GaussInt(1, 1), h) in [(u, 0) for u in (1, -1, GaussInt(0, 1), GaussInt(0, -1))]
+
+    def test_canonical_form(self):
+        # primitive over Z[i], the leading coefficient with re > 0 and im >= 0
+        p = Poly([GaussInt(0, 2), GaussInt(-4, 2)]) * Poly([GaussInt(3, 0), GaussInt(0, -1)])
+        out = primitive(p)
+        lead = out.c[-1]
+        assert lead.re > 0 and lead.im >= 0
+        assert _gcd(*out.c) in (1, -1, GaussInt(0, 1), GaussInt(0, -1))
+        assert _exact_div(p, out).degree == 0
+        for unit in (GaussInt(0, 1), -1, GaussInt(0, -1)):
+            assert primitive(Poly([unit * z for z in p.c])).c == out.c
+
+    def test_poly_over_gaussian_integers(self):
+        i = GaussInt(0, 1)
+        p = Poly([i, GaussInt(1)])  # x + i
+        q = Poly([-i, GaussInt(1)])  # x - i
         prod = p * q  # x^2 + 1
-        assert prod.c[0] == GaussQ(1) and prod.c[2] == GaussQ(1) and not prod.c[1]
+        assert prod.c[0] == 1 and prod.c[2] == 1 and not prod.c[1]
+        assert _exact_div(prod, p).c == q.c
 
 
 class TestExactNewton:
     def test_polish_real_root(self):
         p = P(-2496, 3132, -1023, 99)
         x, approx = exact_newton(p, complex(4.001, 0))
-        assert abs(approx - 4) < 1e-30 or p.eval_exact(x) == 0
+        assert abs(approx - 4) < 1e-30 or horner(p, field_value(x)) == 0
 
     def test_polish_clustered_roots_separate(self):
         # (x - 1)(x - 1.001)(x + 2) with exact rational coefficients
@@ -122,12 +162,12 @@ class TestHugeIntegerCoefficients:
     BIG = 1 << 2000
 
     def test_scalar_conversions(self):
-        from poncelet.chains import _mag
-        from poncelet.ratpoly import _coeff_norm, _frac_to_float, to_complex
+        from poncelet.chains import _mag, _value
+        from poncelet.ratpoly import _ratio_float
 
-        assert _coeff_norm(self.BIG) == math.inf
-        assert _frac_to_float(-self.BIG) == -math.inf
-        assert to_complex(-self.BIG) == complex(-math.inf, 0.0)
+        assert _ratio_float(self.BIG, 1) == math.inf
+        assert _ratio_float(-self.BIG, 3) == -math.inf
+        assert _value(-self.BIG, 0, 1) == complex(-math.inf, 0.0)
         # wrap-residual magnitudes, taken from (re, im, den) integers
         assert _mag(self.BIG, 0, 1) == math.inf
         assert _mag(self.BIG, 1, 1) == math.inf
@@ -139,15 +179,21 @@ class TestHugeIntegerCoefficients:
         assert p.complex_coefficients()[1] == 1
 
     def test_float_range_coefficients_convert_as_before(self):
-        p = Poly([Fraction(1, 3), -7, 2 ** 1000, GaussQ(5, -2 ** 900)])
+        p = Poly([3, -7, 2 ** 1000, 5 - 2 ** 900])
         scale = 2.0 ** 1000
         assert p.complex_coefficients() == (
-            complex(1 / 3 / scale, 0.0), complex(-7 / scale, 0.0), 1 + 0j,
-            complex(5 / scale, -(2.0 ** 900) / scale),
+            complex(3 / scale, 0.0), complex(-7 / scale, 0.0), 1 + 0j,
+            complex((5 - 2.0 ** 900) / scale, 0.0),
+        )
+        # non-real coefficients: the view of the monic polynomial, here
+        # divided by the leading coefficient 2^1000 * i
+        p = Poly([3, GaussInt(5, -2 ** 900), GaussInt(0, 2 ** 1000)])
+        assert p.complex_coefficients() == (
+            complex(0.0, -3 / scale), complex(-(2.0 ** 900) / scale, -5 / scale), 1 + 0j,
         )
 
     @pytest.mark.parametrize(
-        "big", [3 ** 700, GaussQ(2 ** 1500, -(3 ** 1000))], ids=["int", "gauss"]
+        "big", [3 ** 700, GaussInt(2 ** 1500, -(3 ** 1000))], ids=["int", "gauss"]
     )
     def test_roots_past_the_float_range(self, big):
         import numpy as np
@@ -162,4 +208,7 @@ class TestHugeIntegerCoefficients:
 
     def test_huge_values_stay_exact(self):
         p = Poly([self.BIG, 1])
-        assert p.eval_exact(Fraction(1, 3)) == self.BIG + Fraction(1, 3)
+        re, im, den = p.eval_ints(Fraction(1, 3))
+        assert Fraction(re, den) == self.BIG + Fraction(1, 3) and im == 0
+        re, im, den = p.eval_ints((GaussInt(1, -1), 3))
+        assert (Fraction(re, den), Fraction(im, den)) == (self.BIG + Fraction(1, 3), Fraction(-1, 3))
