@@ -31,6 +31,11 @@ from .projective import (
     Conic,
     ProjLine,
     ProjPoint,
+    _cross as _cross3,
+    _cubic_roots,
+    _det3,
+    _dot,
+    _line_base_points,
     _no_three_collinear,
     apply_map,
     conic_conic_intersect,
@@ -406,22 +411,49 @@ def _self_polar_frame(
         tr.record_meet("X", "l13", "l24", x)
         tr.record_meet("Y", "l14", "l23", y)
         return o, x, y
-    import numpy as np
-
     tr.notes.append("pencil intersections collide; frame from dual(B)A eigenvectors")
-    m = np.array(b.dual().rows(), dtype=complex) @ np.array(a.rows(), dtype=complex)
-    _, vecs = np.linalg.eig(m)
-    frame = []
-    for k in range(3):
-        v = vecs[:, k]
-        if max(abs(z) for z in v) < 1e-12:
-            raise DegeneratePencil("eigenvector frame collapsed")
-        frame.append(ProjPoint(tuple(v)))
-    o, x, y = frame
+    o, x, y = (ProjPoint(v) for v in _eigenvector_frame(a, b))
     tr.add("O", o)
     tr.add("X", x)
     tr.add("Y", y)
     return o, x, y
+
+
+def _eigenvector_frame(a: Conic, b: Conic) -> list[Sequence[complex]]:
+    """Eigenvectors of M = dual(b) A, the self-polar triangle of the pencil.
+
+    Each is the largest cross product of two rows of M - lam I, for lam a
+    root of det(lam I - M).  Where M - lam I has rank one (a double
+    eigenvalue: double contact, e.g. concentric circles) its largest row is
+    a line of eigenvectors, and the frame takes a point x of that line and
+    the point of the line conjugate to x.
+    """
+    m = [[_dot(row, col) for col in zip(*a.rows())] for row in b.dual().rows()]
+
+    def shifted(lam: complex) -> list[list[complex]]:
+        return [[z - lam if i == j else z for j, z in enumerate(row)] for i, row in enumerate(m)]
+
+    trace = m[0][0] + m[1][1] + m[2][2]
+    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    lams = _cubic_roots([1, -trace, minors, -_det3(m)])
+    frame: list[Sequence[complex]] = []
+    for lam in lams:
+        rows = shifted(lam)
+        v = max((_cross3(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=_size)
+        if _size(v) > 1e-6 * max(map(_size, rows)) ** 2:  # a double root is off by ~1e-8
+            frame.append(v)
+        elif len(frame) < 2:  # the first root of the double pair
+            # the trace and the simple eigenvalue give the double one to rounding
+            top = max(shifted((trace - max(lams, key=lambda z: abs(z - lam))) / 2), key=_size)
+            x = _line_base_points(top)[0]
+            frame += [x, _cross3(top, a.apply(x))]
+    if len(frame) != 3:
+        raise DegeneratePencil("eigenvector frame collapsed")
+    return frame
+
+
+def _size(v: Sequence[complex]) -> float:
+    return max(map(abs, v))
 
 
 # _interleaving_ok transfers with StereoChart._transfer and takes
@@ -436,17 +468,20 @@ def _interleaving_ok(chart: StereoChart, verts: Sequence[ProjPoint]) -> bool:
     A doubled polygon p_1, t_1, p_2, t_2, ... must thread each mapped touch
     point t_i strictly between p_i and p_{i+1} in the chain's rotation
     direction on the real conic.  Complex scenes have no real cyclic order
-    and skip the check.
+    and skip the check; a real scene fails it when a mapped touch point is
+    not real, since a real polygon doubles to a real one.
     """
-    angles = []
-    for num, den in map(chart._transfer, [p.coords for p in verts]):
+    angles, nonreal = [], set()
+    for i, (num, den) in enumerate(map(chart._transfer, [p.coords for p in verts])):
         v = num / den if den else complex(math.inf, 0)
         if not math.isfinite(abs(v)):
             angles.append(math.pi)
-            continue
-        if abs(v.imag) > 1e-6 * max(1.0, abs(v)):
-            return True
-        angles.append(2 * math.atan(v.real))
+        elif abs(v.imag) > 1e-6 * max(1.0, abs(v)):
+            nonreal.add(i % 2)
+        else:
+            angles.append(2 * math.atan(v.real))
+    if nonreal:
+        return 0 in nonreal
     k = len(angles)
     for direction in (1, -1):
         ok = True

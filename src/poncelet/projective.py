@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -191,9 +192,6 @@ def _no_three_collinear(points: Sequence[ProjPoint], tol: float = 1e-10) -> None
 # conics
 
 
-_SYM_INDEX = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
 class Conic:
     """Non-degenerate-by-default conic, stored as 6 entries of a symmetric matrix.
 
@@ -365,22 +363,80 @@ def conic_through_5_lines(lines: Sequence[ProjLine]) -> Conic:
 
 
 def conic_fit(points: Sequence[ProjPoint]) -> Conic:
-    """Least-squares conic through five or more points (SVD null vector)."""
-    import numpy as np
+    """Conic through five points, or the least-squares conic through more.
 
+    The conic is the null vector of the rows (x^2, 2xy, 2xz, y^2, 2yz, z^2)
+    of the points: for five rows by elimination with complete pivoting (the
+    signed 5 x 5 minors), for more by Householder QR with column pivoting,
+    which keeps the least-squares problem's condition (normal equations
+    would square it).  A pivot below 1e-10 of the first raises
+    ``NumericalRankDeficiency``: the points do not fix one conic.
+    """
     if len(points) < 5:
         raise ValueError("conic_fit needs at least 5 points")
-    rows = []
-    for p in points:
-        x, y, z = p.coords
-        rows.append([x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z])
-    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    if s[4] < 1e-10 * s[0]:
+    rows = [[x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z]
+            for x, y, z in (p.coords for p in points)]
+    steps = _pivoted_qr(rows) if len(rows) > 5 else _pivoted_elimination(rows)
+    if steps is None:
         raise NumericalRankDeficiency("points do not determine a unique conic")
-    conic = Conic(tuple(vh[-1]))
+    v = [0j] * 6
+    v[steps[-1][3][0]] = 1  # the column never pivoted
+    for c, p, row, rest in reversed(steps):
+        v[c] = -sum(map(operator.mul, row, map(v.__getitem__, rest))) / p
+    conic = Conic(v)
     if conic.degenerate:
         raise DegenerateInput("fitted conic is degenerate")
     return conic
+
+
+def _pivoted_elimination(rows: list[list[complex]]) -> list | None:
+    """Gaussian elimination with complete pivoting on five rows (consumed).
+
+    Returns the five steps as (pivot column, pivot, the pivot row's entries
+    in the columns left, those columns), as ``_pivoted_qr`` does, or None
+    once a pivot falls below 1e-10 of the first.
+    """
+    cols = [0, 1, 2, 3, 4, 5]
+    steps = []
+    for width in (6, 5, 4, 3, 2):
+        mags = list(map(abs, itertools.chain.from_iterable(rows)))
+        big = max(mags)
+        if steps and big < 1e-10 * abs(steps[0][1]):
+            return None
+        i, j = divmod(mags.index(big), width)
+        prow = rows.pop(i)
+        p = prow.pop(j)
+        steps.append((cols.pop(j), p, prow, tuple(cols)))
+        for r in rows:
+            f = r.pop(j) / p
+            r[:] = [a - f * b for a, b in zip(r, prow)]
+    return steps
+
+
+def _pivoted_qr(rows: list[list[complex]]) -> list | None:
+    """Householder QR with column pivoting (Businger & Golub 1965), five steps,
+    returned as ``_pivoted_elimination`` returns its steps."""
+    cols = [list(c) for c in zip(*rows)]
+    ids = [0, 1, 2, 3, 4, 5]
+    steps = []
+    for _ in range(5):
+        norms = [math.hypot(*map(abs, c)) for c in cols]
+        norm = max(norms)
+        if steps and norm < 1e-10 * abs(steps[0][1]):
+            return None
+        i = norms.index(norm)
+        x, c_id = cols.pop(i), ids.pop(i)
+        x0, a0 = x[0], abs(x[0])
+        # reflect x onto alpha e1, alpha of x0's phase with the opposite sign
+        alpha = -norm * (x0 / a0) if a0 else -norm
+        x[0] = x0 - alpha
+        h = norm * (norm + a0)
+        xc = [z.conjugate() for z in x]
+        cols = [[a - f * b for a, b in zip(c, x)]
+                for f, c in [(sum(map(operator.mul, xc, c)) / h, c) for c in cols]]
+        steps.append((c_id, alpha, [c[0] for c in cols], tuple(ids)))
+        cols = [c[1:] for c in cols]
+    return steps
 
 
 def conic_fit_lines(lines: Sequence[ProjLine]) -> Conic:
@@ -604,17 +660,57 @@ def _polish_on_two_conics(p: ProjPoint, a: Conic, b: Conic) -> ProjPoint:
     return ProjPoint(coords)
 
 
+def _cubic_roots(coeffs: Sequence[complex]) -> list[complex]:
+    """Roots, with multiplicity, of a polynomial of degree at most three.
+
+    ``coeffs`` run from the highest degree down, the first nonzero.  The
+    closed forms (Cardano's with the cube root on the side that avoids
+    cancellation; ``_solve_quadratic``) are polished by at most four Newton
+    steps, each kept only if it shrinks |p|.
+    """
+    if len(coeffs) == 4:
+        a, b, c = (z / coeffs[0] for z in coeffs[1:])
+        q = (a * a - 3 * b) / 9
+        r = (2 * a * a * a - 9 * a * b + 27 * c) / 54
+        sd = cmath.sqrt(r * r - q * q * q)
+        u = -((r - sd if (r.conjugate() * sd).real < 0 else r + sd) ** (1 / 3))
+        w = q / u if u else 0
+        d = (u - w) * (math.sqrt(3) / 2 * 1j)
+        roots = [u + w - a / 3, -(u + w) / 2 - a / 3 + d, -(u + w) / 2 - a / 3 - d]
+    elif len(coeffs) == 3:
+        (t1, s1), (t2, s2), _ = _solve_quadratic(*coeffs)
+        roots = [t1 / s1, t2 / s2]
+    else:
+        roots = [-coeffs[1] / coeffs[0]] if len(coeffs) == 2 else []
+
+    def value_and_slope(t):
+        f, df = coeffs[0], 0
+        for c in coeffs[1:]:
+            f, df = f * t + c, df * t + f
+        return f, df
+
+    polished = []
+    for t in roots:
+        f, df = value_and_slope(t)
+        for _ in range(4):
+            step = t - f / df if df else t
+            f1, df1 = value_and_slope(step)
+            if not abs(f1) < abs(f):
+                break
+            t, f, df = step, f1, df1
+        polished.append(t)
+    return polished
+
+
 def conic_conic_intersect(a: Conic, b: Conic) -> list[ProjPoint]:
     """All four intersection points of two conics, with multiplicity.
 
     Finds a degenerate member of the pencil a + t b by solving the cubic
-    det(a + t b) = 0, splits it into two lines, intersects each with ``a``
-    and Newton-polishes the four points on both conics.  Tangential contacts
-    appear as repeated points, so the returned list always has exactly four
-    entries counted with multiplicity.
+    det(a + t b) = 0 in closed form (``_cubic_roots``), splits it into two
+    lines, intersects each with ``a`` and Newton-polishes the four points on
+    both conics.  Tangential contacts appear as repeated points, so the
+    returned list always has exactly four entries counted with multiplicity.
     """
-    import numpy as np
-
     if a.degenerate or b.degenerate:
         raise DegenerateInput("conic_conic_intersect requires non-degenerate conics")
     if a.is_same(b):
@@ -649,9 +745,7 @@ def conic_conic_intersect(a: Conic, b: Conic) -> list[ProjPoint]:
     # quadratic in t if det(B)'s contribution cancels
     while len(coeffs) > 1 and abs(coeffs[0]) < 1e-13:
         coeffs = coeffs[1:]
-    roots = np.roots(np.array(coeffs, dtype=complex)) if len(coeffs) > 1 else []
-
-    candidates = list(roots)
+    candidates = _cubic_roots(coeffs)
     if not candidates:
         raise DegenerateInput("pencil has no degenerate member (unexpected)")
 

@@ -261,7 +261,7 @@ def _exact_quo(f: list, g: list) -> list | None:
     """f / g over Z or Z[i] if g divides f exactly, else None."""
     dg = len(g) - 1
     if len(f) - 1 < dg:
-        return None
+        return None if any(f) else []  # 0 = 0 * g
     rem = list(f)
     lead = g[-1]
     q = [0] * (len(f) - dg)

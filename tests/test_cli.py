@@ -307,32 +307,47 @@ class TestDocumentRoundtrip:
             SceneDocument.from_dict({"format": "poncelet-scene", "version": 99})
 
 
-# runs verify, render and construct chain on a document in one fresh process,
-# then reports the exit codes and whether numpy was ever imported
+# runs each command in one fresh process, then reports the exit codes and
+# whether numpy was ever imported
 NUMPY_PROBE = """
 import json, sys
 from poncelet.cli import main
-doc, out = sys.argv[1], sys.argv[2]
-codes = [
-    main(["verify", "--in", doc]),
-    main(["render", "--in", doc, "--out", out + "/scene.svg"]),
-    main(["construct", "chain", "--in", doc, "--steps", "8", "--out", out + "/chain.json"]),
-]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
+def probe_numpy(commands):
+    env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
 class TestImports:
     def test_document_commands_do_not_import_numpy(self, tmp_path):
-        # numpy is imported only where LAPACK runs (conic fits, pencil and
-        # closure-polynomial roots), none of which these commands need
-        hept = tmp_path / "hept.json"
-        assert run(["construct", "7", "--seed", "3", "--out", str(hept)]) == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
-        res = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, str(hept), str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert res.returncode == 0, res.stderr
-        probe = json.loads(res.stdout.splitlines()[-1])
+        # verify, render and construct chain --in fit no conic and solve no
+        # polynomial
+        hept = str(tmp_path / "hept.json")
+        assert run(["construct", "7", "--seed", "3", "--out", hept]) == 0
+        probe = probe_numpy([
+            ["verify", "--in", hept],
+            ["render", "--in", hept, "--out", str(tmp_path / "scene.svg")],
+            ["construct", "chain", "--in", hept, "--steps", "8", "--out", str(tmp_path / "chain.json")],
+        ])
         assert probe == {"codes": [0, 0, 0], "numpy": False}
+
+    def test_construct_does_not_import_numpy(self, tmp_path):
+        # conic fits, the pencil cubic and the doubling frame are pure Python
+        kinds = ["6", "7", "8", "9", "double", "chain"]
+        probe = probe_numpy([["construct", k, "--seed", "3", "--out", str(tmp_path / f"{k}.json")]
+                             for k in kinds])
+        assert probe == {"codes": [0] * len(kinds), "numpy": False}
+
+    def test_count_imports_numpy(self):
+        # the seeds of the closure-polynomial roots are numpy's one use
+        probe = probe_numpy([["count", "--n", "8", "--values=-1,0,1,4,5"]])
+        assert probe == {"codes": [0], "numpy": True}

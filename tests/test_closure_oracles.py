@@ -333,8 +333,7 @@ class TestChainStepAgainstSixBrackets:
             a, b = c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1]
             hypothesis.assume(not (a.is_zero() and b.is_zero()))
             bound = poly_gcd(c1, c2) * _pv_bracket(q2, q4)
-            # a zero bound is divisible by anything
-            assert bound.is_zero() or _exact_div(bound, poly_gcd(a, b)) is not None
+            assert _exact_div(bound, poly_gcd(a, b)) is not None
 
         check()
 

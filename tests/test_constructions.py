@@ -1,6 +1,7 @@
 """Join/meet construction procedures and their audit traces."""
 
 import math
+import random
 
 import pytest
 
@@ -49,7 +50,9 @@ from poncelet.errors import (
     DegeneratePencil,
     NotAHeptagonPrefix,
     NotAnOctagonPrefix,
+    NoValidLabeling,
 )
+from poncelet.cli import sample_ring_points
 
 from conftest import circle_points, proper, random_map, ring_points
 
@@ -412,6 +415,14 @@ class TestDoubling:
         checks = doubled.verify()
         assert checks["tangency"] < 1e-7
         assert checks["vertex"] < 1e-7
+
+    def test_real_scene_rejects_non_real_labelings(self):
+        # the first pentagon of construct double --seed 606172: its frame has
+        # two non-real vertices, and the labelings whose edges still touch
+        # one conic map the touch points off the real conic
+        pts = sample_ring_points(random.Random(606172), 5)
+        with pytest.raises(NoValidLabeling):
+            doubling(polygon_scene(pts, 5))
 
     def test_proportional_conics_rejected(self):
         uc = Conic.unit_circle()

@@ -1,21 +1,27 @@
-"""verify and render bytes of committed documents, pinned by sha256.
+"""construct, verify and render bytes, pinned by sha256.
 
 The documents under ``tests/data`` come from ``construct 6``, ``7``, ``8``
 and ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document
-of ``construct 6 --seed 3`` (``hexagon.json``).  ``verify`` recomputes each
-polygon's bracket residual through ``moderate_chart`` and
-``StereoChart.project``, so the digests hold the chart transfer to its
-floating-point bits; the output of a command is a pure function of its
-input and the package version.  A change that moves these digests changes
-what users get, and needs a version bump.
+of ``construct 6 --seed 3`` (``hexagon.json``), as built before 0.1.3.
+``verify`` recomputes each polygon's bracket residual through
+``moderate_chart`` and ``StereoChart.project``, so the digests hold the
+chart transfer to its floating-point bits; the output of a command is a
+pure function of its input and the package version.  A change that moves
+these digests changes what users get, and needs a version bump.
+
+``construct 6``, ``7``, ``8``, ``9`` and ``double --seed 3`` are pinned as
+built at 0.1.3.  Since then their conic fits, pencil cubics and doubling frame
+are pure Python instead of LAPACK (SVD, ``numpy.roots``), so their bytes no
+longer depend on the LAPACK build and they run without numpy; that
+change moved their last bits, while ``verify`` and ``render``, which
+fit nothing, kept theirs.
 
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
-``join``, ``meet`` and ``config_from_chain_trace`` without numpy, so its
-bytes do not depend on the LAPACK build.  The hexagon's chain closes at
-period 6 and carries no configuration.  ``verify`` of a chain document
-recomputes ``max_on_conic`` from the trace points on the conic A (since
-0.1.2), which is why both chain ``verify`` digests moved then.
+``join``, ``meet`` and ``config_from_chain_trace``.  The hexagon's chain
+closes at period 6 and carries no configuration.  ``verify`` of a chain
+document recomputes ``max_on_conic`` from the trace points on the conic A
+(since 0.1.2), which is why both chain ``verify`` digests moved then.
 """
 
 import json
@@ -66,6 +72,15 @@ CHAINS = {
     ),
 }
 
+# kind: sha256 of the JSON of ``construct <kind> --seed 3``
+CONSTRUCTS = {
+    "6": "8d9f8a818451d988f36de297b9be0b822bb962fcabcc4d4f11259d3fe59d1c89",
+    "7": "a519b4206b8611392b48f49d518d6a443d07de145615ef77ecc0688a7546b9f9",
+    "8": "ba5b4cefc3f866b2ecf42f57421d99608d06e3e3f6ac425966ece8740b822eb0",
+    "9": "bc4df0b5a254795f416272b2dbb1a047373e4f8b9de0710aa3fb87f5c4640ab0",
+    "double": "33c948248ad071acdc802e9865deee93dbc00bd76191bf41982817d673dd1d61",
+}
+
 # builds the chain documents, then runs verify and render on each document
 # in one fresh process; reports the exit codes and digests, and whether
 # numpy was ever imported
@@ -110,3 +125,30 @@ def test_verify_and_render_bytes_are_pinned(tmp_path):
            for name, (_, verify_sha, svg_sha) in CHAINS.items()},
     }
     assert probe["numpy"] is False
+
+
+# builds the seeded documents in one fresh process; reports the exit codes
+# and digests, and whether numpy was ever imported
+CONSTRUCT_PROBE = """
+import hashlib, json, sys
+from pathlib import Path
+from poncelet.cli import main
+out, report = Path(sys.argv[1]), {}
+for kind in json.loads(sys.argv[2]):
+    built = out / ("construct_" + kind + ".json")
+    code = main(["construct", kind, "--seed", "3", "--out", str(built)])
+    report[kind] = [code, hashlib.sha256(built.read_bytes()).hexdigest()]
+print(json.dumps({"constructs": report, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_construct_bytes_are_pinned(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", CONSTRUCT_PROBE, str(tmp_path), json.dumps(list(CONSTRUCTS))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout.splitlines()[-1])
+    assert probe == {"constructs": {kind: [0, sha] for kind, sha in CONSTRUCTS.items()},
+                     "numpy": False}

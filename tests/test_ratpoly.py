@@ -9,6 +9,7 @@ from poncelet.ratpoly import (
     GaussInt,
     Poly,
     _exact_div,
+    _exact_quo,
     _gcd,
     exact_newton,
     normalize_pair,
@@ -45,6 +46,14 @@ class TestPolyArithmetic:
         cubic = Poly([-2496, 3132, -1023, 99])
         assert _exact_div(cubic, Poly([-4, 1])).c == (624, -627, 99)
         assert _exact_div(cubic, Poly([-3, 1])) is None
+
+    def test_exact_division_of_zero(self):
+        # zero is divisible by anything: the quotient is zero, not "no quotient"
+        assert _exact_quo([], [-4, 1]) == []
+        assert _exact_quo([0, 0], [-4, 1]) == [0]
+        assert _exact_quo([0], [1, 2, 3]) == []
+        assert _exact_div(Poly([]), Poly([-4, 1])).is_zero()
+        assert _exact_div(Poly([0]), Poly([GaussInt(1, 2)])).is_zero()
 
     def test_gcd_of_products(self):
         g = P(1, 1, 1)
