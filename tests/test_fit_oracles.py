@@ -213,15 +213,13 @@ def same_points(got, want, tol=1e-9):
 class TestPencil:
     @pytest.mark.parametrize("kind", ["plain", "real", "complex"])
     def test_intersections_match_the_numpy_pencil(self, rng, kind):
-        done = 0
-        while done < 40:
+        for _ in range(40):
             a = conic_fit(on_ellipse(rng, 5))
             b = conic_fit(on_ellipse(rng, 5))
             if kind != "plain":
                 m = random_map(rng) if kind == "real" else complex_map(rng)
                 a, b = apply_map(m, a), apply_map(m, b)
             same_points(conic_conic_intersect(a, b), np_conic_conic_intersect(a, b))
-            done += 1
 
     def test_tangent_pair(self):
         # the unit circle and a circle touching it at (1, 0): a double point
