@@ -708,7 +708,7 @@ def butterfly_check(
 def polygon_scene(points: Sequence[ProjPoint], n: int | None = None) -> PonceletScene:
     """Scene from a closed polygon on a conic: fit both conics and assemble.
 
-    Uses every vertex and every edge in the least-squares fits, which
+    Uses every vertex and every edge in the over-determined fits, which
     averages construction noise instead of propagating the first five.
     """
     from .projective import conic_fit, conic_fit_lines

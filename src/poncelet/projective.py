@@ -363,13 +363,15 @@ def conic_through_5_lines(lines: Sequence[ProjLine]) -> Conic:
 
 
 def conic_fit(points: Sequence[ProjPoint]) -> Conic:
-    """Conic through five points, or the least-squares conic through more.
+    """Conic through five points, or the QR basic solution through more.
 
     The conic is the null vector of the rows (x^2, 2xy, 2xz, y^2, 2yz, z^2)
     of the points: for five rows by elimination with complete pivoting (the
-    signed 5 x 5 minors), for more by Householder QR with column pivoting,
-    which keeps the least-squares problem's condition (normal equations
-    would square it).  A pivot below 1e-10 of the first raises
+    signed 5 x 5 minors), for more by Householder QR with column pivoting
+    (normal equations would square the condition), setting the column never
+    pivoted to 1 and dropping the trailing residual block.  That matches the
+    least-squares minimiser of |Av| / |v| only to second order in the
+    residual over the last pivot.  A pivot below 1e-10 of the first raises
     ``NumericalRankDeficiency``: the points do not fix one conic.
     """
     if len(points) < 5:
