@@ -46,12 +46,13 @@ from .ratpoly import (
     _ratio_float,
     chain_next_vector,
     constant_vector,
-    exact_newton,
     normalize_pair,
     poly_gcd,
     primitive,
+    squarefree,
     variable_vector,
 )
+from .roots import isolate_roots
 from .rp1 import RP1Point, StereoChart
 from .settings import DEFAULT
 
@@ -369,56 +370,33 @@ class ClosureRoot:
     residual_p: float
     residual_q: float
     accepted: bool
-
-
-def _poly_roots(system: ClosureSystem, poly: Poly) -> list[tuple[object, complex]]:
-    """Polished, deduplicated roots of one factor polynomial."""
-    import numpy as np
-
-    coeffs = poly.complex_coefficients()
-    if len(coeffs) <= 1:
-        return []
-    seeds = np.roots(np.array(coeffs[::-1], dtype=complex))
-    polished = []
-    for s in seeds:
-        z = complex(s)
-        if abs(z.imag) < DEFAULT.real_snap * max(1.0, abs(z.real)) and not system.gaussian:
-            z = complex(z.real, 0.0)
-        exact_x, approx = exact_newton(poly, z)
-        polished.append((exact_x, approx))
-    merged: list[tuple[object, complex]] = []
-    for x, approx in sorted(polished, key=lambda t: (t[1].real, t[1].imag)):
-        if any(abs(approx - m) < DEFAULT.root_merge * max(1.0, abs(m)) for _, m in merged):
-            continue
-        merged.append((x, approx))
-    return merged
+    radius: float  # the disc around value holds this root and no other of its part
 
 
 def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
-    """All closure-polynomial roots, two-wrap filtered.
+    """Every distinct closure-polynomial root, two-wrap filtered.
 
-    The genuine factor (gcd of both wrap polynomials) and the spurious
-    cofactor are solved separately, which keeps clustered genuine/spurious
-    neighbourhoods well-conditioned; roots closer than ``DEFAULT.root_merge``
-    (relative) merge as one.  A root is accepted when both wrap gaps are
-    below ``DEFAULT.closure``.
+    The polynomial splits exactly into two square-free parts with no common
+    root: the genuine part h = g / gcd(g, g') of the gcd g of both wrap
+    polynomials, whose degree is ``count_solutions``, and the spurious part,
+    the square-free part of polynomial / g with the roots of h divided out.
+    ``roots.isolate_roots`` finds the roots of each and certifies each one
+    by a disc that holds no other root of its part.  A root is accepted
+    when both wrap gaps, evaluated exactly at the disc's centre, are below
+    ``DEFAULT.closure``.
     """
     tol = DEFAULT.closure
     system = closure_system(points5, n)
-    genuine = system.genuine
-    cofactor = (
-        _exact_div(system.polynomial, genuine) if genuine.degree > 0 else system.polynomial
-    )
+    genuine = squarefree(system.genuine)
+    spurious = squarefree(_exact_div(system.polynomial, system.genuine))
+    if genuine.degree > 0 and spurious.degree > 0:
+        spurious = _exact_div(spurious, poly_gcd(spurious, genuine))
     out = []
-    for x, approx in _poly_roots(system, genuine) if genuine.degree > 0 else []:
-        res_p, res_q = system.wrap_residuals(x)
-        out.append(ClosureRoot(approx, res_p, res_q, res_p < tol and res_q < tol))
-    genuine_vals = [r.value for r in out]
-    for x, approx in _poly_roots(system, cofactor):
-        if any(abs(approx - g) < DEFAULT.root_merge * max(1.0, abs(g)) for g in genuine_vals):
-            continue
-        res_p, res_q = system.wrap_residuals(x)
-        out.append(ClosureRoot(approx, res_p, res_q, res_p < tol and res_q < tol))
+    for part in (genuine, spurious):
+        for root in isolate_roots(part):
+            res_p, res_q = system.wrap_residuals(root.x)
+            out.append(ClosureRoot(root.value, res_p, res_q, res_p < tol and res_q < tol,
+                                   root.radius))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
@@ -430,12 +408,7 @@ def count_solutions(points5: Sequence[ChainValue], n: int) -> int:
     polynomials, which realizes the double-wrap filter in exact arithmetic
     (robust even when genuine and spurious roots cluster).
     """
-    system = closure_system(points5, n)
-    g = system.genuine
-    if g.degree <= 0:
-        return 0
-    square_part = poly_gcd(g, g.derivative())
-    return g.degree - (square_part.degree if square_part.degree > 0 else 0)
+    return squarefree(closure_system(points5, n).genuine).degree
 
 
 def algebraic_closure_report(

@@ -3,8 +3,8 @@
 Subcommands: construct (6, 7, 8, 9, double, chain), verify, count, render.
 Exit codes are part of the contract: 0 success, 2 bad input (parse errors,
 malformed documents, degenerate input), 3 construction degeneracy (also when
-construct's retry budget runs out), 4 numeric failure (verification failed, or
-count's retry budget ran out).
+construct's retry budget runs out), 4 numeric failure (verification failed,
+count's retry budget ran out, or count could not separate the closure roots).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     DegenerateInput,
     DocumentError,
     GeometryError,
+    InseparableRoots,
     NoValidLabeling,
 )
 from .projective import Conic, ProjPoint, conic_contains, conic_fit, proj_distance
@@ -360,6 +361,9 @@ def cmd_count(args) -> int:
         except DegenerateInput as exc:
             last_error = exc
             continue
+        except InseparableRoots as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
         accepted = [r for r in roots if r.accepted]
         report = {
             "n": args.n,

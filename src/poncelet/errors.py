@@ -67,3 +67,7 @@ class NotClosed(GeometryError):
 
 class DocumentError(GeometryError):
     """Scene document is malformed or has an unsupported version."""
+
+
+class InseparableRoots(GeometryError):
+    """Polynomial roots whose inclusion discs could not be made pairwise disjoint."""

@@ -372,6 +372,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(_gcd_cofactors(f, g)[0])
 
 
+def squarefree(p: Poly) -> Poly:
+    """p / gcd(p, p'): the same roots, each simple."""
+    return _exact_div(p, poly_gcd(p, p.derivative())) if p.degree > 0 else p
+
+
 def normalize_pair(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Reduce a homogeneous polynomial pair: cancel the GCD, tame coefficients.
 
@@ -498,44 +503,68 @@ def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, 
     return ar, ai
 
 
-def exact_newton(p: Poly, seed: complex) -> tuple[tuple, complex]:
+GRID_BITS = 200
+
+
+def _newton_parts(p: Poly) -> tuple[list, list]:
+    """The (re, im) integer coefficients of a multiple of p and of its
+    derivative, as ``exact_newton`` and ``_newton_quotient`` take them."""
+    (f,), _ = _integral(p.c)
+    c = [_parts(z) for z in f]
+    return c, [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
+
+
+def _newton_quotient(c: list, dc: list, xr: int, xi: int) -> tuple[int, int, int] | None:
+    """The Newton step p/p' at x = (xr + i*xi) / 2^GRID_BITS, exactly, as
+    (nr, ni, den) with p/p' = (nr + i*ni) / (den * 2^GRID_BITS) and den > 0:
+    (0, 0, 1) where p vanishes, None where only p' does."""
+    one = 1 << GRID_BITS
+    fr, fi = _hom_eval(c, xr, xi, one)
+    if not (fr or fi):
+        return 0, 0, 1
+    dr, di = _hom_eval(dc, xr, xi, one) if dc else (0, 0)
+    if fi or di:
+        den = dr * dr + di * di
+        return (fr * dr + fi * di, fi * dr - fr * di, den) if den else None
+    if not dr:
+        return None
+    return (fr, 0, dr) if dr > 0 else (-fr, 0, -dr)
+
+
+def exact_newton(p: Poly, seed: complex,
+                 parts: tuple | None = None) -> tuple[tuple, complex, float]:
     """Polish a root with up to 16 Newton steps in exact arithmetic.
 
     The iterate is kept on the 2^-200 grid as an integer (or Gaussian
     integer) numerator; each step evaluates p and p' homogeneously in
     integers and rounds the new iterate half to even, so clustered roots
     separate far below double precision.  Returns the iterate as the
-    homogeneous pair (numerator, 2^200) and its complex value.
+    homogeneous pair (numerator, 2^200), its complex value, and the length
+    of the Newton step that led to it (0.0 when p vanishes at the iterate,
+    inf when no step was taken).  ``parts`` is ``_newton_parts(p)`` when the
+    caller has it already.
     """
-    bits = 200
-    one = 1 << bits
-    (f,), _ = _integral(p.c)
-    c = [_parts(z) for z in f]
+    one = 1 << GRID_BITS
+    c, dc = parts or _newton_parts(p)
     gaussian = seed.imag != 0 or any(zi for _, zi in c)
     # the seed on the grid; its imaginary part is 0 unless gaussian
     xr, xi = (_round_div(n * one, d) for n, d in (seed.real.as_integer_ratio(),
                                                     seed.imag.as_integer_ratio()))
-    dc = [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
+    step = math.inf
     for _ in range(16):
-        fr, fi = _hom_eval(c, xr, xi, one)
-        if not (fr or fi):
+        q = _newton_quotient(c, dc, xr, xi)
+        if q is None:
             break
-        dr, di = _hom_eval(dc, xr, xi, one) if dc else (0, 0)
-        if not (dr or di):
+        nr, ni, den = q
+        if not (nr or ni):
+            step = 0.0
             break
-        # step = f / (d * 2^bits); the new numerator is round(x - f / d)
-        if gaussian:
-            den = dr * dr + di * di
-            nr, ni = fr * dr + fi * di, fi * dr - fr * di
-            xr = _round_div(xr * den - nr, den)
+        # the new numerator is round(x - (nr + i*ni) / den)
+        xr = _round_div(xr * den - nr, den)
+        if ni:
             xi = _round_div(xi * den - ni, den)
-            mag = math.hypot(_ratio_float(nr, den << bits), _ratio_float(ni, den << bits))
-        else:
-            if dr < 0:
-                fr, dr = -fr, -dr
-            xr = _round_div(xr * dr - fr, dr)
-            mag = abs(_ratio_float(fr, dr << bits))
-        if mag < 1e-45:
+        step = math.hypot(_ratio_float(nr, den << GRID_BITS), _ratio_float(ni, den << GRID_BITS))
+        if step < 1e-45:
             break
     num = GaussInt(xr, xi) if gaussian else xr
-    return (num, one), complex(_ratio_float(xr, one), _ratio_float(xi, one))
+    return (num, one), complex(_ratio_float(xr, one), _ratio_float(xi, one)), step

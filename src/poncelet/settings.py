@@ -2,12 +2,12 @@
 
 All "is zero" decisions in the package are relative: residuals are scaled
 by the magnitudes of the operands before comparison.  ``Tolerances`` holds
-seven thresholds: a general relative tolerance and a stricter one used to
+five thresholds: a general relative tolerance and a stricter one used to
 detect degenerate elements; incidence membership in assembled
 configurations, looser because those coordinates compound many
-construction steps; the chain closure residual; the floor that guards 0/0
-in relative residuals; and the merge radius and real snap of closure
-roots.
+construction steps; the chain closure residual; and the floor that guards
+0/0 in relative residuals.  Closure roots need no threshold of their own:
+``roots.isolate_roots`` certifies each by a disc that holds no other root.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ class Tolerances:
     incidence: float = 1e-7      # configuration membership threshold
     closure: float = 1e-8        # chain closure residual threshold
     floor: float = 1e-300        # guards 0/0 in relative residuals
-    root_merge: float = 1e-7     # closure roots this close (relative) count as one
-    real_snap: float = 1e-12     # relative imaginary part dropped from a real root seed
 
 
 DEFAULT = Tolerances()

@@ -1,5 +1,6 @@
 """Command-line surface: documents, determinism, exit codes, rendering."""
 
+import ast
 import json
 import math
 import os
@@ -249,6 +250,18 @@ class TestCountCommand:
     def test_bad_values_exit_2(self):
         assert run(["count", "--n", "8", "--values=1,2"]) == 2
 
+    @pytest.mark.parametrize("form", [["--values=-1,0,1,4,5"], ["--seed", "3"]])
+    def test_inseparable_roots_exit_4(self, form, capsys, monkeypatch):
+        from poncelet import roots
+
+        # discs that never separate: every root disc reported overlapping
+        monkeypatch.setattr(roots, "_clusters", lambda discs: [list(range(len(discs)))])
+        assert run(["count", "--n", "8", *form]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overlap" in captured.err
+
     @pytest.mark.parametrize("args", [
         ["--n", "5", "--values=-1,0,1,4,5"],
         ["--n", "8", "--values=1,1,2,3,4"],
@@ -347,7 +360,21 @@ class TestImports:
                              for k in kinds])
         assert probe == {"codes": [0] * len(kinds), "numpy": False}
 
-    def test_count_imports_numpy(self):
-        # the seeds of the closure-polynomial roots are numpy's one use
-        probe = probe_numpy([["count", "--n", "8", "--values=-1,0,1,4,5"]])
-        assert probe == {"codes": [0], "numpy": True}
+    def test_count_does_not_import_numpy(self):
+        # the closure roots are seeded by Aberth iteration in Python floats
+        probe = probe_numpy([["count", "--n", n, *form] for n in ("8", "12")
+                             for form in (["--values=-1,0,1,4,5"], ["--seed", "3"])])
+        assert probe == {"codes": [0] * 4, "numpy": False}
+
+    def test_no_module_imports_numpy(self):
+        # every import statement of the package, wherever it stands
+        src = Path(poncelet.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "numpy" for n in names), path.name

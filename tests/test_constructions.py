@@ -336,7 +336,7 @@ class TestNinegonConstruction:
             sensitive = False
             values = [chart.project(c).value() for c in cands]
             for v in values:
-                (num, den), _ = exact_newton(system.genuine, v)
+                (num, den), _, _ = exact_newton(system.genuine, v)
                 rp, rq = system.wrap_residuals((num * 10**12 + den, den * 10**12))
                 if max(rp, rq) > 1e-4:
                     sensitive = True

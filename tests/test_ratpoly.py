@@ -16,6 +16,7 @@ from poncelet.ratpoly import (
     poly_gcd,
     primitive,
 )
+from poncelet.roots import isolate_roots
 from ratpoly_reference import field_divmod, field_value, horner
 
 
@@ -146,7 +147,7 @@ class TestGaussInt:
 class TestExactNewton:
     def test_polish_real_root(self):
         p = P(-2496, 3132, -1023, 99)
-        x, approx = exact_newton(p, complex(4.001, 0))
+        x, approx, _ = exact_newton(p, complex(4.001, 0))
         assert abs(approx - 4) < 1e-30 or horner(p, field_value(x)) == 0
 
     def test_polish_clustered_roots_separate(self):
@@ -154,14 +155,14 @@ class TestExactNewton:
         p = P(1, 1) * Poly([Fraction(-1), Fraction(1)]) * Poly(
             [Fraction(-1001, 1000), Fraction(1)]
         )
-        x1, a1 = exact_newton(p, complex(0.9995, 0))
-        x2, a2 = exact_newton(p, complex(1.0006, 0))
+        x1, a1, _ = exact_newton(p, complex(0.9995, 0))
+        x2, a2, _ = exact_newton(p, complex(1.0006, 0))
         assert abs(a1 - 1) < 1e-12
         assert abs(a2 - 1.001) < 1e-12
 
     def test_complex_root(self):
         p = P(1, 0, 1)  # x^2 + 1
-        _, approx = exact_newton(p, complex(0.1, 1.2))
+        _, approx, _ = exact_newton(p, complex(0.1, 1.2))
         assert abs(approx - 1j) < 1e-12
 
 
@@ -214,6 +215,7 @@ class TestHugeIntegerCoefficients:
         seeds = np.roots(np.array(coeffs[::-1], dtype=complex))
         polished = sorted(exact_newton(p, complex(s))[1].real for s in seeds)
         assert polished == [-1.0, 2.0, 3.0]
+        assert sorted(r.value.real for r in isolate_roots(p)) == [-1.0, 2.0, 3.0]
 
     def test_huge_values_stay_exact(self):
         p = Poly([self.BIG, 1])
