@@ -45,7 +45,6 @@ from .constructions import (
     ConstructionTrace,
     butterfly_check,
     chain_iterate_joinmeet,
-    chain_point7_joinmeet,
     complete_heptagon,
     complete_hexagon_p6,
     complete_octagon,

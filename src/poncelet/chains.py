@@ -263,8 +263,6 @@ class ClosureSystem:
     """Symbolic chain data for five fixed points and one unknown slot."""
 
     n: int
-    var_slot: int
-    gaussian: bool
     vectors: tuple[PolyVec, ...]  # chain points p_1 .. p_{n+2} as polynomial pairs
     polynomial: Poly              # reduced numerator of the first-wrap condition
     second_wrap: Poly             # reduced numerator of the second-wrap condition
@@ -348,8 +346,7 @@ def closure_system(
     # a common root forces both chain states to repeat, hence true closure;
     # the reduced vector pairs are coprime, so no zero-vector false positives
     return ClosureSystem(
-        n, var_slot, gaussian, tuple(vecs),
-        primitive(closing), primitive(second), poly_gcd(closing, second),
+        n, tuple(vecs), primitive(closing), primitive(second), poly_gcd(closing, second)
     )
 
 

@@ -58,6 +58,7 @@ EXIT_NUMERIC = 4
 
 RETRY_BUDGET = 64
 PROPERNESS_GAP = 0.05
+PASS_LIMIT = 1e-7  # largest residual construct and verify accept
 
 
 def sample_ring_points(rng: random.Random, k: int) -> list[ProjPoint]:
@@ -136,6 +137,18 @@ def _build_doubled(rng, args):
     return doubling(src)
 
 
+def _chain_on_conic(trace) -> float:
+    """Worst on-conic residual of a chain trace's points 1..k on its conic A:
+    ``max_on_conic``, as ``construct chain`` reports and ``verify`` rechecks it."""
+    elements = trace.elements if trace is not None else {}
+    conic, pts = elements.get("A"), []
+    while str(len(pts) + 1) in elements:
+        pts.append(elements[str(len(pts) + 1)])
+    if not isinstance(conic, Conic) or not pts or not all(isinstance(p, ProjPoint) for p in pts):
+        raise DocumentError("a chain trace needs the conic A and the points 1..k")
+    return max(conic_contains(conic, p) for p in pts)
+
+
 def _build_chain(rng, args) -> SceneDocument | None:
     if args.infile:
         base = _input_scene(args.infile, min_vertices=6)
@@ -151,7 +164,7 @@ def _build_chain(rng, args) -> SceneDocument | None:
         conic = conic_fit(seed_pts)
     chain = chain_iterate_joinmeet(seed_pts, conic, args.steps)
     doc = SceneDocument(kind="chain", n=chain.closed_period, trace=chain.trace)
-    doc.residuals = {"max_on_conic": max(conic_contains(conic, p) for p in chain.points)}
+    doc.residuals = {"max_on_conic": _chain_on_conic(chain.trace)}
     if chain.closed_period is not None and chain.closed_period >= 7:
         doc.configuration, _ = config_from_chain_trace(chain)
         doc.residuals["n4_pass"] = float(verify_n4(doc.configuration).passed)
@@ -241,21 +254,9 @@ def _load_document(path: str) -> SceneDocument:
     return SceneDocument.from_json(text)
 
 
-def _chain_on_conic(trace) -> float:
-    """Worst on-conic residual of a chain trace's points 1..k on its conic A,
-    as ``construct chain`` reports it in ``max_on_conic``."""
-    elements = trace.elements if trace is not None else {}
-    conic, pts = elements.get("A"), []
-    while str(len(pts) + 1) in elements:
-        pts.append(elements[str(len(pts) + 1)])
-    if not isinstance(conic, Conic) or not pts or not all(isinstance(p, ProjPoint) for p in pts):
-        raise DocumentError("a chain trace needs the conic A and the points 1..k")
-    return max(conic_contains(conic, p) for p in pts)
-
-
-def _failed(checks: dict[str, float], tol: float) -> dict[str, float]:
-    """The checks that fail: n4_pass when false, any other above tol (or NaN)."""
-    return {k: v for k, v in checks.items() if not (v if k == "n4_pass" else v <= tol)}
+def _failed(checks: dict[str, float]) -> dict[str, float]:
+    """The checks that fail: n4_pass when false, any other above PASS_LIMIT (or NaN)."""
+    return {k: v for k, v in checks.items() if not (v if k == "n4_pass" else v <= PASS_LIMIT)}
 
 
 def cmd_construct(args) -> int:
@@ -284,7 +285,7 @@ def cmd_construct(args) -> int:
         sys.stdout.write(text)
     if args.svg:
         Path(args.svg).write_text(render_svg(doc), encoding="utf-8")
-    bad = _failed(doc.residuals, 1e-6)
+    bad = _failed(doc.residuals)
     if bad:
         print(f"residuals above threshold: {bad}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -324,7 +325,7 @@ def cmd_verify(args) -> int:
         def config():
             checks["n4_pass"] = float(verify_n4(doc.configuration).passed)
         attempt("configuration", config)
-    passed = not _failed(checks, 1e-7)
+    passed = not _failed(checks)
     report = {"passed": passed, "n": n, "checks": checks}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_NUMERIC

@@ -24,6 +24,7 @@ from .errors import (
 from .projective import (
     ProjLine,
     ProjPoint,
+    conic_contains,
     conic_fit,
     conic_fit_lines,
     join,
@@ -260,8 +261,6 @@ def color_structure_report(colors: ChainConfigColors) -> dict[str, float]:
     Points of each color lie on their own conic; lines of each color are
     tangent to their own conic.  Values are worst-case scaled residuals.
     """
-    from .projective import conic_contains
-
     out: dict[str, float] = {}
     for name, pts in (
         ("chain_conconic", colors.chain_points),

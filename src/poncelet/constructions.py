@@ -40,6 +40,8 @@ from .projective import (
     apply_map,
     conic_conic_intersect,
     conic_contains,
+    conic_fit,
+    conic_fit_lines,
     conic_through_5,
     conic_through_5_lines,
     join,
@@ -47,6 +49,7 @@ from .projective import (
     meet,
     proj_distance,
     proj_map_from_4,
+    second_intersection,
     tangency_residual,
     tangent_line_at,
 )
@@ -74,15 +77,30 @@ class ConstructionTrace:
     def add(self, label: str, element) -> None:
         self.elements[label] = element
 
-    def record_meet(self, label: str, l1_label: str, l2_label: str, point: ProjPoint) -> None:
-        self.elements[label] = point
-        self.incidences.append(("incident", label, l1_label))
-        self.incidences.append(("incident", label, l2_label))
+    # recipe steps: each names its inputs by label and is guarded under its
+    # own label, so a degenerate step reports as "step <label> degenerate"
 
-    def record_join(self, label: str, p1_label: str, p2_label: str, line: ProjLine) -> None:
-        self.elements[label] = line
-        self.incidences.append(("incident", p1_label, label))
-        self.incidences.append(("incident", p2_label, label))
+    def line(self, label: str, a: str, b: str) -> ProjLine:
+        """The line ``label`` = a v b, recording no incidence."""
+        self.elements[label] = _guard(join, self.elements[a], self.elements[b], step=label)
+        return self.elements[label]
+
+    def lines(self, *labels: str) -> None:
+        """Lines of two labelled points each, named after them: "14" = 1 v 4."""
+        for label in labels:
+            self.line(label, label[0], label[1])
+
+    def join(self, label: str, a: str, b: str) -> ProjLine:
+        """The line ``label`` = a v b, recording a and b on it."""
+        line = self.line(label, a, b)
+        self.incidences += [("incident", a, label), ("incident", b, label)]
+        return line
+
+    def meet(self, label: str, a: str, b: str) -> ProjPoint:
+        """The point ``label`` = a ^ b, recording it on both lines."""
+        self.elements[label] = _guard(meet, self.elements[a], self.elements[b], step=label)
+        self.incidences += [("incident", label, a), ("incident", label, b)]
+        return self.elements[label]
 
     def record_on_conic(self, point_label: str, conic_label: str) -> None:
         self.incidences.append(("on_conic", point_label, conic_label))
@@ -141,6 +159,18 @@ def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     return best
 
 
+def _start(points: Sequence[ProjPoint], labels: str) -> tuple[ConstructionTrace, Conic]:
+    """Trace of five non-collinear input points named by ``labels``, and their
+    conic, the carrier A."""
+    _no_three_collinear(points)
+    tr = ConstructionTrace()
+    for label, p in zip(labels, points):
+        tr.add(label, p)
+    named = "1..5" if labels == "12345" else ",".join(labels)
+    tr.add("A", _guard(conic_through_5, points, step=f"conic through {named}"))
+    return tr, tr.elements["A"]
+
+
 def _cut_branch(
     tr: ConstructionTrace, l: ProjLine, conic: Conic, label: str, branch: int
 ) -> ProjPoint:
@@ -176,36 +206,16 @@ def construct_heptagon_p6(
     """
     if len(points) != 5:
         raise ValueError("construct_heptagon_p6 expects 5 points")
-    _no_three_collinear(points)
-    p1, p2, p3, p4, p5 = points
-    tr = ConstructionTrace()
-    for i, p in enumerate(points, 1):
-        tr.add(str(i), p)
-    conic = _guard(conic_through_5, points, step="conic through 1..5")
-    tr.add("A", conic)
-    for i in range(1, 6):
-        tr.record_on_conic(str(i), "A")
-    l14 = _guard(join, p1, p4, step="14")
-    l25 = _guard(join, p2, p5, step="25")
-    l13 = _guard(join, p1, p3, step="13")
-    l24 = _guard(join, p2, p4, step="24")
-    l35 = _guard(join, p3, p5, step="35")
-    l15 = _guard(join, p1, p5, step="15")
-    for lbl, ln in (("14", l14), ("25", l25), ("13", l13), ("24", l24), ("35", l35), ("15", l15)):
-        tr.add(lbl, ln)
-    o = _guard(meet, l14, l25, step="O")
-    tr.record_meet("O", "14", "25", o)
-    pp = _guard(meet, l13, l24, step="P")
-    tr.record_meet("P", "13", "24", pp)
-    q = _guard(meet, l24, l35, step="Q")
-    tr.record_meet("Q", "24", "35", q)
-    lop = _guard(join, o, pp, step="OP")
-    tr.record_join("OP", "O", "P", lop)
-    r = _guard(meet, l15, lop, step="R")
-    tr.record_meet("R", "15", "OP", r)
-    l = _guard(join, r, q, step="l")
-    tr.record_join("l", "R", "Q", l)
-    return _cut_branch(tr, l, conic, "6", branch), tr
+    tr, conic = _start(points, "12345")
+    for i in "12345":
+        tr.record_on_conic(i, "A")
+    tr.lines("14", "25", "13", "24", "35", "15")
+    tr.meet("O", "14", "25")
+    tr.meet("P", "13", "24")
+    tr.meet("Q", "24", "35")
+    tr.join("OP", "O", "P")
+    tr.meet("R", "15", "OP")
+    return _cut_branch(tr, tr.join("l", "R", "Q"), conic, "6", branch), tr
 
 
 def complete_heptagon(points: Sequence[ProjPoint]) -> ProjPoint:
@@ -248,31 +258,13 @@ def construct_octagon_p7(
     """
     if len(points) != 5:
         raise ValueError("construct_octagon_p7 expects 5 points")
-    _no_three_collinear(points)
-    p1, p2, p3, p4, p5 = points
-    tr = ConstructionTrace()
-    for i, p in enumerate(points, 1):
-        tr.add(str(i), p)
-    conic = _guard(conic_through_5, points, step="conic through 1..5")
-    tr.add("A", conic)
-    l14 = _guard(join, p1, p4, step="14")
-    l25 = _guard(join, p2, p5, step="25")
-    l12 = _guard(join, p1, p2, step="12")
-    l45 = _guard(join, p4, p5, step="45")
-    l24 = _guard(join, p2, p4, step="24")
-    for lbl, ln in (("14", l14), ("25", l25), ("12", l12), ("45", l45), ("24", l24)):
-        tr.add(lbl, ln)
-    pp = _guard(meet, l14, l25, step="P")
-    tr.record_meet("P", "14", "25", pp)
-    q = _guard(meet, l12, l45, step="Q")
-    tr.record_meet("Q", "12", "45", q)
-    l3q = _guard(join, p3, q, step="3Q")
-    tr.record_join("3Q", "3", "Q", l3q)
-    r = _guard(meet, l24, l3q, step="R")
-    tr.record_meet("R", "24", "3Q", r)
-    l = _guard(join, r, pp, step="l")
-    tr.record_join("l", "R", "P", l)
-    return _cut_branch(tr, l, conic, "7", branch), tr
+    tr, conic = _start(points, "12345")
+    tr.lines("14", "25", "12", "45", "24")
+    tr.meet("P", "14", "25")
+    tr.meet("Q", "12", "45")
+    tr.join("3Q", "3", "Q")
+    tr.meet("R", "24", "3Q")
+    return _cut_branch(tr, tr.join("l", "R", "P"), conic, "7", branch), tr
 
 
 def complete_octagon(
@@ -296,8 +288,6 @@ def complete_octagon(
         raise NotAnOctagonPrefix("octagon point-7 condition violated")
     p1, p2, p3, p4, p5 = points
     center = _guard(meet, join(p1, p5), join(p3, p7), step="center 15^37")
-    from .projective import second_intersection
-
     p6 = second_intersection(conic, p2, center)
     p8 = second_intersection(conic, p4, center)
     return p6, p8, center
@@ -323,43 +313,23 @@ def construct_ninegon_p4(
     """
     if len(points) != 5:
         raise ValueError("construct_ninegon_p4 expects points 1,2,3,5,6")
-    _no_three_collinear(points)
-    p1, p2, p3, p5, p6 = points
-    tr = ConstructionTrace()
-    for lbl, p in zip(("1", "2", "3", "5", "6"), points):
-        tr.add(lbl, p)
-    conic = _guard(conic_through_5, points, step="conic through 1,2,3,5,6")
-    tr.add("A", conic)
-    l25 = _guard(join, p2, p5, step="25")
-    l36 = _guard(join, p3, p6, step="36")
-    l12 = _guard(join, p1, p2, step="12")
-    l56 = _guard(join, p5, p6, step="56")
-    l13 = _guard(join, p1, p3, step="13")
-    for lbl, ln in (("25", l25), ("36", l36), ("12", l12), ("56", l56), ("13", l13)):
-        tr.add(lbl, ln)
-    tangent1 = _guard(tangent_line_at, conic, p1, step="tangent at 1")
-    tr.add("t1", tangent1)
-    pp = _guard(meet, l25, l36, step="P")
-    tr.record_meet("P", "25", "36", pp)
-    q = _guard(meet, l12, l56, step="Q")
-    tr.record_meet("Q", "12", "56", q)
-    ll = _guard(meet, l56, tangent1, step="L")
-    tr.record_meet("L", "56", "t1", ll)
-    lp = _guard(join, ll, pp, step="LP")
-    tr.record_join("LP", "L", "P", lp)
-    m = _guard(meet, l13, lp, step="M")
-    tr.record_meet("M", "13", "LP", m)
-    q3 = _guard(join, q, p3, step="Q3")
-    tr.record_join("Q3", "Q", "3", q3)
-    nn = _guard(meet, l25, q3, step="N")
-    tr.record_meet("N", "25", "Q3", nn)
+    tr, conic = _start(points, "12356")
+    tr.lines("25", "36", "12", "56", "13")
+    tr.add("t1", _guard(tangent_line_at, conic, points[0], step="tangent at 1"))
+    tr.meet("P", "25", "36")
+    tr.meet("Q", "12", "56")
+    tr.meet("L", "56", "t1")
+    tr.join("LP", "L", "P")
+    tr.meet("M", "13", "LP")
+    tr.join("Q3", "Q", "3")
+    tr.meet("N", "25", "Q3")
     tr.notes.append("N read as 25^Q3 (recipe's '24' not constructible); oracle-validated")
-    cc = _guard(conic_through_5, [p1, pp, q, nn, m], step="conic through 1,P,Q,N,M")
-    tr.add("C", cc)
-    for lbl in ("1", "P", "Q", "N", "M"):
+    rim = [tr.elements[lbl] for lbl in "1PQNM"]
+    tr.add("C", _guard(conic_through_5, rim, step="conic through 1,P,Q,N,M"))
+    for lbl in "1PQNM":
         tr.record_on_conic(lbl, "C")
-    pts4 = conic_conic_intersect(conic, cc)
-    dists = [proj_distance(x, p1) for x in pts4]
+    pts4 = conic_conic_intersect(conic, tr.elements["C"])
+    dists = [proj_distance(x, points[0]) for x in pts4]
     i1 = min(range(4), key=lambda i: dists[i])
     if dists[i1] > 1e-6:
         raise ConstructionDegeneracy(
@@ -393,24 +363,9 @@ def _self_polar_frame(
     if distinct:
         for k, r in enumerate(rs, 1):
             tr.add(f"r{k}", r)
-        l12 = join(rs[0], rs[1])
-        l34 = join(rs[2], rs[3])
-        l13 = join(rs[0], rs[2])
-        l24 = join(rs[1], rs[3])
-        l14 = join(rs[0], rs[3])
-        l23 = join(rs[1], rs[2])
-        for lbl, ln in (
-            ("l12", l12), ("l34", l34), ("l13", l13),
-            ("l24", l24), ("l14", l14), ("l23", l23),
-        ):
-            tr.add(lbl, ln)
-        o = meet(l12, l34)
-        x = meet(l13, l24)
-        y = meet(l14, l23)
-        tr.record_meet("O", "l12", "l34", o)
-        tr.record_meet("X", "l13", "l24", x)
-        tr.record_meet("Y", "l14", "l23", y)
-        return o, x, y
+        for i, j in ("12", "34", "13", "24", "14", "23"):
+            tr.line(f"l{i}{j}", f"r{i}", f"r{j}")
+        return tr.meet("O", "l12", "l34"), tr.meet("X", "l13", "l24"), tr.meet("Y", "l14", "l23")
     tr.notes.append("pencil intersections collide; frame from dual(B)A eigenvectors")
     o, x, y = (ProjPoint(v) for v in _eigenvector_frame(a, b))
     tr.add("O", o)
@@ -590,50 +545,6 @@ def _cross(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint, step: str) ->
     return _guard(meet, _guard(join, a, b, step=step), _guard(join, c, d, step=step), step=step)
 
 
-def _pivot_step(p: dict, greens: dict, blues: dict, i: int) -> ProjLine:
-    """Chain point i + 1: the one step of every join/meet chain.
-
-    The line m = G_{i-3}B_{i-3} carries G_{i-2} = m^(i-4)(i-1) and
-    B_i = m^(i-2)(i-1), and i + 1 = (G_{i-2} v i-2)^(B_i v i).  Fills
-    ``greens[i - 2]``, ``blues[i]`` and ``p[i + 1]``; returns m.
-    """
-    m = _guard(join, greens[i - 3], blues[i - 3], step=f"m{i - 3}")
-    g, b = f"G{i - 2}", f"B{i}"
-    greens[i - 2] = _guard(meet, m, _guard(join, p[i - 4], p[i - 1], step=g), step=g)
-    blues[i] = _guard(meet, m, _guard(join, p[i - 2], p[i - 1], step=b), step=b)
-    p[i + 1] = _cross(greens[i - 2], p[i - 2], blues[i], p[i], str(i + 1))
-    return m
-
-
-def chain_point7_joinmeet(
-    points: Sequence[ProjPoint], conic: Conic
-) -> tuple[ProjPoint, ConstructionTrace]:
-    """Seventh chain point by joins and meets only.
-
-    Pivot route: B3 = 12^34, G3 = 14^36, then G4 and B6 on the line G3B3,
-    and 7 = (G4 v 4)^(B6 v 6); the butterfly incidence guarantees the
-    result lands back on the conic.
-    """
-    if len(points) != 6:
-        raise ValueError("chain_point7_joinmeet expects 6 points")
-    p = {i + 1: pt for i, pt in enumerate(points)}
-    tr = ConstructionTrace()
-    for i in range(1, 7):
-        tr.add(str(i), p[i])
-    tr.add("A", conic)
-    blues = {3: _cross(p[1], p[2], p[3], p[4], "B3")}
-    greens = {3: _cross(p[1], p[4], p[3], p[6], "G3")}
-    tr.add("B3", blues[3])
-    tr.add("G3", greens[3])
-    m3 = _pivot_step(p, greens, blues, 6)
-    tr.record_join("m3", "G3", "B3", m3)
-    tr.add("G4", greens[4])
-    tr.add("B6", blues[6])
-    tr.add("7", p[7])
-    tr.record_on_conic("7", "A")
-    return p[7], tr
-
-
 @dataclass
 class ChainConstruction:
     """Result of the iterated join/meet chain."""
@@ -668,7 +579,14 @@ def chain_iterate_joinmeet(
     greens = {3: _cross(p[1], p[4], p[3], p[6], "G3")}
     closed: int | None = None
     for i in range(6, 6 + steps):
-        _pivot_step(p, greens, blues, i)
+        # chain point i + 1: the line m = G_{i-3}B_{i-3} carries
+        # G_{i-2} = m^(i-4)(i-1) and B_i = m^(i-2)(i-1), and
+        # i + 1 = (G_{i-2} v i-2)^(B_i v i)
+        m = _guard(join, greens[i - 3], blues[i - 3], step=f"m{i - 3}")
+        g, b = f"G{i - 2}", f"B{i}"
+        greens[i - 2] = _guard(meet, m, _guard(join, p[i - 4], p[i - 1], step=g), step=g)
+        blues[i] = _guard(meet, m, _guard(join, p[i - 2], p[i - 1], step=b), step=b)
+        p[i + 1] = _cross(greens[i - 2], p[i - 2], blues[i], p[i], str(i + 1))
         if closed is None and proj_distance(p[i + 1], p[1]) < 1e-7:
             closed = i
     pts = [p[i] for i in range(1, 7 + steps)]
@@ -711,8 +629,6 @@ def polygon_scene(points: Sequence[ProjPoint], n: int | None = None) -> Poncelet
     Uses every vertex and every edge in the over-determined fits, which
     averages construction noise instead of propagating the first five.
     """
-    from .projective import conic_fit, conic_fit_lines
-
     pts = list(points)
     outer = conic_fit(pts)
     edges = [join(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]

@@ -834,10 +834,6 @@ class ProjMap:
     def __setattr__(self, *a):
         raise AttributeError("ProjMap is immutable")
 
-    @classmethod
-    def identity(cls) -> "ProjMap":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
     def inverse(self) -> "ProjMap":
         return ProjMap(self.inv_rows)
 

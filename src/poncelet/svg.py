@@ -161,6 +161,17 @@ def render_svg(doc: SceneDocument) -> str:
     def sy(y: float) -> str:
         return _fmt((y1 - y) / span * SIZE)  # flip y for SVG
 
+    def line(cls: str, a: tuple[float, float], b: tuple[float, float], style: str) -> None:
+        parts.append(
+            f'<line class="{cls}" x1="{sx(a[0])}" y1="{sy(a[1])}" '
+            f'x2="{sx(b[0])}" y2="{sy(b[1])}" {style}/>'
+        )
+
+    def circle(cls: str, p: tuple[float, float], r: str, fill: str) -> None:
+        parts.append(
+            f'<circle class="{cls}" cx="{sx(p[0])}" cy="{sy(p[1])}" r="{r}" fill="{fill}"/>'
+        )
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -200,10 +211,7 @@ def render_svg(doc: SceneDocument) -> str:
             if a is None or b is None:
                 legend.append(f"edge {i + 1} not drawn (complex endpoint)")
                 continue
-            parts.append(
-                f'<line class="edge" x1="{sx(a[0])}" y1="{sy(a[1])}" '
-                f'x2="{sx(b[0])}" y2="{sy(b[1])}" stroke="#2ca02c" stroke-width="1.2"/>'
-            )
+            line("edge", a, b, 'stroke="#2ca02c" stroke-width="1.2"')
 
     # configuration lines and points
     if doc.configuration:
@@ -212,44 +220,25 @@ def render_svg(doc: SceneDocument) -> str:
                 legend.append("complex configuration line not drawn")
                 continue
             seg = _clip_line(l, box)
-            if seg is None:
-                continue
-            (ax, ay), (bx, by) = seg
-            parts.append(
-                f'<line class="config-line" x1="{sx(ax)}" y1="{sy(ay)}" '
-                f'x2="{sx(bx)}" y2="{sy(by)}" stroke="#888888" stroke-width="0.8"/>'
-            )
+            if seg is not None:
+                line("config-line", *seg, 'stroke="#888888" stroke-width="0.8"')
         for p in cfg_pts:
-            parts.append(
-                f'<circle class="config-point" cx="{sx(p[0])}" cy="{sy(p[1])}" '
-                f'r="3" fill="#9467bd"/>'
-            )
+            circle("config-point", p, "3", "#9467bd")
 
     # trace elements
     for el in trace_lines:
         seg = _clip_line(el, box)
-        if seg is None:
-            continue
-        (ax, ay), (bx, by) = seg
-        parts.append(
-            f'<line class="trace-line" x1="{sx(ax)}" y1="{sy(ay)}" '
-            f'x2="{sx(bx)}" y2="{sy(by)}" stroke="#ff7f0e" stroke-width="0.6" '
-            f'stroke-dasharray="4 3"/>'
-        )
-    for label, a in trace_pts:
-        parts.append(
-            f'<circle class="trace-point" cx="{sx(a[0])}" cy="{sy(a[1])}" r="2.5" fill="#ff7f0e"/>'
-        )
+        if seg is not None:
+            dashed = 'stroke="#ff7f0e" stroke-width="0.6" stroke-dasharray="4 3"'
+            line("trace-line", *seg, dashed)
+    for _, a in trace_pts:
+        circle("trace-point", a, "2.5", "#ff7f0e")
 
     # scene points
     for p in vertices:
-        parts.append(
-            f'<circle class="vertex" cx="{sx(p[0])}" cy="{sy(p[1])}" r="4" fill="#1f77b4"/>'
-        )
+        circle("vertex", p, "4", "#1f77b4")
     for p in touches:
-        parts.append(
-            f'<circle class="touch" cx="{sx(p[0])}" cy="{sy(p[1])}" r="2.5" fill="#d62728"/>'
-        )
+        circle("touch", p, "2.5", "#d62728")
 
     for i, note in enumerate(legend):
         parts.append(

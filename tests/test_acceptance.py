@@ -20,7 +20,6 @@ from poncelet import (
     butterfly_check,
     canonical_certificate,
     chain_iterate_joinmeet,
-    chain_point7_joinmeet,
     chain_values,
     closure_polynomial,
     closure_roots,
@@ -346,7 +345,7 @@ def test_criterion_07_engine_equivalence():
         for i in range(0, 6):
             window = pts[i:i + 6]
             try:
-                p7, _ = chain_point7_joinmeet(window, scene.outer)
+                p7 = chain_iterate_joinmeet(window, scene.outer, 1).points[6]
             except ConstructionDegeneracy:
                 continue
             worst_c5 = max(worst_c5, proj_distance(p7, pts[i + 6]))

@@ -95,6 +95,16 @@ class TestConstructCommand:
         assert "n4_pass" in capsys.readouterr().err
         assert run(["verify", "--in", str(out)]) == 4
 
+    def test_construct_and_verify_share_the_pass_limit(self, tmp_path, capsys):
+        # this nine-gon closes to 4.5e-7: above the one pass limit, 1e-7
+        out = tmp_path / "ninegon.json"
+        argv = ["construct", "9", "--seed", "824892", "--branch", "0", "--out", str(out)]
+        assert run(argv) == 4
+        assert "closure_p" in capsys.readouterr().err
+        closure_p = json.loads(out.read_text())["residuals"]["closure_p"]
+        assert 1e-7 < closure_p <= 1e-6
+        assert run(["verify", "--in", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out)["checks"]["closure_p"] == closure_p
 
     @pytest.mark.parametrize("argv", [
         ["chain", "--steps", "8"],

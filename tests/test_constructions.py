@@ -13,7 +13,6 @@ from poncelet import (
     apply_map,
     butterfly_check,
     chain_iterate_joinmeet,
-    chain_point7_joinmeet,
     chain7_residual,
     closure_roots,
     closure_test,
@@ -444,7 +443,7 @@ class TestButterflyChain:
         for _ in range(200):
             pts = circle_points(rng, 6, minsep=0.25)
             try:
-                p7, _ = chain_point7_joinmeet(pts, uc)
+                p7 = chain_iterate_joinmeet(pts, uc, 1).points[6]
             except ConstructionDegeneracy:
                 continue
             assert conic_contains(uc, p7) < 1e-9
@@ -458,7 +457,7 @@ class TestButterflyChain:
         pts = [p, p, ProjPoint(0, 1, 1), ProjPoint(-1, 0, 1), ProjPoint(0, -1, 1),
                ProjPoint(math.cos(1), math.sin(1), 1)]
         with pytest.raises(ConstructionDegeneracy):
-            chain_point7_joinmeet(pts, uc)
+            chain_iterate_joinmeet(pts, uc, 1)
 
     def test_iteration_matches_algebraic_chain(self, rng):
         uc = Conic.unit_circle()

@@ -14,7 +14,9 @@ built at 0.1.3.  Since then their conic fits, pencil cubics and doubling frame
 are pure Python instead of LAPACK (SVD, ``numpy.roots``), so their bytes no
 longer depend on the LAPACK build and they run without numpy; that
 change moved their last bits, while ``verify`` and ``render``, which
-fit nothing, kept theirs.
+fit nothing, kept theirs.  ``construct 7 --branch 1``, ``8 --branch 1``
+and ``9 --branch 1`` and ``2`` at seed 3 are pinned as built at 0.1.4, so
+every cut the three join/meet constructions can take is held to its bits.
 
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
@@ -72,12 +74,17 @@ CHAINS = {
     ),
 }
 
-# kind: sha256 of the JSON of ``construct <kind> --seed 3``
+# kind and options: sha256 of the JSON of ``construct <kind> --seed 3``; the
+# other branches of 7, 8 and 9 cover each construction's second cut
 CONSTRUCTS = {
     "6": "8d9f8a818451d988f36de297b9be0b822bb962fcabcc4d4f11259d3fe59d1c89",
     "7": "a519b4206b8611392b48f49d518d6a443d07de145615ef77ecc0688a7546b9f9",
+    "7 --branch 1": "0e007b76a2788de9893ee12bbb1b0b9728e021923855f068361806b275d5c18b",
     "8": "ba5b4cefc3f866b2ecf42f57421d99608d06e3e3f6ac425966ece8740b822eb0",
+    "8 --branch 1": "dd944089c36fe562149f733d68f2e11d5d0f09dd9c80ee8102aadd4253168c0a",
     "9": "bc4df0b5a254795f416272b2dbb1a047373e4f8b9de0710aa3fb87f5c4640ab0",
+    "9 --branch 1": "a14ab1f150b5ba13db09a8adcf3f2388f3e7c4407ac2392b22bc222d8132f30c",
+    "9 --branch 2": "22f3b33d6da034250d5757b10d2ca555d0ccb0f4255ecbfa880baae0aafed9af",
     "double": "33c948248ad071acdc802e9865deee93dbc00bd76191bf41982817d673dd1d61",
 }
 
@@ -135,8 +142,8 @@ from pathlib import Path
 from poncelet.cli import main
 out, report = Path(sys.argv[1]), {}
 for kind in json.loads(sys.argv[2]):
-    built = out / ("construct_" + kind + ".json")
-    code = main(["construct", kind, "--seed", "3", "--out", str(built)])
+    built = out / ("construct_" + kind.replace(" ", "_") + ".json")
+    code = main(["construct", *kind.split(), "--seed", "3", "--out", str(built)])
     report[kind] = [code, hashlib.sha256(built.read_bytes()).hexdigest()]
 print(json.dumps({"constructs": report, "numpy": "numpy" in sys.modules}))
 """
