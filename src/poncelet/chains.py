@@ -13,8 +13,7 @@ that second check is what rejects spurious closure-polynomial roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateInput,
@@ -42,6 +41,8 @@ from .ratpoly import (
     Poly,
     PolyVec,
     _exact_div,
+    _form_eval,
+    _gauss_fraction,
     _pv_bracket,
     _ratio_float,
     chain_next_vector,
@@ -61,16 +62,14 @@ from .settings import DEFAULT
 # scene types
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """Current vertex plus the tangent line that led into it."""
 
     point: ProjPoint
     line: ProjLine
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     n: int
     closes: bool
     residual_p: float  # gap between p_{n+1} and p_1
@@ -89,8 +88,7 @@ def pole(conic: Conic, line: ProjLine) -> ProjPoint:
     )
 
 
-@dataclass(frozen=True)
-class PonceletScene:
+class PonceletScene(NamedTuple):
     """Vertex list on an outer conic with edges tangent to an inner conic.
 
     A scene with ``n == len(vertices)`` is a closed polygon (the edge list
@@ -258,8 +256,7 @@ def _exact_pairs(points: Sequence[ChainValue]) -> tuple[list[tuple], bool]:
     return pairs, gaussian
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
+class ClosureSystem(NamedTuple):
     """Symbolic chain data for five fixed points and one unknown slot."""
 
     n: int
@@ -267,6 +264,7 @@ class ClosureSystem:
     polynomial: Poly              # reduced numerator of the first-wrap condition
     second_wrap: Poly             # reduced numerator of the second-wrap condition
     genuine: Poly                 # gcd of the two wraps: exactly the genuine roots
+    wraps: tuple                  # int_form of p_{n+1}, p_1, then of p_{n+2}, p_2
 
     def wrap_residuals(self, x) -> tuple[float, float]:
         """Both wrap gaps of the chain at a candidate root, in exact arithmetic.
@@ -277,20 +275,19 @@ class ClosureSystem:
         spurious root can never masquerade as closing through float
         cancellation.
         """
-        return (
-            self._wrap_gap(x, self.n, 0),
-            self._wrap_gap(x, self.n + 1, 1),
-        )
+        xr, xi, w = _gauss_fraction(x)
+        return tuple(_wrap_gap(*(_form_eval(f, xr, xi, w) for f in forms)) for forms in self.wraps)
 
-    def _wrap_gap(self, x, idx_new: int, idx_ref: int) -> float:
-        (ar, ai, ad), (br, bi, bd) = (p.eval_ints(x) for p in self.vectors[idx_new])
-        (cr, ci, cd), (dr, di, dd) = (p.eval_ints(x) for p in self.vectors[idx_ref])
-        # a*d - b*c over the common denominator ad*bd*cd*dd, never reduced
-        s, t = bd * cd, ad * dd
-        det_r = (ar * dr - ai * di) * s - (br * cr - bi * ci) * t
-        det_i = (ar * di + ai * dr) * s - (br * ci + bi * cr) * t
-        scale = max(_mag(ar, ai, ad), _mag(br, bi, bd)) * max(_mag(cr, ci, cd), _mag(dr, di, dd))
-        return _mag(det_r, det_i, s * t) / max(scale, DEFAULT.floor)
+
+def _wrap_gap(a, b, c, d) -> float:
+    """Gap between the chain points (a : b) and (c : d), each an exact (re, im, den)."""
+    (ar, ai, ad), (br, bi, bd), (cr, ci, cd), (dr, di, dd) = a, b, c, d
+    # a*d - b*c over the common denominator ad*bd*cd*dd, never reduced
+    s, t = bd * cd, ad * dd
+    det_r = (ar * dr - ai * di) * s - (br * cr - bi * ci) * t
+    det_i = (ar * di + ai * dr) * s - (br * ci + bi * cr) * t
+    scale = max(_mag(ar, ai, ad), _mag(br, bi, bd)) * max(_mag(cr, ci, cd), _mag(dr, di, dd))
+    return _mag(det_r, det_i, s * t) / max(scale, DEFAULT.floor)
 
 
 def _value(re: int, im: int, den: int) -> complex:
@@ -345,8 +342,9 @@ def closure_system(
         raise DegenerateInput("closure condition vanished identically")
     # a common root forces both chain states to repeat, hence true closure;
     # the reduced vector pairs are coprime, so no zero-vector false positives
+    wraps = tuple(tuple(p.int_form() for i in ij for p in vecs[i]) for ij in ((n, 0), (n + 1, 1)))
     return ClosureSystem(
-        n, tuple(vecs), primitive(closing), primitive(second), poly_gcd(closing, second)
+        n, tuple(vecs), primitive(closing), primitive(second), poly_gcd(closing, second), wraps
     )
 
 
@@ -361,8 +359,7 @@ def closure_polynomial(points5: Sequence[ChainValue], n: int) -> Poly:
     return closure_system(points5, n).polynomial
 
 
-@dataclass(frozen=True)
-class ClosureRoot:
+class ClosureRoot(NamedTuple):
     value: complex
     residual_p: float
     residual_q: float

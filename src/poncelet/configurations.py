@@ -11,8 +11,7 @@ construction steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constructions import ChainConstruction
 from .errors import (
@@ -35,15 +34,15 @@ from .projective import (
 from .settings import DEFAULT
 
 
-@dataclass(frozen=True)
 class PointRing:
     """Cyclically ordered points; indices are taken modulo the period."""
 
-    points: tuple[ProjPoint, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[ProjPoint, ...]):
+        if not points:
             raise ValueError("empty ring")
+        self.points = points
 
     @property
     def n(self) -> int:
@@ -53,13 +52,13 @@ class PointRing:
         return self.points[i % self.n]
 
 
-@dataclass(frozen=True)
 class LineRing:
-    lines: tuple[ProjLine, ...]
+    __slots__ = ("lines",)
 
-    def __post_init__(self):
-        if not self.lines:
+    def __init__(self, lines: tuple[ProjLine, ...]):
+        if not lines:
             raise ValueError("empty ring")
+        self.lines = lines
 
     @property
     def n(self) -> int:
@@ -87,14 +86,13 @@ def ring_meet(ring: LineRing, b: int) -> PointRing:
 # incidence configurations
 
 
-@dataclass
-class IncidenceConfiguration:
+class IncidenceConfiguration(NamedTuple):
     points: list[ProjPoint]
     lines: list[ProjLine]
     incidence: tuple[tuple[bool, ...], ...]  # one row per point, one column per line
     threshold: float
-    point_labels: list[str] = field(default_factory=list)
-    line_labels: list[str] = field(default_factory=list)
+    point_labels: Sequence[str] = ()
+    line_labels: Sequence[str] = ()
 
     def point_degrees(self) -> list[int]:
         return [sum(row) for row in self.incidence]
@@ -125,8 +123,7 @@ def incidence_configuration(
     )
 
 
-@dataclass(frozen=True)
-class N4Report:
+class N4Report(NamedTuple):
     passed: bool
     n_points: int
     n_lines: int
@@ -203,8 +200,7 @@ def grunbaum_rigby(ring: PointRing) -> tuple[IncidenceConfiguration, float]:
 # (3n_4) from an iterated chain
 
 
-@dataclass(frozen=True)
-class ChainConfigColors:
+class ChainConfigColors(NamedTuple):
     """Color classes of the chain-trace configuration."""
 
     chain_points: tuple[ProjPoint, ...]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CoincidentElements,
@@ -65,14 +64,14 @@ from .rp1 import (
 )
 
 
-@dataclass
 class ConstructionTrace:
     """Audit record of a construction run."""
 
-    elements: dict[str, object] = field(default_factory=dict)
-    branches: list[tuple[str, int]] = field(default_factory=list)
-    incidences: list[tuple[str, str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.elements: dict[str, object] = {}
+        self.branches: list[tuple[str, int]] = []
+        self.incidences: list[tuple[str, str, str]] = []
+        self.notes: list[str] = []
 
     def add(self, label: str, element) -> None:
         self.elements[label] = element
@@ -545,8 +544,7 @@ def _cross(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint, step: str) ->
     return _guard(meet, _guard(join, a, b, step=step), _guard(join, c, d, step=step), step=step)
 
 
-@dataclass
-class ChainConstruction:
+class ChainConstruction(NamedTuple):
     """Result of the iterated join/meet chain."""
 
     points: list[ProjPoint]           # chain points 1, 2, 3, ...

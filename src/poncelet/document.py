@@ -9,7 +9,6 @@ conics as their 6 packed symmetric entries.  Floats round-trip exactly
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from .chains import PonceletScene
@@ -100,19 +99,18 @@ def _trace_from_json(t: dict) -> ConstructionTrace:
     return tr
 
 
-@dataclass
 class SceneDocument:
     """Everything one CLI invocation produced, in serializable form."""
 
-    kind: str
-    n: int | None = None
-    seed: int | None = None
-    command: str = ""
-    tolerance: float = DEFAULT.rel
-    scene: PonceletScene | None = None
-    trace: ConstructionTrace | None = None
-    residuals: dict[str, float] = field(default_factory=dict)
-    configuration: IncidenceConfiguration | None = None
+    def __init__(self, kind: str, n: int | None = None, seed: int | None = None,
+                 command: str = "", tolerance: float = DEFAULT.rel,
+                 scene: PonceletScene | None = None, trace: ConstructionTrace | None = None,
+                 residuals: dict[str, float] | None = None,
+                 configuration: IncidenceConfiguration | None = None) -> None:
+        self.kind, self.n, self.seed, self.command = kind, n, seed, command
+        self.tolerance, self.scene, self.trace = tolerance, scene, trace
+        self.residuals = {} if residuals is None else residuals
+        self.configuration = configuration
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

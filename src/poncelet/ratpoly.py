@@ -165,12 +165,15 @@ class Poly:
     def eval_ints(self, x) -> tuple[int, int, int]:
         """(re, im, den) in integers with p(x) = (re + i*im) / den and den > 0,
         unreduced; x is any value ``_gauss_fraction`` takes."""
+        return _form_eval(self.int_form(), *_gauss_fraction(x))
+
+    def int_form(self) -> tuple[list[tuple[int, int]], int, int]:
+        """(c, den, deg): the (re, im) integer coefficients c of den * p, the
+        form ``_form_eval`` evaluates; build it once to evaluate p often."""
         if self.is_zero():
-            return 0, 0, 1
-        xr, xi, w = _gauss_fraction(x)
+            return [(0, 0)], 1, 0
         (f,), den = _integral(self.c)
-        hr, hi = _hom_eval([_parts(z) for z in f], xr, xi, w)
-        return hr, hi, den * w ** self.degree
+        return [_parts(z) for z in f], den, self.degree
 
     def derivative(self) -> "Poly":
         return Poly([k * z for k, z in enumerate(self.c)][1:])
@@ -501,6 +504,13 @@ def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, 
         wk *= w
         ar, ai = ar * xr - ai * xi + cr * wk, ar * xi + ai * xr + ci * wk
     return ar, ai
+
+
+def _form_eval(form, xr: int, xi: int, w: int) -> tuple[int, int, int]:
+    """``Poly.eval_ints`` at x = (xr + i*xi) / w, from the polynomial's ``int_form``."""
+    c, den, deg = form
+    hr, hi = _hom_eval(c, xr, xi, w)
+    return hr, hi, den * w ** deg
 
 
 GRID_BITS = 200

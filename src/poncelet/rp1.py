@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     CoincidentElements,
@@ -129,8 +128,7 @@ def cross_ratio(a: RP1Point, b: RP1Point, c: RP1Point, d: RP1Point) -> complex:
 # residual reporting
 
 
-@dataclass(frozen=True)
-class BracketResidual:
+class BracketResidual(NamedTuple):
     """Both sides of a bracket equation plus their relative gap."""
 
     lhs: complex

@@ -12,11 +12,10 @@ construction steps; the chain closure residual; and the floor that guards
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     rel: float = 1e-9            # generic "equal / incident / on-conic" threshold
     degeneracy: float = 1e-12    # "this element is degenerate" threshold
     incidence: float = 1e-7      # configuration membership threshold

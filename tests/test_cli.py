@@ -331,12 +331,13 @@ class TestDocumentRoundtrip:
 
 
 # runs each command in one fresh process, then reports the exit codes and
-# whether numpy was ever imported
+# whether numpy or dataclasses was ever imported
 NUMPY_PROBE = """
 import json, sys
 from poncelet.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -361,20 +362,20 @@ class TestImports:
             ["render", "--in", hept, "--out", str(tmp_path / "scene.svg")],
             ["construct", "chain", "--in", hept, "--steps", "8", "--out", str(tmp_path / "chain.json")],
         ])
-        assert probe == {"codes": [0, 0, 0], "numpy": False}
+        assert probe == {"codes": [0, 0, 0], "numpy": False, "dataclasses": False}
 
     def test_construct_does_not_import_numpy(self, tmp_path):
         # conic fits, the pencil cubic and the doubling frame are pure Python
         kinds = ["6", "7", "8", "9", "double", "chain"]
         probe = probe_numpy([["construct", k, "--seed", "3", "--out", str(tmp_path / f"{k}.json")]
                              for k in kinds])
-        assert probe == {"codes": [0] * len(kinds), "numpy": False}
+        assert probe == {"codes": [0] * len(kinds), "numpy": False, "dataclasses": False}
 
     def test_count_does_not_import_numpy(self):
         # the closure roots are seeded by Aberth iteration in Python floats
         probe = probe_numpy([["count", "--n", n, *form] for n in ("8", "12")
                              for form in (["--values=-1,0,1,4,5"], ["--seed", "3"])])
-        assert probe == {"codes": [0] * 4, "numpy": False}
+        assert probe == {"codes": [0] * 4, "numpy": False, "dataclasses": False}
 
     def test_no_module_imports_numpy(self):
         # every import statement of the package, wherever it stands
@@ -387,4 +388,4 @@ class TestImports:
                     names = [node.module or ""]
                 else:
                     continue
-                assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+                assert not any(n.split(".")[0] in ("numpy", "dataclasses") for n in names), path.name

@@ -3,7 +3,6 @@
 import math
 import random
 import timeit
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -302,8 +301,7 @@ def cayley_incidence(gens):
 def disjoint_union(a, b):
     """a and b side by side: no point of one lies on a line of the other."""
     pad_a, pad_b = (False,) * len(a.lines), (False,) * len(b.lines)
-    return replace(
-        a,
+    return a._replace(
         points=a.points + b.points,
         lines=a.lines + b.lines,
         incidence=tuple(row + pad_b for row in a.incidence)
@@ -337,8 +335,7 @@ def relabelled(cfg, rng, flip):
         rows[i][j] = not rows[i][j]
     pts = rng.sample(range(len(cfg.points)), len(cfg.points))
     lns = rng.sample(range(len(cfg.lines)), len(cfg.lines))
-    return replace(
-        cfg,
+    return cfg._replace(
         points=[cfg.points[i] for i in pts],
         lines=[cfg.lines[j] for j in lns],
         incidence=tuple(tuple(rows[i][j] for j in lns) for i in pts),
