@@ -26,6 +26,7 @@ from .projective import (
     ProjPoint,
     ProjMap,
     Vec3,
+    _dot,
     _line_cut,
     _minor_gap,
     _tangent_pair,
@@ -33,7 +34,7 @@ from .projective import (
     conic_contains,
     conic_through_5_lines,
     join,
-    proj_distance,
+    min_separation,
     tangency_residual,
 )
 from .ratpoly import (
@@ -134,7 +135,7 @@ class PonceletScene(NamedTuple):
         touch = 0.0
         for q, e in zip(self.touch_points, edges):
             touch = max(touch, conic_contains(self.inner, q))
-            touch = max(touch, abs(sum(a * b for a, b in zip(q.coords, e.coords))))
+            touch = max(touch, abs(_dot(q.coords, e.coords)))
         return {"vertex": vert, "tangency": tang, "touch": touch}
 
 
@@ -180,7 +181,7 @@ def start_state(
 
 
 def _start_line(outer: Conic, inner: Conic, start: ProjPoint, first_tangent_choice: int) -> Vec3:
-    if conic_contains(outer, start) > 1e-6:
+    if conic_contains(outer, start) > DEFAULT.on_conic:
         raise PointNotOnConic("chain start must lie on the outer conic")
     t1, t2, doubled = _tangent_pair(start.coords, inner)
     if doubled:
@@ -451,10 +452,8 @@ def scene_from_rp1(points: Sequence[RP1Point]) -> PonceletScene:
         raise ValueError("scene_from_rp1 expects 6 points")
     chart = canonical_chart()
     lifted = [chart.lift(x) for x in points]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if proj_distance(lifted[i], lifted[j]) < 1e-10:
-                raise DegenerateInput("lifted chain points are not distinct")
+    if min_separation(lifted) < 1e-10:
+        raise DegenerateInput("lifted chain points are not distinct")
     edges = [join(lifted[i], lifted[i + 1]) for i in range(5)]
     try:
         inner = conic_through_5_lines(edges)

@@ -5,6 +5,7 @@ Exit codes are part of the contract: 0 success, 2 bad input (parse errors,
 malformed documents, degenerate input), 3 construction degeneracy (also when
 construct's retry budget runs out), 4 numeric failure (verification failed,
 count's retry budget ran out, or count could not separate the closure roots).
+``main`` alone turns a library exception into its exit code, by ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .errors import (
     DocumentError,
     GeometryError,
     InseparableRoots,
-    NoValidLabeling,
 )
-from .projective import Conic, ProjPoint, conic_contains, conic_fit, proj_distance
+from .projective import Conic, ProjPoint, conic_contains, conic_fit, min_separation
 from .rp1 import (
     heptagon6_residual,
     next_chain_point,
@@ -55,6 +55,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONSTRUCTION = 3
 EXIT_NUMERIC = 4
+# library exception -> exit code; the first entry that matches wins
+EXIT_CODES = (
+    ((DocumentError, DegenerateInput), EXIT_INPUT),
+    (InseparableRoots, EXIT_NUMERIC),
+    (GeometryError, EXIT_CONSTRUCTION),
+)
 
 RETRY_BUDGET = 64
 PROPERNESS_GAP = 0.05
@@ -79,17 +85,9 @@ def sample_ring_points(rng: random.Random, k: int) -> list[ProjPoint]:
     ]
 
 
-def _proper(points, gap: float = PROPERNESS_GAP) -> bool:
-    return all(
-        proj_distance(points[i], points[j]) > gap
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    )
-
-
 def _proper_scene(verts: list[ProjPoint], gap: float = PROPERNESS_GAP) -> PonceletScene | None:
     """Closed polygon scene on the vertices; None when two nearly coincide."""
-    return polygon_scene(verts, len(verts)) if _proper(verts, gap) else None
+    return polygon_scene(verts, len(verts)) if min_separation(verts) > gap else None
 
 
 def _input_scene(path: str, min_vertices: int = 1) -> PonceletScene:
@@ -159,15 +157,13 @@ def _build_chain(rng, args) -> SceneDocument | None:
             ProjPoint(math.cos(a), math.sin(a), 1)
             for a in sorted(rng.uniform(0, 2 * math.pi) for _ in range(6))
         ]
-        if not _proper(seed_pts):
+        if min_separation(seed_pts) <= PROPERNESS_GAP:
             return None
         conic = conic_fit(seed_pts)
     chain = chain_iterate_joinmeet(seed_pts, conic, args.steps)
     doc = SceneDocument(kind="chain", n=chain.closed_period, trace=chain.trace)
-    doc.residuals = {"max_on_conic": _chain_on_conic(chain.trace)}
     if chain.closed_period is not None and chain.closed_period >= 7:
         doc.configuration, _ = config_from_chain_trace(chain)
-        doc.residuals["n4_pass"] = float(verify_n4(doc.configuration).passed)
     return doc
 
 
@@ -218,13 +214,27 @@ def _bracket_residuals(doc_kind: str, scene: PonceletScene) -> dict[str, float]:
     return {name: residual([chart.project(verts[i]) for i in picks]).scaled_gap}
 
 
-def _scene_document(doc_kind: str, scene: PonceletScene | None, trace) -> SceneDocument | None:
-    if scene is None:
-        return None
-    rep = closure_test(scene.outer, scene.inner, scene.vertices[0], scene.n)
-    residuals = {**scene.verify(), "closure_p": rep.residual_p, "closure_q": rep.residual_q}
-    residuals.update(_bracket_residuals(doc_kind, scene))
-    return SceneDocument(doc_kind, scene.n, scene=scene, trace=trace, residuals=residuals)
+def _closure_residuals(scene: PonceletScene, n: int) -> dict[str, float]:
+    rep = closure_test(scene.outer, scene.inner, scene.vertices[0], n)
+    return {"closure_p": rep.residual_p, "closure_q": rep.residual_q}
+
+
+def _document_checks(doc: SceneDocument, n: int | None):
+    """The named checks of a document, in order, each with the function that
+    returns its residuals: the scene invariants, the double-wrap closure over
+    n steps, the bracket condition of the kind, the chain's on-conic residual
+    and the (n_4) test of the configuration.  ``construct`` stores what they
+    return; ``verify`` reruns them and adds the trace replay."""
+    scene = doc.scene
+    if scene is not None:
+        yield "scene", scene.verify
+        if n:
+            yield "closure", lambda: _closure_residuals(scene, n)
+        yield "bracket", lambda: _bracket_residuals(doc.kind, scene)
+    if doc.kind == "chain":
+        yield "chain", lambda: {"max_on_conic": _chain_on_conic(doc.trace)}
+    if doc.configuration is not None:
+        yield "configuration", lambda: {"n4_pass": float(verify_n4(doc.configuration).passed)}
 
 
 def _build_construct(args) -> SceneDocument:
@@ -236,13 +246,16 @@ def _build_construct(args) -> SceneDocument:
         try:
             doc = spec.build(rng, args)
             if isinstance(doc, tuple):
-                doc = _scene_document(spec.doc_kind, *doc)
-        except (ConstructionDegeneracy, NoValidLabeling, DegenerateInput):
+                scene, trace = doc
+                doc = None if scene is None else SceneDocument(
+                    spec.doc_kind, scene.n, scene=scene, trace=trace)
+            if doc is not None:
+                for _, check in _document_checks(doc, doc.n):
+                    doc.residuals.update(check())
+                return doc
+        except GeometryError:
             if attempts == 1:
                 raise
-            continue
-        if doc is not None:
-            return doc
     raise ConstructionDegeneracy(f"retry budget exhausted for construct {args.kind}")
 
 
@@ -268,14 +281,7 @@ def cmd_construct(args) -> int:
     for dest, default, _ in KIND_OPTIONS.values():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    try:
-        doc = _build_construct(args)
-    except (DocumentError, DegenerateInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConstructionDegeneracy, NoValidLabeling) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+    doc = _build_construct(args)
     doc.seed = args.seed
     doc.command = f"construct {args.kind} --seed {args.seed}"
     text = doc.to_json()
@@ -293,38 +299,18 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = _load_document(args.infile)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    doc = _load_document(args.infile)
     n = args.n or doc.n
+    todo = list(_document_checks(doc, n))
+    if doc.trace is not None and doc.trace.incidences:
+        todo.append(("trace", lambda: {"trace_replay": doc.trace.replay()}))
     checks: dict[str, float] = {}
-
-    def attempt(name, fn):
+    for name, check in todo:
         try:
-            fn()
+            checks.update(check())
         except GeometryError as exc:
             checks[f"{name}_error"] = 1e300  # sentinel keeps the report strict JSON
             print(f"check {name} failed to run: {exc}", file=sys.stderr)
-
-    if doc.scene is not None:
-        attempt("scene", lambda: checks.update(doc.scene.verify()))
-        if n:
-            def closure():
-                rep = closure_test(doc.scene.outer, doc.scene.inner, doc.scene.vertices[0], n)
-                checks["closure_p"] = rep.residual_p
-                checks["closure_q"] = rep.residual_q
-            attempt("closure", closure)
-        attempt("bracket", lambda: checks.update(_bracket_residuals(doc.kind, doc.scene)))
-    if doc.trace is not None and doc.trace.incidences:
-        attempt("trace", lambda: checks.__setitem__("trace_replay", doc.trace.replay()))
-    if doc.kind == "chain":
-        attempt("chain", lambda: checks.__setitem__("max_on_conic", _chain_on_conic(doc.trace)))
-    if doc.configuration is not None:
-        def config():
-            checks["n4_pass"] = float(verify_n4(doc.configuration).passed)
-        attempt("configuration", config)
     passed = not _failed(checks)
     report = {"passed": passed, "n": n, "checks": checks}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -360,11 +346,10 @@ def cmd_count(args) -> int:
         try:
             roots = chains.closure_roots(vals, args.n)
         except DegenerateInput as exc:
+            if args.values:
+                raise DegenerateInput(f"degenerate --values: {exc}") from exc
             last_error = exc
             continue
-        except InseparableRoots as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         accepted = [r for r in roots if r.accepted]
         report = {
             "n": args.n,
@@ -382,20 +367,12 @@ def cmd_count(args) -> int:
         }
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return EXIT_OK
-    if args.values:
-        print(f"error: degenerate --values: {last_error}", file=sys.stderr)
-        return EXIT_INPUT
     print(f"error: degenerate inputs exhausted retries: {last_error}", file=sys.stderr)
     return EXIT_NUMERIC
 
 
 def cmd_render(args) -> int:
-    try:
-        doc = _load_document(args.infile)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    svg = render_svg(doc)
+    svg = render_svg(_load_document(args.infile))
     if args.out:
         Path(args.out).write_text(svg, encoding="utf-8")
     else:
@@ -446,7 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

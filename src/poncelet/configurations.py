@@ -23,6 +23,7 @@ from .errors import (
 from .projective import (
     ProjLine,
     ProjPoint,
+    _dot,
     conic_contains,
     conic_fit,
     conic_fit_lines,
@@ -110,7 +111,7 @@ def incidence_configuration(
 ) -> IncidenceConfiguration:
     threshold = DEFAULT.incidence if threshold is None else threshold
     incidence = tuple(
-        tuple(abs(sum(a * b for a, b in zip(p.coords, l.coords))) < threshold for l in lines)
+        tuple(abs(_dot(p.coords, l.coords)) < threshold for l in lines)
         for p in points
     )
     return IncidenceConfiguration(

@@ -46,6 +46,7 @@ from .projective import (
     join,
     line_conic_intersect,
     meet,
+    min_separation,
     proj_distance,
     proj_map_from_4,
     second_intersection,
@@ -54,7 +55,6 @@ from .projective import (
 )
 from .chains import PonceletScene, pole
 from .rp1 import (
-    _ON_CONIC,
     StereoChart,
     chart_centers,
     heptagon6_residual,
@@ -62,6 +62,7 @@ from .rp1 import (
     next_chain_point,
     octagon_point7_residual,
 )
+from .settings import DEFAULT
 
 
 class ConstructionTrace:
@@ -114,10 +115,7 @@ class ConstructionTrace:
             ea, eb = self.elements[a], self.elements[b]
             if kind == "incident":
                 point, line = (ea, eb) if isinstance(ea, ProjPoint) else (eb, ea)
-                worst = max(
-                    worst,
-                    abs(sum(x * y for x, y in zip(point.coords, line.coords))),
-                )
+                worst = max(worst, abs(_dot(point.coords, line.coords)))
             elif kind == "on_conic":
                 worst = max(worst, conic_contains(eb, ea))
         return worst
@@ -138,7 +136,7 @@ def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     the tamest (the first on ties).
     """
     # project's on-conic check does not depend on the chart: make it once
-    if any(conic_contains(conic, p) > _ON_CONIC for p in pts):
+    if any(conic_contains(conic, p) > DEFAULT.on_conic for p in pts):
         raise ConstructionDegeneracy("no usable chart on the carrier conic")
     coords = [p.coords for p in pts]
     best = None
@@ -221,13 +219,12 @@ def complete_heptagon(points: Sequence[ProjPoint]) -> ProjPoint:
     """Seventh point closing a heptagon prefix, from the chain condition."""
     if len(points) != 6:
         raise ValueError("complete_heptagon expects 6 points")
-    tol = 1e-6  # on-conic residual and bracket gap of the prefix
     conic = conic_through_5(points[:5])
-    if conic_contains(conic, points[5]) > tol:
+    if conic_contains(conic, points[5]) > DEFAULT.on_conic:
         raise NotAHeptagonPrefix("sixth point does not lie on the carrier conic")
     chart = moderate_chart(conic, list(points))
     xs = [chart.project(p) for p in points]
-    if heptagon6_residual(xs).scaled_gap > tol:
+    if heptagon6_residual(xs).scaled_gap > 1e-6:
         raise NotAHeptagonPrefix("heptagon closure condition violated")
     return chart.lift(next_chain_point(xs))
 
@@ -236,7 +233,6 @@ def complete_hexagon_p6(points: Sequence[ProjPoint]) -> ProjPoint:
     """Sixth point closing a Poncelet hexagon (wraparound-linear condition)."""
     if len(points) != 5:
         raise ValueError("complete_hexagon_p6 expects 5 points")
-    _no_three_collinear(points)
     conic = conic_through_5(points)
     chart = moderate_chart(conic, list(points))
     xs = [chart.project(p) for p in points]
@@ -277,13 +273,12 @@ def complete_octagon(
     """
     if len(points) != 5:
         raise ValueError("complete_octagon expects points 1..5")
-    tol = 1e-6  # on-conic residual and bracket gap of point 7
     conic = conic_through_5(points)
-    if conic_contains(conic, p7) > tol:
+    if conic_contains(conic, p7) > DEFAULT.on_conic:
         raise NotAnOctagonPrefix("point 7 does not lie on the carrier conic")
     chart = moderate_chart(conic, list(points) + [p7])
     xs = [chart.project(p) for p in points] + [chart.project(p7)]
-    if octagon_point7_residual(xs).scaled_gap > tol:
+    if octagon_point7_residual(xs).scaled_gap > 1e-6:
         raise NotAnOctagonPrefix("octagon point-7 condition violated")
     p1, p2, p3, p4, p5 = points
     center = _guard(meet, join(p1, p5), join(p3, p7), step="center 15^37")
@@ -356,10 +351,7 @@ def _self_polar_frame(
     triangle is not determined by quadrangle meets.
     """
     rs = conic_conic_intersect(a, b)
-    distinct = all(
-        proj_distance(rs[i], rs[j]) > 1e-6 for i in range(4) for j in range(i + 1, 4)
-    )
-    if distinct:
+    if min_separation(rs) > 1e-6:
         for k, r in enumerate(rs, 1):
             tr.add(f"r{k}", r)
         for i, j in ("12", "34", "13", "24", "14", "23"):
@@ -499,12 +491,7 @@ def doubling(scene: PonceletScene) -> tuple[PonceletScene, ConstructionTrace]:
                 verts.append(apply_map(tau, scene.touch_points[i]))
             if max(conic_contains(a, p) for p in verts) > 1e-7:
                 continue
-            distinct = all(
-                proj_distance(verts[i], verts[j]) > 1e-6
-                for i in range(2 * n)
-                for j in range(i + 1, 2 * n)
-            )
-            if not distinct:
+            if min_separation(verts) <= 1e-6:
                 continue
             try:
                 edges = [join(verts[i], verts[(i + 1) % (2 * n)]) for i in range(2 * n)]

@@ -161,6 +161,12 @@ def proj_distance(a: _HomogeneousVector, b: _HomogeneousVector) -> float:
     return _minor_gap(a.coords, b.coords)
 
 
+def min_separation(elements: Sequence[_HomogeneousVector]) -> float:
+    """Smallest ``proj_distance`` between two of the elements (inf for fewer than two)."""
+    pairs = itertools.combinations([e.coords for e in elements], 2)
+    return min((_minor_gap(u, v) for u, v in pairs), default=math.inf)
+
+
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """Line through two distinct points."""
     c = _cross(p.coords, q.coords)
@@ -876,7 +882,7 @@ def proj_map_from_4(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> ProjM
         raise ValueError("proj_map_from_4 expects two quadruples")
 
     def frame_matrix(quad):
-        _no_three_collinear(quad, tol=1e-12)
+        _no_three_collinear(quad, tol=DEFAULT.degeneracy)
         m = tuple(zip(quad[0].coords, quad[1].coords, quad[2].coords))  # columns p1,p2,p3
         det = _det3(m)
         # solve m . lam = p4 via Cramer

@@ -184,8 +184,6 @@ def _axis_cuts(axis: Vec3) -> list[Vec3]:
 
 # each fixed axis with its cuts
 _CHART_AXIS_CUTS = tuple((axis, _axis_cuts(axis.coords)) for axis in CHART_AXES)
-# project rejects points farther than this off the conic (conic_contains)
-_ON_CONIC = 1e-6
 _INFINITY = RP1Point.infinity().coords
 
 
@@ -291,7 +289,7 @@ class StereoChart:
 
     def project(self, p: ProjPoint) -> RP1Point:
         """Transfer a conic point to the line: meet(join(center, p), axis)."""
-        if conic_contains(self.conic, p) > _ON_CONIC:
+        if conic_contains(self.conic, p) > DEFAULT.on_conic:
             raise PointNotOnConic(f"{p} is not on the chart conic")
         return RP1Point._of_normalized(self._transfer(p.coords))
 
@@ -429,7 +427,7 @@ def next_chain_point(points: Sequence[RP1Point]) -> RP1Point:
         c1 * p2.coords[1] - c2 * p4.coords[1],
     )
     scale = max(abs(c1), abs(c2))
-    if max(abs(z) for z in out) <= 1e-12 * max(scale, DEFAULT.floor):
+    if max(abs(z) for z in out) <= DEFAULT.degeneracy * max(scale, DEFAULT.floor):
         raise DegenerateChain("coefficient brackets collapsed")
     return RP1Point(out)
 
@@ -449,7 +447,7 @@ def hexagon_point6(points: Sequence[RP1Point]) -> RP1Point:
         k1 * p5.coords[0] - k2 * p1.coords[0],
         k1 * p5.coords[1] - k2 * p1.coords[1],
     )
-    if max(abs(z) for z in out) <= 1e-12 * max(abs(k1), abs(k2), DEFAULT.floor):
+    if max(abs(z) for z in out) <= DEFAULT.degeneracy * max(abs(k1), abs(k2), DEFAULT.floor):
         raise DegenerateChain("hexagon coefficients collapsed")
     return RP1Point(out)
 

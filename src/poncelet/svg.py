@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .document import SceneDocument
 from .projective import Conic, ProjLine, ProjPoint, line_conic_intersect, second_intersection
+from .settings import DEFAULT
 
 CONIC_SAMPLES = 256
 MARGIN = 0.05
@@ -27,7 +28,7 @@ def _fmt(v: float) -> str:
 
 def _affine(p: ProjPoint) -> tuple[float, float] | None:
     x, y, z = p.coords
-    if abs(z) < 1e-9 * max(abs(x), abs(y), 1e-300):
+    if abs(z) < 1e-9 * max(abs(x), abs(y), DEFAULT.floor):
         return None  # at infinity
     w = (x / z, y / z)
     if abs(w[0].imag) > 1e-7 * max(1.0, abs(w[0])) or abs(w[1].imag) > 1e-7 * max(1.0, abs(w[1])):
@@ -54,7 +55,7 @@ def _conic_samples(conic: Conic, bound: float) -> list[tuple[float, float]]:
         except Exception:
             continue
         for cand in (p1, p2):
-            if cand.is_real(1e-9) and _affine(cand) is not None:
+            if cand.is_real() and _affine(cand) is not None:
                 base = cand
                 break
         if base is not None:

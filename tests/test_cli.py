@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import poncelet
-from poncelet import SceneDocument, chain_values, render_svg, scene_from_rp1
+from poncelet import SceneDocument, chain_values, errors, render_svg, scene_from_rp1
 from poncelet.cli import main
 from poncelet.errors import DocumentError
 
@@ -157,6 +157,95 @@ class TestConstructCommand:
         assert run(["construct", kind, "--in", str(hept)]) == 2
         assert calls == [str(hept)]
         assert capsys.readouterr().err == "error: degenerate on purpose\n"
+
+
+def _geometry_errors():
+    return [cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.GeometryError)]
+
+
+# scene mutations of a fixture document, each run through every command that
+# reads a document
+MUTATIONS = {
+    "inner_is_outer": lambda s: s.__setitem__("inner", s["outer"]),
+    "vertex_on_touch_point": lambda s: s["vertices"].__setitem__(1, s["touch_points"][0]),
+    "duplicated_vertex": lambda s: s["vertices"].__setitem__(1, s["vertices"][0]),
+    "zeroed_coordinate": lambda s: s["vertices"][0].__setitem__(0, [0.0, 0.0]),
+}
+
+
+def mutated(tmp_path, fixture, mutation):
+    doc = json.loads((DATA / fixture).read_text())
+    MUTATIONS[mutation](doc["scene"])
+    path = tmp_path / f"{mutation}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestErrorContract:
+    """Every library exception leaves main as one error line and its exit code."""
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in DATA.glob("*.json")))
+    def test_mutated_documents_exit_with_a_code(self, fixture, mutation, tmp_path, capsys):
+        path = str(mutated(tmp_path, fixture, mutation))
+        for argv in (["construct", "double", "--in", path, "--out", str(tmp_path / "d.json")],
+                     ["construct", "chain", "--in", path, "--out", str(tmp_path / "c.json")],
+                     ["verify", "--in", path],
+                     ["render", "--in", path, "--out", str(tmp_path / "r.svg")]):
+            assert run(argv) in (0, 2, 3, 4), argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.count("error:") <= 1, argv
+
+    def test_doubling_proportional_conics_exits_3(self, tmp_path, capsys):
+        path = mutated(tmp_path, "heptagon.json", "inner_is_outer")
+        assert run(["construct", "double", "--in", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: outer and inner conics are proportional\n"
+
+    @pytest.mark.parametrize("cls", _geometry_errors(), ids=lambda cls: cls.__name__)
+    def test_each_error_class_has_its_exit_code(self, cls, capsys, monkeypatch):
+        from poncelet import cli
+
+        def build(rng, args):
+            raise cls("raised on purpose")
+
+        spec = cli.CONSTRUCT_KINDS["double"]
+        monkeypatch.setitem(cli.CONSTRUCT_KINDS, "double", spec._replace(build=build))
+        if issubclass(cls, (errors.DocumentError, errors.DegenerateInput)):
+            expected = 2
+        elif issubclass(cls, errors.InseparableRoots):
+            expected = 4
+        else:
+            expected = 3
+        assert run(["construct", "double", "--in", str(DATA / "heptagon.json")]) == expected
+        assert capsys.readouterr().err == "error: raised on purpose\n"
+
+    def test_no_traceback_from_a_fresh_process(self, tmp_path):
+        path = mutated(tmp_path, "hexagon.json", "inner_is_outer")
+        env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+        res = subprocess.run(
+            [sys.executable, "-m", "poncelet.cli", "construct", "double", "--in", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert res.stderr.count("error:") == 1
+
+
+class TestConstructVerifyAgreement:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", ["6", "7", "8", "9", "double", "chain"])
+    def test_verify_reproduces_construct(self, kind, seed, tmp_path, capsys):
+        out = tmp_path / "doc.json"
+        code = run(["construct", kind, "--seed", str(seed), "--out", str(out)])
+        stored = json.loads(out.read_text())["residuals"]
+        capsys.readouterr()
+        assert run(["verify", "--in", str(out)]) == code
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for name, value in stored.items():
+            assert checks[name].hex() == value.hex(), name
 
 
 class TestVerifyCommand:

@@ -16,12 +16,14 @@ from poncelet import (
     join,
     line_conic_intersect,
     meet,
+    proj_distance,
     proj_map_from_4,
     second_intersection,
     six_on_conic_residual,
     tangent_line_at,
     tangents_from_point,
 )
+from poncelet.projective import min_separation
 from poncelet.errors import (
     CoincidentElements,
     DegenerateInput,
@@ -121,6 +123,12 @@ class TestElementBasics:
         p = ProjPoint(0.5, 0.25, 1)
         assert p.is_same(ProjPoint(2, 1, 4))
         assert not p.is_same(ProjPoint(2, 1, 4.001))
+
+    def test_min_separation_is_smallest_pairwise_distance(self, rng):
+        pts = ring_points(rng, 7)
+        pairs = [proj_distance(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]]
+        assert min_separation(pts) == min(pairs)
+        assert min_separation(pts[:1]) == math.inf
 
 
 class TestConics:
