@@ -15,11 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DegenerateInput,
-    PointNotOnConic,
-    TangentialDegeneracy,
-)
+from .errors import DegenerateInput, PointNotOnConic, TangentialDegeneracy
 from .projective import (
     Conic,
     ProjLine,
@@ -27,9 +23,9 @@ from .projective import (
     ProjMap,
     Vec3,
     _dot,
-    _line_cut,
     _minor_gap,
     _tangent_pair,
+    _unit3,
     apply_map,
     conic_contains,
     conic_through_5_lines,
@@ -58,6 +54,8 @@ from .roots import isolate_roots
 from .rp1 import RP1Point, StereoChart
 from .settings import DEFAULT
 
+_GAP = DEFAULT.rel  # the coincidence cut of every chain step, bound once
+
 
 # ---------------------------------------------------------------------------
 # scene types
@@ -76,6 +74,12 @@ class ClosureReport(NamedTuple):
     residual_p: float  # gap between p_{n+1} and p_1
     residual_q: float  # gap between p_{n+2} and p_2
     spurious: bool     # first wrap matches, second does not
+
+    @classmethod
+    def of(cls, n: int, res_p: float, res_q: float) -> "ClosureReport":
+        """Both wrap gaps judged against ``DEFAULT.closure``."""
+        tol = DEFAULT.closure
+        return cls(n, res_p < tol and res_q < tol, res_p, res_q, res_p < tol <= res_q)
 
 
 def pole(conic: Conic, line: ProjLine) -> ProjPoint:
@@ -146,10 +150,10 @@ class PonceletScene(NamedTuple):
 def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
     """One Poncelet step: new vertex on the current line, new tangent there.
 
-    Both two-valued choices are resolved by "other than the previous one":
-    the candidate farther (in the scale-free minor metric) from the current
-    element is taken.  Coinciding candidates mean the chain is stuck at a
-    tangential contact.
+    Each is the other root of an involution whose one root is known (the
+    current vertex on the line, the current line through the new vertex),
+    taken by ``_other_root``; a root equal to the known one means the chain
+    is stuck at a tangential contact.
     """
     p, l = _step(outer, inner, state.point.coords, state.line.coords)
     return ChainState(ProjPoint._of_normalized(p), ProjLine._of_normalized(l))
@@ -157,20 +161,32 @@ def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
 
 def _step(outer: Conic, inner: Conic, p: Vec3, l: Vec3) -> tuple[Vec3, Vec3]:
     """``chain_step`` on coordinate tuples; the returned pair is normalized once."""
-    p1, p2, tangential = _line_cut(l, outer)
-    if tangential:
+    if outer.degenerate or inner.degenerate:
+        raise DegenerateInput("a chain step requires non-degenerate conics")
+    nxt = _other_root(outer.entries, p, l)
+    if _minor_gap(nxt, p) < _GAP:
         raise TangentialDegeneracy("chain line is tangent to the outer conic")
-    d1, d2 = _minor_gap(p1, p), _minor_gap(p2, p)
-    nxt = p1 if d1 >= d2 else p2
-    if max(d1, d2) < DEFAULT.rel:
-        raise TangentialDegeneracy("both intersection candidates coincide with the vertex")
-    l1, l2, doubled = _tangent_pair(nxt, inner)
-    if doubled:
+    line = _other_root(inner.adjugate_entries(), l, nxt)
+    if _minor_gap(line, l) < _GAP:
         raise TangentialDegeneracy("next vertex lies on the inner conic")
-    e1, e2 = _minor_gap(l1, l), _minor_gap(l2, l)
-    if max(e1, e2) < DEFAULT.rel:
-        raise TangentialDegeneracy("both tangent candidates coincide")
-    return nxt, (l1 if e1 >= e2 else l2)
+    return nxt, line
+
+
+def _other_root(e: Sequence[complex], k: Vec3, m: Vec3) -> Vec3:
+    """Root other than ``k`` of the symmetric form ``e`` on the pencil ``m``
+    (points of a line, or lines through a point), normalized: with
+    d = m x e_j for the first largest |k_j| and Q(k) = 0, by Vieta it is
+    Q(d) k - 2 B(k, d) d."""
+    a00, a01, a02, a11, a12, a22 = e
+    (k0, k1, k2), (m0, m1, m2) = k, m
+    b0, b1, b2 = abs(k0), abs(k1), abs(k2)
+    d0, d1, d2 = ((0, m2, -m1) if b0 >= b1 and b0 >= b2
+                  else (-m2, 0, m0) if b1 >= b2 else (m1, -m0, 0))
+    c0 = a00 * d0 + a01 * d1 + a02 * d2
+    c1 = a01 * d0 + a11 * d1 + a12 * d2
+    c2 = a02 * d0 + a12 * d1 + a22 * d2
+    q, b = d0 * c0 + d1 * c1 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
+    return _unit3(q * k0 - b * d0, q * k1 - b * d1, q * k2 - b * d2)
 
 
 def start_state(
@@ -218,13 +234,8 @@ def closure_test(
     n: int,
 ) -> ClosureReport:
     """Double-wrap closure check of the synthetic chain (first tangent 0)."""
-    tol = DEFAULT.closure
     pts = _walk(outer, inner, start, 0, n + 1)
-    res_p = _minor_gap(pts[n], pts[0])
-    res_q = _minor_gap(pts[n + 1], pts[1])
-    closes = res_p < tol and res_q < tol
-    spurious = res_p < tol <= res_q
-    return ClosureReport(n, closes, res_p, res_q, spurious)
+    return ClosureReport.of(n, _minor_gap(pts[n], pts[0]), _minor_gap(pts[n + 1], pts[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +333,17 @@ def closure_system(
             vecs.append(variable_vector(gaussian))
         else:
             vecs.append(constant_vector(next(it), gaussian))
-    # distinctness of the known points, checked exactly on the constants
-    consts = [v for i, v in enumerate(vecs[:6]) if i != var_slot]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            det = consts[i][0] * consts[j][1] - consts[i][1] * consts[j][0]
-            if det.is_zero():
-                raise DegenerateInput("known chain points must be pairwise distinct")
     # the recursion runs on the starting points scaled to reduced integer
     # (or Gaussian-integer) pairs; chain_next_vector is homogeneous in each
     # point, so the vectors it returns do not change, and only the stored
     # starting points keep the caller's rational values
     work = [normalize_pair(*v) for v in vecs]
+    # distinctness of the known points, checked exactly on their scalar pairs
+    consts = [(a.c[0] if a.c else 0, b.c[0] if b.c else 0)
+              for i, (a, b) in enumerate(work) if i != var_slot]
+    for i, (a, b) in enumerate(consts):
+        if any(not (a * d - b * c) for c, d in consts[i + 1:]):
+            raise DegenerateInput("known chain points must be pairwise distinct")
     while len(work) < n + 2:
         work.append(chain_next_vector(work[-6:]))
     vecs += work[6:]
@@ -380,7 +390,6 @@ def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
     when both wrap gaps, evaluated exactly at the disc's centre, are below
     ``DEFAULT.closure``.
     """
-    tol = DEFAULT.closure
     system = closure_system(points5, n)
     genuine = squarefree(system.genuine)
     spurious = squarefree(_exact_div(system.polynomial, system.genuine))
@@ -389,9 +398,8 @@ def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
     out = []
     for part in (genuine, spurious):
         for root in isolate_roots(part):
-            res_p, res_q = system.wrap_residuals(root.x)
-            out.append(ClosureRoot(root.value, res_p, res_q, res_p < tol and res_q < tol,
-                                   root.radius))
+            r = ClosureReport.of(n, *system.wrap_residuals(root.x))
+            out.append(ClosureRoot(root.value, r.residual_p, r.residual_q, r.closes, root.radius))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
@@ -415,13 +423,10 @@ def algebraic_closure_report(
     at candidates where the pointwise iteration hits a removable 0/0 (the
     hallmark of spurious roots).
     """
-    tol = DEFAULT.closure
     system = closure_system(points5, n)
     if isinstance(x6, RP1Point):
         x6 = x6.value()
-    res_p, res_q = system.wrap_residuals(x6)
-    closes = res_p < tol and res_q < tol
-    return ClosureReport(n, closes, res_p, res_q, res_p < tol <= res_q)
+    return ClosureReport.of(n, *system.wrap_residuals(x6))
 
 
 def chain_values(

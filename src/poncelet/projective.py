@@ -511,15 +511,10 @@ def line_conic_intersect(
     tangent the two returned points coincide (a doubled point) and the flag
     is True.
     """
-    p1, p2, tangential = _line_cut(l.coords, conic)
-    return ProjPoint._of_normalized(p1), ProjPoint._of_normalized(p2), tangential
-
-
-def _line_cut(lc: Vec3, conic: Conic) -> tuple[Vec3, Vec3, bool]:
-    """``line_conic_intersect`` on coordinate tuples."""
     if conic.degenerate:
         raise DegenerateInput("line_conic_intersect requires a non-degenerate conic")
-    return _conic_cut(*_line_base_points(lc), conic.entries)
+    p1, p2, tangential = _conic_cut(*_line_base_points(l.coords), conic.entries)
+    return ProjPoint._of_normalized(p1), ProjPoint._of_normalized(p2), tangential
 
 
 def _conic_cut(u: Vec3, v: Vec3, entries: Sequence[complex]) -> tuple[Vec3, Vec3, bool]:

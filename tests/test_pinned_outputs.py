@@ -9,14 +9,14 @@ chart transfer to its floating-point bits; the output of a command is a
 pure function of its input and the package version.  A change that moves
 these digests changes what users get, and needs a version bump.
 
-``construct 6``, ``7``, ``8``, ``9`` and ``double --seed 3`` are pinned as
-built at 0.1.3.  Since then their conic fits, pencil cubics and doubling frame
-are pure Python instead of LAPACK (SVD, ``numpy.roots``), so their bytes no
-longer depend on the LAPACK build and they run without numpy; that
-change moved their last bits, while ``verify`` and ``render``, which
-fit nothing, kept theirs.  ``construct 7 --branch 1``, ``8 --branch 1``
-and ``9 --branch 1`` and ``2`` at seed 3 are pinned as built at 0.1.4, so
-every cut the three join/meet constructions can take is held to its bits.
+Every ``construct`` digest and the ``verify`` digests of the five polygon
+documents are pinned as built at 0.1.5: since then the synthetic walk takes
+the other root of each step by Vieta instead of solving both quadratics,
+which moves the last bits of the double-wrap closure residuals that
+``construct`` stores and ``verify`` prints, and nothing else (their SVGs and
+the chain digests kept their bits).  ``construct 7 --branch 1``,
+``8 --branch 1`` and ``9 --branch 1`` and ``2`` at seed 3 cover every cut
+the three join/meet constructions can take.
 
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
@@ -39,23 +39,23 @@ DATA = Path(__file__).with_name("data")
 # name: (sha256 of verify's stdout, sha256 of render's SVG)
 PINNED = {
     "hexagon.json": (
-        "8bc47cd68f954c5e14e213eed5c6fe74e11a8cbe77de7119f1e027314cd5d749",
+        "1e8aa75873c52cc17344f1a8937f1ea4b8056222042821f6b27ef1d180b10ec5",
         "4353059aefd6e0f7de34d982cf647cdb44f666aa79ea7eebf885efc2f0da154f",
     ),
     "heptagon.json": (
-        "c95ffdc32b63093b4941db338118abf8f3cf9ca8e07602121f1dc656d517bd5f",
+        "ec43d7f795536f50db69d4712c971e3e641201a31ec10ff09f794cd92d29b8ce",
         "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
     ),
     "octagon.json": (
-        "d8b4f8dec2b0a351cc5e8a97d3e3d23f0422224890c5db4c811e91b4d84a0c97",
+        "67e09a99d2ee8ea92aac88669e03c988ab6a4d0a719cd5f6c0e18c8e4be97f54",
         "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
     ),
     "ninegon.json": (
-        "e5dd716fb18ca58da7e0ecb3dda8759d8273369cd7ed133a0c34d1f219341411",
+        "0dd0221bbd61d170412952d3c0b8292dbd29d5336ae880f4129e72df5e5f732b",
         "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
     ),
     "doubled_hexagon.json": (
-        "3ad4ead267a06d27263ac7f1909b600ca0df2b0e97b4fb8a9d1f9a0bd5b513ff",
+        "911a2a67f33603cc02f5655f59b22b86301035804fff3c0b0f28172abbc43cd1",
         "5622776fb8fc8f6773eca50a30fbddb1b552ae3adfe5ce05f53586e2b524c0b6",
     ),
 }
@@ -77,15 +77,15 @@ CHAINS = {
 # kind and options: sha256 of the JSON of ``construct <kind> --seed 3``; the
 # other branches of 7, 8 and 9 cover each construction's second cut
 CONSTRUCTS = {
-    "6": "8d9f8a818451d988f36de297b9be0b822bb962fcabcc4d4f11259d3fe59d1c89",
-    "7": "a519b4206b8611392b48f49d518d6a443d07de145615ef77ecc0688a7546b9f9",
-    "7 --branch 1": "0e007b76a2788de9893ee12bbb1b0b9728e021923855f068361806b275d5c18b",
-    "8": "ba5b4cefc3f866b2ecf42f57421d99608d06e3e3f6ac425966ece8740b822eb0",
-    "8 --branch 1": "dd944089c36fe562149f733d68f2e11d5d0f09dd9c80ee8102aadd4253168c0a",
-    "9": "bc4df0b5a254795f416272b2dbb1a047373e4f8b9de0710aa3fb87f5c4640ab0",
-    "9 --branch 1": "a14ab1f150b5ba13db09a8adcf3f2388f3e7c4407ac2392b22bc222d8132f30c",
-    "9 --branch 2": "22f3b33d6da034250d5757b10d2ca555d0ccb0f4255ecbfa880baae0aafed9af",
-    "double": "33c948248ad071acdc802e9865deee93dbc00bd76191bf41982817d673dd1d61",
+    "6": "018a1cb41ff7faee1f9438b075e73c7b026ebb25a3e7e5bab3a7be0b4d4e8ee1",
+    "7": "3ebba202aee560314d9bb26a5b5f45bb6d5a91ae8b601040200cb425779349b1",
+    "7 --branch 1": "0c1736d11c65c0094d0416bf0966d7b75a580bbaadc7325b055106004c7dc710",
+    "8": "9c1bcc6660bffbbeea8e22229a9ba5b5cec797e2153662651976ba43b628239c",
+    "8 --branch 1": "968cf6a670fc8cf2c0fbcf176cb7b4122f13bfbb187263450d6a2ecc66af9666",
+    "9": "6ff2d0440d7a2fd7233a0d136ffe1a4dce30575e7f0ef2e88cae3aa5a8b88099",
+    "9 --branch 1": "255b4fcd9086bd516a292d0e9ff3ef038cc77052d3783ccfe2ef41a090488f0d",
+    "9 --branch 2": "e73c45bdcbeab639f840260c12e7cffd1d334d612f4d41a0e81313a52461c81b",
+    "double": "d675b4b8ce702a245eaf4e643bfc2d5bcb61ac71bad74daca3a06f8541e27709",
 }
 
 # builds the chain documents, then runs verify and render on each document

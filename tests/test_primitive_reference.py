@@ -8,10 +8,13 @@ The one intended difference is isotropic elements such as (0, 1, 1j), on
 which the earlier form raised: there the primitives must now give valid
 output, checked by incidence instead of against the reference.
 
-The synthetic walk (``run_chain``, ``chain_step``, ``closure_test``) runs on
-coordinate tuples and wraps its vertices without normalizing them again, so
-its walks and reports must equal the ones built here from the references,
-also on non-real conic pairs where a second normalization would move bits.
+The synthetic walk (``run_chain``, ``chain_step``, ``closure_test``) takes
+the other root of each step from the known one, where the reference walk
+below solves both quadratics and keeps the farther candidate.  Its vertices
+and lines must lie within ``DEFAULT.rel`` of the reference's, its closure
+flags and fault classes must be the reference's, and its entry points must
+agree bit for bit, also on non-real conic pairs where a second
+normalization would move bits.
 """
 
 import cmath
@@ -37,7 +40,7 @@ from poncelet import (
     tangents_from_point,
     transformed_scene,
 )
-from poncelet.chains import start_state
+from poncelet.chains import _step, start_state
 from poncelet.errors import (
     DegenerateInput,
     NonFiniteElement,
@@ -45,6 +48,7 @@ from poncelet.errors import (
     TangentialDegeneracy,
 )
 from poncelet.projective import _line_base_points, _minor_gap, _normalize3, tangency_residual
+from poncelet.settings import DEFAULT
 
 from conftest import random_map
 
@@ -393,10 +397,18 @@ def porism_starts(rng, n, m, count=4):
     return scene, [apply_map(m, ProjPoint(math.cos(a), math.sin(a), 1)) for a in angles]
 
 
+def walk_gap(got, want):
+    """Largest minor gap between corresponding coordinate tuples."""
+    assert len(got) == len(want)
+    return max(_minor_gap(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("n", range(5, 13))
 def test_run_chain_walks_bit_identical(n):
     """Porism-style walks of three wraps, by run_chain and by chain_step, on
-    projective images of concentric scenes under a real and a non-real map.
+    projective images of concentric scenes under a real and a non-real map:
+    the two entry points give the same bits, and every vertex and line lies
+    within DEFAULT.rel of the two-candidate reference walk.
 
     Non-real vertices mostly move when normalized a second time, so this
     fails if a walk normalizes what a step already normalized.
@@ -409,13 +421,14 @@ def test_run_chain_walks_bit_identical(n):
             steps = 3 * n + 1
             want = ref_walk(scene.outer, scene.inner, start, k, steps)
             got = run_chain(scene.outer, scene.inner, start, k, steps=steps)
-            assert repr([p.coords for p in got]) == repr([point for point, _ in want])
+            assert walk_gap([p.coords for p in got], [point for point, _ in want]) < DEFAULT.rel
             state = start_state(scene.outer, scene.inner, start, k)
             states = [state]
             for _ in range(steps):
                 state = chain_step(scene.outer, scene.inner, state)
                 states.append(state)
-            assert repr([(s.point.coords, s.line.coords) for s in states]) == repr(want)
+            assert repr([s.point.coords for s in states]) == repr([p.coords for p in got])
+            assert walk_gap([s.line.coords for s in states], [line for _, line in want]) < DEFAULT.rel
             moved += sum(repr(_normalize3(p.coords)) != repr(p.coords) for p in got)
     assert moved > 0
 
@@ -423,14 +436,68 @@ def test_run_chain_walks_bit_identical(n):
 @pytest.mark.parametrize("n", range(5, 13))
 @pytest.mark.parametrize("real", [True, False])
 def test_closure_report_bit_identical(n, real):
-    """ClosureReport, residual floats included, at the period and off it."""
+    """ClosureReport at the period and off it: the residual floats are the
+    minor gaps of run_chain's own vertices, bit for bit, and the closes and
+    spurious flags are the reference's."""
     rng = random.Random(500 + n + 50 * real)
     m = random_map(rng) if real else complex_map(rng)
     scene, starts = porism_starts(rng, n, m)
     for start in starts:
         for period in (n, n + 1, 3 * n):
             got = closure_test(scene.outer, scene.inner, start, period)
-            assert repr(got) == repr(ref_closure_test(scene.outer, scene.inner, start, period))
+            pts = [p.coords for p in run_chain(scene.outer, scene.inner, start, 0, period + 1)]
+            res_p, res_q = _minor_gap(pts[period], pts[0]), _minor_gap(pts[period + 1], pts[1])
+            assert repr((got.residual_p, got.residual_q)) == repr((res_p, res_q))
+            want = ref_closure_test(scene.outer, scene.inner, start, period)
+            assert (got.n, got.closes, got.spurious) == (want.n, want.closes, want.spurious)
+
+
+def farther_first(candidates, known):
+    """The two candidates, the one farther from the known element first."""
+    a, b, _ = candidates
+    return (a, b) if ref_minor_gap(a, known) >= ref_minor_gap(b, known) else (b, a)
+
+
+def test_deflated_root_is_the_farther_candidate():
+    """On projective images of concentric_scene(n), each deflated root of a
+    step is the reference's farther candidate: within DEFAULT.rel of it and
+    nearer to it than to the other one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(3, 12), st.integers(0, 2**32), st.booleans())
+    def check(n, seed, real):
+        rng = random.Random(seed)
+        m = random_map(rng) if real else complex_map(rng)
+        scene, starts = porism_starts(rng, n, m, count=1)
+        outer, inner = scene.outer, scene.inner
+        for point, line in ref_walk(outer, inner, starts[0], seed % 2, n):
+            nxt, tangent = _step(outer, inner, point, line)
+            far_point, near_point = farther_first(ref_line_conic_intersect(line, outer), point)
+            far_line, near_line = farther_first(ref_tangents_from_point(far_point, inner), line)
+            for got, far, near in ((nxt, far_point, near_point), (tangent, far_line, near_line)):
+                assert ref_minor_gap(got, far) < DEFAULT.rel
+                assert ref_minor_gap(got, far) < ref_minor_gap(got, near)
+
+    check()
+
+
+def test_long_walk_stays_on_the_conics():
+    """Deflation does not let the vertices drift off the outer conic or the
+    lines off the inner one: 20 000 steps on a real image of a scene that
+    does not close (inner radius 0.6, no rational rotation number)."""
+    rng = random.Random(20)
+    m = random_map(rng)
+    outer, inner = apply_map(m, Conic.unit_circle()), apply_map(m, Conic.circle(0.6))
+    state = start_state(outer, inner, apply_map(m, ProjPoint(1, 0, 1)))
+    tail = []
+    for k in range(20000):
+        state = chain_step(outer, inner, state)
+        if k >= 19990:
+            tail.append(state)
+    assert max(conic_contains(outer, s.point) for s in tail) <= 1e-12
+    assert tangency_residual(inner, [s.line for s in tail]) <= 1e-12
 
 
 UNIT = Conic.unit_circle()
@@ -439,12 +506,17 @@ UNIT = Conic.unit_circle()
 OFFSET = Conic((1, 0, -0.5, 1, -0.5, 0.25))
 # circle of radius 1/2 about (1/2, 0): it passes through (1, 0, 1)
 THROUGH = Conic((1, 0, -0.5, 1, 0, 0))
+# circle through (0, 1, 1) and (1, 0, 1): its tangent y = x + 1 at (0, 1, 1)
+# cuts the unit circle again at (-1, 0, 1), so a walk from there along it
+# reaches a vertex on the inner conic
+ACROSS = Conic((1, 0, -0.5, 1, -0.5, 0))
 
 WALK_FAULTS = {
     "degenerate outer": (DEGENERATE, Conic.circle(0.5), ProjPoint(0, 1, 1), DegenerateInput),
     "degenerate inner": (UNIT, DEGENERATE, ProjPoint(0, 1, 1), DegenerateInput),
     "start on inner": (UNIT, THROUGH, ProjPoint(1, 0, 1), TangentialDegeneracy),
     "line tangent to outer": (UNIT, OFFSET, ProjPoint(0, 1, 1), TangentialDegeneracy),
+    "vertex on inner": (UNIT, ACROSS, ProjPoint(-1, 0, 1), TangentialDegeneracy),
     "start off outer": (UNIT, Conic.circle(0.5), ProjPoint(2, 0, 1), PointNotOnConic),
     # ProjPoint rejects non-finite coordinates; only the trusted constructor
     # lets them reach a walk
@@ -460,14 +532,22 @@ def test_walk_faults_raise_as_reference(case):
     """run_chain and closure_test raise the exception class the references raise."""
     outer, inner, start, expected = WALK_FAULTS[case]
 
-    def walk(choice):
-        return [p.coords for p in run_chain(outer, inner, start, choice, steps=6)]
+    def kind(fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:
+            return type(exc)
+        return None
 
     raised = set()
     for choice in (0, 1):
-        got = outcome(walk, choice)
-        assert got == outcome(ref_run_chain, outer, inner, start, choice, 6)
+        got = kind(run_chain, outer, inner, start, choice, 6)
+        assert got == kind(ref_run_chain, outer, inner, start, choice, 6)
+        if got is None:
+            want = ref_run_chain(outer, inner, start, choice, 6)
+            assert walk_gap([p.coords for p in run_chain(outer, inner, start, choice, 6)],
+                            want) < DEFAULT.rel
         raised.add(got)
-    got = outcome(closure_test, outer, inner, start, 5)
-    assert got == outcome(ref_closure_test, outer, inner, start, 5)
+    got = kind(closure_test, outer, inner, start, 5)
+    assert got == kind(ref_closure_test, outer, inner, start, 5)
     assert expected in raised | {got}
