@@ -24,8 +24,9 @@ from .projective import (
     Vec3,
     _dot,
     _minor_gap,
+    _other_root,
+    _sym_apply,
     _tangent_pair,
-    _unit3,
     apply_map,
     conic_contains,
     conic_through_5_lines,
@@ -84,13 +85,7 @@ class ClosureReport(NamedTuple):
 
 def pole(conic: Conic, line: ProjLine) -> ProjPoint:
     """Pole of a line; for a tangent line this is the touching point."""
-    b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
-    l0, l1, l2 = line.coords
-    return ProjPoint(
-        b00 * l0 + b01 * l1 + b02 * l2,
-        b01 * l0 + b11 * l1 + b12 * l2,
-        b02 * l0 + b12 * l1 + b22 * l2,
-    )
+    return ProjPoint(_sym_apply(conic.adjugate_entries(), line.coords))
 
 
 class PonceletScene(NamedTuple):
@@ -170,23 +165,6 @@ def _step(outer: Conic, inner: Conic, p: Vec3, l: Vec3) -> tuple[Vec3, Vec3]:
     if _minor_gap(line, l) < _GAP:
         raise TangentialDegeneracy("next vertex lies on the inner conic")
     return nxt, line
-
-
-def _other_root(e: Sequence[complex], k: Vec3, m: Vec3) -> Vec3:
-    """Root other than ``k`` of the symmetric form ``e`` on the pencil ``m``
-    (points of a line, or lines through a point), normalized: with
-    d = m x e_j for the first largest |k_j| and Q(k) = 0, by Vieta it is
-    Q(d) k - 2 B(k, d) d."""
-    a00, a01, a02, a11, a12, a22 = e
-    (k0, k1, k2), (m0, m1, m2) = k, m
-    b0, b1, b2 = abs(k0), abs(k1), abs(k2)
-    d0, d1, d2 = ((0, m2, -m1) if b0 >= b1 and b0 >= b2
-                  else (-m2, 0, m0) if b1 >= b2 else (m1, -m0, 0))
-    c0 = a00 * d0 + a01 * d1 + a02 * d2
-    c1 = a01 * d0 + a11 * d1 + a12 * d2
-    c2 = a02 * d0 + a12 * d1 + a22 * d2
-    q, b = d0 * c0 + d1 * c1 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
-    return _unit3(q * k0 - b * d0, q * k1 - b * d1, q * k2 - b * d2)
 
 
 def start_state(

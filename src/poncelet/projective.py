@@ -107,6 +107,22 @@ def _det3(rows: Sequence[Sequence[complex]]) -> complex:
     )
 
 
+def _sym_rows(e: Sequence[complex]) -> tuple[Vec3, Vec3, Vec3]:
+    """Rows of the symmetric matrix packed as (a00, a01, a02, a11, a12, a22)."""
+    a00, a01, a02, a11, a12, a22 = e
+    return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+
+
+def _sym_apply(e: Sequence[complex], p: Sequence[complex]) -> Vec3:
+    """Product of the packed symmetric matrix ``e`` with the vector ``p``."""
+    a00, a01, a02, a11, a12, a22 = e
+    return (
+        a00 * p[0] + a01 * p[1] + a02 * p[2],
+        a01 * p[0] + a11 * p[1] + a12 * p[2],
+        a02 * p[0] + a12 * p[1] + a22 * p[2],
+    )
+
+
 # ---------------------------------------------------------------------------
 # elements
 
@@ -221,12 +237,7 @@ class Conic:
         if not (stored and _normalized_lead(top)):
             e = tuple(z / top for z in e)
         object.__setattr__(self, "entries", e)
-        a00, a01, a02, a11, a12, a22 = e
-        det = (
-            a00 * (a11 * a22 - a12 * a12)
-            - a01 * (a01 * a22 - a12 * a02)
-            + a02 * (a01 * a12 - a11 * a02)
-        )
+        det = _det3(_sym_rows(e))
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "degenerate", abs(det) < DEFAULT.degeneracy)
         object.__setattr__(self, "_adjugate", None)
@@ -257,34 +268,22 @@ class Conic:
         return cls((1, 0, 0, 1, 0, -radius * radius))
 
     def rows(self) -> tuple[Vec3, Vec3, Vec3]:
-        a00, a01, a02, a11, a12, a22 = self.entries
-        return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+        return _sym_rows(self.entries)
 
     def apply(self, p: Sequence[complex]) -> Vec3:
         """Matrix-vector product A p (polar line of p)."""
-        a00, a01, a02, a11, a12, a22 = self.entries
-        return (
-            a00 * p[0] + a01 * p[1] + a02 * p[2],
-            a01 * p[0] + a11 * p[1] + a12 * p[2],
-            a02 * p[0] + a12 * p[1] + a22 * p[2],
-        )
+        return _sym_apply(self.entries, p)
 
     def qform(self, p: Sequence[complex]) -> complex:
-        q0, q1, q2 = self.apply(p)
-        return p[0] * q0 + p[1] * q1 + p[2] * q2
+        return _dot(p, _sym_apply(self.entries, p))
 
     def adjugate_entries(self) -> tuple[complex, ...]:
         cached = self._adjugate
         if cached is None:
-            a00, a01, a02, a11, a12, a22 = self.entries
-            cached = (
-                a11 * a22 - a12 * a12,
-                a12 * a02 - a01 * a22,
-                a01 * a12 - a11 * a02,
-                a00 * a22 - a02 * a02,
-                a01 * a02 - a00 * a12,
-                a00 * a11 - a01 * a01,
-            )
+            # the cofactor rows r1 x r2, r2 x r0, r0 x r1, packed
+            r0, r1, r2 = _sym_rows(self.entries)
+            c0, c1, c2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
+            cached = (*c0, c1[1], c1[2], c2[2])
             object.__setattr__(self, "_adjugate", cached)
         return cached
 
@@ -294,14 +293,7 @@ class Conic:
 
     def dual_qform(self, l: Sequence[complex]) -> complex:
         """l^T adj(A) l; vanishes exactly when l is tangent."""
-        b00, b01, b02, b11, b12, b22 = self.adjugate_entries()
-        l0, l1, l2 = l
-        return (
-            b00 * l0 * l0
-            + b11 * l1 * l1
-            + b22 * l2 * l2
-            + 2 * (b01 * l0 * l1 + b02 * l0 * l2 + b12 * l1 * l2)
-        )
+        return _dot(l, _sym_apply(self.adjugate_entries(), l))
 
     def is_same(self, other: "Conic", tol: float | None = None) -> bool:
         tol = DEFAULT.rel if tol is None else tol
@@ -538,6 +530,23 @@ def _conic_cut(u: Vec3, v: Vec3, entries: Sequence[complex]) -> tuple[Vec3, Vec3
     return p1, p2, tangential
 
 
+def _other_root(e: Sequence[complex], k: Vec3, m: Vec3) -> Vec3:
+    """Root other than ``k`` of the symmetric form ``e`` on the pencil ``m``
+    (points of a line, or lines through a point), normalized: with
+    d = m x e_j for the first largest |k_j| and Q(k) = 0, by Vieta it is
+    Q(d) k - 2 B(k, d) d."""
+    a00, a01, a02, a11, a12, a22 = e
+    (k0, k1, k2), (m0, m1, m2) = k, m
+    b0, b1, b2 = abs(k0), abs(k1), abs(k2)
+    d0, d1, d2 = ((0, m2, -m1) if b0 >= b1 and b0 >= b2
+                  else (-m2, 0, m0) if b1 >= b2 else (m1, -m0, 0))
+    c0 = a00 * d0 + a01 * d1 + a02 * d2
+    c1 = a01 * d0 + a11 * d1 + a12 * d2
+    c2 = a02 * d0 + a12 * d1 + a22 * d2
+    q, b = d0 * c0 + d1 * c1 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
+    return _unit3(q * k0 - b * d0, q * k1 - b * d1, q * k2 - b * d2)
+
+
 def tangents_from_point(
     p: ProjPoint, conic: Conic
 ) -> tuple[ProjLine, ProjLine, bool]:
@@ -551,49 +560,23 @@ def tangents_from_point(
 
 
 def _tangent_pair(pc: Vec3, conic: Conic) -> tuple[Vec3, Vec3, bool]:
-    """``tangents_from_point`` on coordinate tuples."""
+    """``tangents_from_point`` on coordinate tuples: the dual cut."""
     if conic.degenerate:
         raise DegenerateInput("tangents_from_point requires a non-degenerate conic")
-    m1, m2 = _line_base_points(pc)  # two lines spanning the pencil through p
-    b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
-
-    def dq(x, y):
-        return (
-            b00 * x[0] * y[0]
-            + b11 * x[1] * y[1]
-            + b22 * x[2] * y[2]
-            + b01 * (x[0] * y[1] + x[1] * y[0])
-            + b02 * (x[0] * y[2] + x[2] * y[0])
-            + b12 * (x[1] * y[2] + x[2] * y[1])
-        )
-
-    a = dq(m2, m2)
-    b = 2 * dq(m1, m2)
-    c = dq(m1, m1)
-    (t1, s1), (t2, s2), doubled = _solve_quadratic(a, b, c)
-    l1 = _unit3(s1 * m1[0] + t1 * m2[0], s1 * m1[1] + t1 * m2[1], s1 * m1[2] + t1 * m2[2])
-    l2 = _unit3(s2 * m1[0] + t2 * m2[0], s2 * m1[1] + t2 * m2[1], s2 * m1[2] + t2 * m2[2])
-    return l1, l2, doubled
+    return _conic_cut(*_line_base_points(pc), conic.adjugate_entries())
 
 
 def second_intersection(conic: Conic, known: ProjPoint, other: ProjPoint) -> ProjPoint:
     """Second intersection of line (known v other) with the conic.
 
-    ``known`` must lie on the conic; ``other`` fixes the line.  Uses the
-    deflated quadratic, so it stays exact when the second point approaches
-    the known one.
+    ``known`` must lie on the conic; ``other`` fixes the line.  The other
+    root is taken from the known one (``_other_root``, the walk's kernel),
+    so it stays exact when the second point approaches the known one.
     """
-    z = known.coords
-    q = other.coords
-    qcq = conic.qform(q)
-    zcq = _dot(z, conic.apply(q))
-    scale = max(abs(qcq), abs(zcq))
-    if scale < DEFAULT.floor:
-        raise DegenerateInput("line direction annihilates the conic form")
-    if abs(qcq) <= 1e-14 * scale:
-        return ProjPoint(q)
-    t = -2 * zcq / qcq
-    return ProjPoint(tuple(zi + t * qi for zi, qi in zip(z, q)))
+    m = _cross(known.coords, other.coords)
+    if not (m[0] or m[1] or m[2]):
+        raise DegenerateInput("second_intersection needs two distinct points")
+    return ProjPoint._of_normalized(_other_root(conic.entries, known.coords, m))
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +597,7 @@ def _split_degenerate_conic(d: Conic) -> tuple[ProjLine, ProjLine]:
     adj_scale = max(abs(z) for z in adj)
     if adj_scale > 1e-10 * scale * scale:
         # rank 2: recover the common point p with p p^T = -adj
-        full = (
-            (-adj[0], -adj[1], -adj[2]),
-            (-adj[1], -adj[3], -adj[4]),
-            (-adj[2], -adj[4], -adj[5]),
-        )
+        full = _sym_rows([-z for z in adj])
         i = max(range(3), key=lambda k: abs(full[k][k]))
         beta = cmath.sqrt(full[i][i])
         p = tuple(full[k][i] / beta for k in range(3))
@@ -647,10 +626,10 @@ def _polish_on_two_conics(p: ProjPoint, a: Conic, b: Conic) -> ProjPoint:
     k = max(range(3), key=lambda i: abs(coords[i]))
     idx = [i for i in range(3) if i != k]
     for _ in range(3):
-        fa = _dot(coords, a.apply(coords))
-        fb = _dot(coords, b.apply(coords))
         ga = a.apply(coords)
         gb = b.apply(coords)
+        fa = _dot(coords, ga)
+        fb = _dot(coords, gb)
         j00, j01 = 2 * ga[idx[0]], 2 * ga[idx[1]]
         j10, j11 = 2 * gb[idx[0]], 2 * gb[idx[1]]
         det = j00 * j11 - j01 * j10
@@ -720,13 +699,7 @@ def conic_conic_intersect(a: Conic, b: Conic) -> list[ProjPoint]:
         raise ProportionalConics("the conics are proportional")
 
     def det_mix(t: complex) -> complex:
-        e = tuple(ai + t * bi for ai, bi in zip(a.entries, b.entries))
-        a00, a01, a02, a11, a12, a22 = e
-        return (
-            a00 * (a11 * a22 - a12 * a12)
-            - a01 * (a01 * a22 - a12 * a02)
-            + a02 * (a01 * a12 - a11 * a02)
-        )
+        return _det3(_sym_rows(tuple(ai + t * bi for ai, bi in zip(a.entries, b.entries))))
 
     # cubic coefficients by interpolation at t = 0, 1, -1, 2:
     #   d1  = c0 + c1 + c2 + c3
@@ -811,23 +784,8 @@ class ProjMap:
         det = _det3(r)
         if abs(det) < DEFAULT.degeneracy:
             raise DegenerateInput("projective map must be non-singular")
-        adj = (
-            (
-                r[1][1] * r[2][2] - r[1][2] * r[2][1],
-                r[0][2] * r[2][1] - r[0][1] * r[2][2],
-                r[0][1] * r[1][2] - r[0][2] * r[1][1],
-            ),
-            (
-                r[1][2] * r[2][0] - r[1][0] * r[2][2],
-                r[0][0] * r[2][2] - r[0][2] * r[2][0],
-                r[0][2] * r[1][0] - r[0][0] * r[1][2],
-            ),
-            (
-                r[1][0] * r[2][1] - r[1][1] * r[2][0],
-                r[0][1] * r[2][0] - r[0][0] * r[2][1],
-                r[0][0] * r[1][1] - r[0][1] * r[1][0],
-            ),
-        )
+        # the adjugate's columns are the cross products of the rows
+        adj = tuple(zip(_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1])))
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "inv_rows", adj)  # adjugate = inverse up to scale

@@ -1,4 +1,4 @@
-"""construct, verify and render bytes, pinned by sha256.
+"""construct, verify, render and count bytes, pinned by sha256.
 
 The documents under ``tests/data`` come from ``construct 6``, ``7``, ``8``
 and ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document
@@ -10,13 +10,22 @@ pure function of its input and the package version.  A change that moves
 these digests changes what users get, and needs a version bump.
 
 Every ``construct`` digest and the ``verify`` digests of the five polygon
-documents are pinned as built at 0.1.5: since then the synthetic walk takes
-the other root of each step by Vieta instead of solving both quadratics,
-which moves the last bits of the double-wrap closure residuals that
+documents were pinned as built at 0.1.5, when the synthetic walk began to
+take the other root of each step by Vieta instead of solving both
+quadratics, which moved the last bits of the double-wrap closure residuals that
 ``construct`` stores and ``verify`` prints, and nothing else (their SVGs and
 the chain digests kept their bits).  ``construct 7 --branch 1``,
 ``8 --branch 1`` and ``9 --branch 1`` and ``2`` at seed 3 cover every cut
 the three join/meet constructions can take.
+
+At 0.1.6 the same digests except the hexagon's and the heptagon's
+``verify`` moved again, and nothing else: second intersections (the chart
+lift and the octagon's points 6 and 8 through the centre) now take the
+other root by the walk's Vieta kernel instead of a division, the chain's
+start tangent is the line-conic cut run on the adjugate, and the tangency
+residual is l . (adj A l).  These move the last bits of vertices, of the
+stored closure residuals and of the tangency residuals; the SVGs, the
+chain digests and the ``count`` bytes kept theirs.
 
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
@@ -47,15 +56,15 @@ PINNED = {
         "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
     ),
     "octagon.json": (
-        "67e09a99d2ee8ea92aac88669e03c988ab6a4d0a719cd5f6c0e18c8e4be97f54",
+        "ad1fead550b0c29f2470b2b8b1b95009d63dfcc018427a7ff4e36748b2265a30",
         "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
     ),
     "ninegon.json": (
-        "0dd0221bbd61d170412952d3c0b8292dbd29d5336ae880f4129e72df5e5f732b",
+        "4865fa556f013a72e75c39159ce99ca23cd1c4372b619259724c34978a9aea4a",
         "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
     ),
     "doubled_hexagon.json": (
-        "911a2a67f33603cc02f5655f59b22b86301035804fff3c0b0f28172abbc43cd1",
+        "9c38d3b3a01157461c140f1c165419b320770366a1a1e3e6aa073de79d3f5ebd",
         "5622776fb8fc8f6773eca50a30fbddb1b552ae3adfe5ce05f53586e2b524c0b6",
     ),
 }
@@ -77,15 +86,15 @@ CHAINS = {
 # kind and options: sha256 of the JSON of ``construct <kind> --seed 3``; the
 # other branches of 7, 8 and 9 cover each construction's second cut
 CONSTRUCTS = {
-    "6": "018a1cb41ff7faee1f9438b075e73c7b026ebb25a3e7e5bab3a7be0b4d4e8ee1",
-    "7": "3ebba202aee560314d9bb26a5b5f45bb6d5a91ae8b601040200cb425779349b1",
-    "7 --branch 1": "0c1736d11c65c0094d0416bf0966d7b75a580bbaadc7325b055106004c7dc710",
-    "8": "9c1bcc6660bffbbeea8e22229a9ba5b5cec797e2153662651976ba43b628239c",
-    "8 --branch 1": "968cf6a670fc8cf2c0fbcf176cb7b4122f13bfbb187263450d6a2ecc66af9666",
-    "9": "6ff2d0440d7a2fd7233a0d136ffe1a4dce30575e7f0ef2e88cae3aa5a8b88099",
-    "9 --branch 1": "255b4fcd9086bd516a292d0e9ff3ef038cc77052d3783ccfe2ef41a090488f0d",
-    "9 --branch 2": "e73c45bdcbeab639f840260c12e7cffd1d334d612f4d41a0e81313a52461c81b",
-    "double": "d675b4b8ce702a245eaf4e643bfc2d5bcb61ac71bad74daca3a06f8541e27709",
+    "6": "65811649cce67334d80ec016c94852f5965533f70a9bb857e5c563be82134375",
+    "7": "cad82dfac467ddd14aa9ebf884e83579729ee0e4c59b5c19703894c648ca6201",
+    "7 --branch 1": "6e05050d81578535a6766e8f6e2378a8ab1b413a76e96dd293e00d6de448bbee",
+    "8": "eff786419eb4536b75e0bfa06785e6e150b171b0c6e84e40a74a50a1118f476b",
+    "8 --branch 1": "80d3568143ba3c29f71c66b04a3efb0617d4ee03f28f080e3c100d89088f9490",
+    "9": "75832ccf826a528576124b201de12e00e16edd5dfcae7b53679251eeb181e28b",
+    "9 --branch 1": "a84a556bb5875cda943ad89094824d2778b0fcc91eb60f5341727781c608ab73",
+    "9 --branch 2": "d6e18024114ccc31fe3d48cc57aa558986af4ea6a9f37c66c45eff2f206d6451",
+    "double": "691ee95064b8df5d789636bf6ab4b2f31116733d7171ca902956d047b1e4b117",
 }
 
 # builds the chain documents, then runs verify and render on each document
@@ -159,3 +168,39 @@ def test_construct_bytes_are_pinned(tmp_path):
     probe = json.loads(res.stdout.splitlines()[-1])
     assert probe == {"constructs": {kind: [0, sha] for kind, sha in CONSTRUCTS.items()},
                      "numpy": False}
+
+
+# ``count`` options: sha256 of its stdout, the same since 0.1.4; the
+# closure layer runs on exact polynomials and no projective primitive
+COUNTS = {
+    "--n 8 --values=-1,0,1,4,5": "56293a375ae3504841c343903a88d274bef717df1acbe17964e8bba647b163a8",
+    "--n 12 --values=-1,0,1,4,5": "d861d8497bc612f780e84dc1c874463a4c51b72f34788c4fce2cb6a6792228e2",
+    "--n 16 --values=-1,0,1,4,5": "056e7be0b9a9c0039e25c68af4c7241ad566f745593c31a7134661f323bc124f",
+    "--n 12 --seed 0": "7f2c3e96389919ccb4c7aaa0b23fb8d1e3d35db931523f7e59fae7458a3c0cdb",
+    "--n 12 --seed 1": "816ac584093d172e40fc9a54746886889662bef5c73167764069e4bbbf8da909",
+    "--n 12 --seed 2": "0aaed0b6ea50025c792dfb7ac381e6ecba8d4bc02f0819c5e3e19169ac937e91",
+}
+
+# runs each count in one fresh process; reports the exit codes and digests
+COUNT_PROBE = """
+import contextlib, hashlib, io, json, sys
+from poncelet.cli import main
+report = {}
+for options in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["count", *options.split()])
+    report[options] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+print(json.dumps(report))
+"""
+
+
+def test_count_bytes_are_pinned():
+    env = dict(os.environ, PYTHONPATH=str(Path(poncelet.__file__).parent.parent))
+    res = subprocess.run(
+        [sys.executable, "-c", COUNT_PROBE, json.dumps(list(COUNTS))],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout.splitlines()[-1])
+    assert probe == {options: [0, sha] for options, sha in COUNTS.items()}

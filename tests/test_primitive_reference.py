@@ -20,6 +20,7 @@ normalization would move bits.
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,24 +143,16 @@ def ref_line_conic_intersect(lc, conic):
 
 
 def ref_tangents_from_point(pc, conic):
+    """The dual cut: the pencil of lines through p cut by the adjugate, as
+    ``ref_line_conic_intersect`` cuts a line with the entries."""
     if conic.degenerate:
         raise DegenerateInput("tangents_from_point requires a non-degenerate conic")
     m1, m2 = ref_line_base_points(pc)
-    b00, b01, b02, b11, b12, b22 = conic.adjugate_entries()
-
-    def dq(x, y):
-        return (
-            b00 * x[0] * y[0]
-            + b11 * x[1] * y[1]
-            + b22 * x[2] * y[2]
-            + b01 * (x[0] * y[1] + x[1] * y[0])
-            + b02 * (x[0] * y[2] + x[2] * y[0])
-            + b12 * (x[1] * y[2] + x[2] * y[1])
-        )
-
-    a = dq(m2, m2)
-    b = 2 * dq(m1, m2)
-    c = dq(m1, m1)
+    dual = SimpleNamespace(entries=conic.adjugate_entries())
+    cm = ref_apply(dual, m1)
+    a = ref_dot(m2, ref_apply(dual, m2))
+    b = 2 * ref_dot(m2, cm)
+    c = ref_dot(m1, cm)
     (t1, s1), (t2, s2), doubled = ref_solve_quadratic(a, b, c)
     l1 = ref_normalize3(tuple(s1 * ui + t1 * vi for ui, vi in zip(m1, m2)))
     l2 = ref_normalize3(tuple(s2 * ui + t2 * vi for ui, vi in zip(m1, m2)))

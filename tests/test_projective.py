@@ -1,6 +1,7 @@
 """Plane primitives: joins, meets, conics, intersections, maps."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from poncelet import (
     Conic,
     ProjLine,
+    ProjMap,
     ProjPoint,
     apply_map,
     conic_conic_intersect,
@@ -24,6 +26,7 @@ from poncelet import (
     tangents_from_point,
 )
 from poncelet.projective import min_separation
+from poncelet.settings import DEFAULT
 from poncelet.errors import (
     CoincidentElements,
     DegenerateInput,
@@ -33,6 +36,20 @@ from poncelet.errors import (
 )
 
 from conftest import random_map, ring_points
+
+
+def complex_map(rng):
+    """Well-conditioned projective map with non-real entries."""
+    while True:
+        m = ProjMap([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in range(3)])
+        if abs(m.det) > 0.05:
+            return m
+
+
+def circle_point(m, angle):
+    """The point of the unit circle at ``angle``, mapped by ``m`` (None: as is)."""
+    p = ProjPoint(math.cos(angle), math.sin(angle), 1)
+    return p if m is None else apply_map(m, p)
 
 
 def cross_oracle(u, v):
@@ -221,6 +238,48 @@ class TestLineConic:
         uc = Conic.unit_circle()
         q = second_intersection(uc, ProjPoint(1, 0, 1), ProjPoint(0, 0, 1))
         assert q.is_same(ProjPoint(-1, 0, 1))
+
+    def test_second_intersection_of_coincident_points_raises(self):
+        uc = Conic.unit_circle()
+        p = ProjPoint(1, 0, 1)
+        with pytest.raises(DegenerateInput):
+            second_intersection(uc, p, p)
+        with pytest.raises(DegenerateInput):
+            second_intersection(uc, p, ProjPoint(2, 0, 2))
+
+    def test_second_intersection_through_a_conic_point_is_that_point(self, rng):
+        for m in (None, random_map(rng), complex_map(rng)):
+            c = Conic.unit_circle() if m is None else apply_map(m, Conic.unit_circle())
+            for _ in range(20):
+                known, other = (circle_point(m, rng.uniform(0, 2 * math.pi)) for _ in range(2))
+                if proj_distance(known, other) > 1e-3:
+                    assert second_intersection(c, known, other).is_same(other)
+
+    def test_second_intersection_is_the_farther_cut(self):
+        """On real and non-real projective images of the unit circle, the
+        second intersection lies within DEFAULT.rel of the line-conic cut
+        farther from the known point."""
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(0, 2**32), st.booleans(),
+                          st.floats(0, 2 * math.pi), st.floats(0.3, 2 * math.pi - 0.3),
+                          st.floats(0.1, 10), st.booleans())
+        def check(seed, real, angle, gap, weight, flip):
+            rng = random.Random(seed)
+            m = random_map(rng) if real else complex_map(rng)
+            c = apply_map(m, Conic.unit_circle())
+            known, far = circle_point(m, angle), circle_point(m, angle + gap)
+            # a point of the line through known and far, neither of them
+            w = -weight if flip else weight
+            other = ProjPoint(tuple(k + w * f for k, f in zip(known.coords, far.coords)))
+            got = second_intersection(c, known, other)
+            p1, p2, _ = line_conic_intersect(join(known, other), c)
+            cut = p1 if proj_distance(p1, known) >= proj_distance(p2, known) else p2
+            assert proj_distance(got, cut) < DEFAULT.rel
+
+        check()
 
 
 class TestTangentsFromPoint:
