@@ -11,6 +11,7 @@ construction steps.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .constructions import ChainConstruction
@@ -35,38 +36,28 @@ from .projective import (
 from .settings import DEFAULT
 
 
-class PointRing:
-    """Cyclically ordered points; indices are taken modulo the period."""
+class _Ring:
+    """Cyclically ordered elements; indices are taken modulo the period."""
 
-    __slots__ = ("points",)
+    __slots__ = ("_items", "n")
 
-    def __init__(self, points: tuple[ProjPoint, ...]):
-        if not points:
+    def __init__(self, items: tuple):
+        if not items:
             raise ValueError("empty ring")
-        self.points = points
+        self._items, self.n = items, len(items)
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> ProjPoint:
-        return self.points[i % self.n]
+    def __getitem__(self, i: int):
+        return self._items[i % self.n]
 
 
-class LineRing:
-    __slots__ = ("lines",)
+class PointRing(_Ring):
+    __slots__ = ()
+    points = property(lambda self: self._items)
 
-    def __init__(self, lines: tuple[ProjLine, ...]):
-        if not lines:
-            raise ValueError("empty ring")
-        self.lines = lines
 
-    @property
-    def n(self) -> int:
-        return len(self.lines)
-
-    def __getitem__(self, i: int) -> ProjLine:
-        return self.lines[i % self.n]
+class LineRing(_Ring):
+    __slots__ = ()
+    lines = property(lambda self: self._items)
 
 
 def ring_join(ring: PointRing, a: int) -> LineRing:
@@ -148,13 +139,8 @@ def verify_n4(cfg: IncidenceConfiguration) -> N4Report:
     for j, d in enumerate(ld):
         if d != 4:
             violations.append(f"line {cfg.line_labels[j]} has degree {d}")
-    hist_p: dict[int, int] = {}
-    for d in pd:
-        hist_p[d] = hist_p.get(d, 0) + 1
-    hist_l: dict[int, int] = {}
-    for d in ld:
-        hist_l[d] = hist_l.get(d, 0) + 1
-    return N4Report(not violations, len(cfg.points), len(cfg.lines), hist_p, hist_l, violations)
+    return N4Report(not violations, len(cfg.points), len(cfg.lines),
+                    dict(Counter(pd)), dict(Counter(ld)), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +169,8 @@ def grunbaum_rigby(ring: PointRing) -> tuple[IncidenceConfiguration, float]:
     residual = max(proj_distance(ring[i], p_final[i]) for i in range(7))
     points = list(ring.points) + list(p1.points) + list(p2.points)
     lines = list(l1.lines) + list(l2.lines) + list(l3.lines)
-    labels_p = (
-        [f"outer{i}" for i in range(7)]
-        + [f"middle{i}" for i in range(7)]
-        + [f"inner{i}" for i in range(7)]
-    )
-    labels_l = (
-        [f"chord2_{i}" for i in range(7)]
-        + [f"chord3_{i}" for i in range(7)]
-        + [f"chord1_{i}" for i in range(7)]
-    )
+    labels_p = [f"{name}{i}" for name in ("outer", "middle", "inner") for i in range(7)]
+    labels_l = [f"{name}_{i}" for name in ("chord2", "chord3", "chord1") for i in range(7)]
     cfg = incidence_configuration(points, lines, DEFAULT.incidence, labels_p, labels_l)
     return cfg, residual
 
@@ -234,16 +212,8 @@ def config_from_chain_trace(
     pivots = [join(greens[i], blues[i]) for i in range(n)]
     points = pts + greens + blues
     lines = edges + diags + pivots
-    labels_p = (
-        [f"chain{i + 1}" for i in range(n)]
-        + [f"G{i + 1}" for i in range(n)]
-        + [f"B{i + 1}" for i in range(n)]
-    )
-    labels_l = (
-        [f"edge{i + 1}" for i in range(n)]
-        + [f"diag{i + 1}" for i in range(n)]
-        + [f"pivot{i + 1}" for i in range(n)]
-    )
+    labels_p = [f"{color}{i + 1}" for color in ("chain", "G", "B") for i in range(n)]
+    labels_l = [f"{color}{i + 1}" for color in ("edge", "diag", "pivot") for i in range(n)]
     cfg = incidence_configuration(points, lines, DEFAULT.incidence, labels_p, labels_l)
     colors = ChainConfigColors(
         tuple(pts), tuple(greens), tuple(blues),
@@ -284,62 +254,82 @@ def canonical_certificate(cfg: IncidenceConfiguration) -> bytes:
 
     Two configurations get equal certificates iff their incidence matrices
     agree up to independent relabeling of points and lines.  The search is
-    colour refinement plus individualization, as in nauty: every leaf is a
-    discrete colouring, read out as the incidence matrix with points and
-    lines sorted by colour, and the certificate is the least such matrix.
-    Two leaves with equal matrices give an automorphism of the incidence
-    graph (points to points, lines to lines).  A node skips every child in
-    the orbit of an explored sibling under the automorphisms found so far
-    that fix the node's individualized vertices, since the two subtrees hold
-    the same matrices.  The bytes are those of the unpruned search over
-    every leaf.
+    splitter refinement plus individualization, as in nauty and Traces.  The
+    ordered partition is ``lab`` (the vertices cell by cell), ``cell[v]``
+    (the first position of v's cell) and ``size[c]``; a queued splitter
+    counts its neighbours, and each cell it touches splits into fragments
+    ordered by count, an order invariant under relabelling.  A leaf is a
+    discrete partition, read out as the incidence matrix in ``lab`` order;
+    the certificate is the least such matrix.  Two leaves with equal
+    matrices give an automorphism.  A node skips every child in the orbit of
+    an explored sibling under the automorphisms found so far that fix the
+    node's path, and a leaf equal to the first leaf unwinds the search to
+    where its path left the first path: the skipped subtrees are images of
+    explored ones.  The bytes are those of the unpruned search.
     """
     m, k = len(cfg.points), len(cfg.lines)
     rows = cfg.incidence
     adj = [tuple(m + j for j, on in enumerate(row) if on) for row in rows]
     adj += [tuple(i for i, row in enumerate(rows) if row[j]) for j in range(k)]
     total = m + k
+    count = [0] * total
 
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            signatures = [
-                (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(total)
-            ]
-            palette = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-            new = [palette[sig] for sig in signatures]
-            if new == colors:
-                return new
-            colors = new
+    def refine(lab: list[int], cell: list[int], size: list[int], queue: list[int]) -> None:
+        queued, cells = set(queue), len(set(cell))
+        while queue and cells < total:  # a discrete partition splits no further
+            w = queue.pop(0)
+            queued.discard(w)
+            hit = []
+            for x in lab[w:w + size[w]]:
+                for u in adj[x]:
+                    if not count[u]:
+                        hit.append(u)
+                    count[u] += 1
+            for c in sorted({cell[u] for u in hit}):
+                end = c + size[c]
+                seg = sorted(lab[c:end], key=count.__getitem__)
+                if count[seg[0]] == count[seg[-1]]:
+                    continue
+                lab[c:end] = seg
+                frags = [p for p in range(c, end) if p == c or count[lab[p]] != count[lab[p - 1]]]
+                for f, g in zip(frags, frags[1:] + [end]):
+                    size[f] = g - f
+                    for x in lab[f:g]:
+                        cell[x] = f
+                cells += len(frags) - 1
+                if c not in queued:  # Hopcroft: the largest is implied by the rest
+                    frags.remove(max(frags, key=size.__getitem__))
+                for f in frags:
+                    if f not in queued:
+                        queue.append(f)
+                        queued.add(f)
+            for u in hit:
+                count[u] = 0
 
-    def matrix_string(order: list[int]) -> bytes:
-        lns = [l - m for l in order[m:]]
-        bits = bytearray()
-        for i in order[:m]:
-            row = 0
-            for j in lns:
-                row = (row << 1) | rows[i][j]
-            bits.extend(row.to_bytes((k + 7) // 8, "big"))
-        return bytes(bits)
+    def matrix(lab: list[int]) -> tuple[int, ...]:
+        bit = [0] * total
+        for p in range(m, total):
+            bit[lab[p]] = 1 << (total - 1 - p)
+        return tuple(sum(bit[j] for j in adj[i]) for i in lab[:m])
 
-    first: tuple[bytes, list[int]] | None = None
-    best: tuple[bytes, list[int]] | None = None
-    # vertex maps between the orders of two leaves with equal matrices
+    # the first leaf and the least leaf so far, each as (matrix, lab, path)
+    kept: list[tuple[tuple[int, ...], list[int], tuple[int, ...]]] = []
+    # vertex maps between two leaves with equal matrices
     automorphisms: list[dict[int, int]] = []
 
-    def leaf(colors: list[int]) -> None:
-        nonlocal first, best
-        order = sorted(range(m), key=colors.__getitem__)
-        order += sorted(range(m, total), key=colors.__getitem__)
-        s = matrix_string(order)
-        if first is None:
-            first = best = (s, order)
-            return
-        if s == first[0]:
-            automorphisms.append(dict(zip(first[1], order)))
-        if s < best[0]:
-            best = (s, order)
-        elif s == best[0] and best is not first:
-            automorphisms.append(dict(zip(best[1], order)))
+    def leaf(lab: list[int], path: tuple[int, ...]) -> int:
+        """Record the leaf; return the depth the search unwinds to."""
+        mat = matrix(lab)
+        if not kept:
+            kept.extend([(mat, lab, path)] * 2)
+        elif mat == kept[0][0]:
+            automorphisms.append(dict(zip(kept[0][1], lab)))
+            return next(d for d, (u, w) in enumerate(zip(path, kept[0][2])) if u != w)
+        elif mat < kept[1][0]:
+            kept[1] = (mat, lab, path)
+        elif mat == kept[1][0]:
+            automorphisms.append(dict(zip(kept[1][1], lab)))
+        return len(path)
 
     def pruned(v: int, explored: list[int], path: tuple[int, ...]) -> bool:
         """Whether v is in the orbit of an explored sibling under the
@@ -354,29 +344,34 @@ def canonical_certificate(cfg: IncidenceConfiguration) -> bytes:
                     stack.append(g[x])
         return not orbit.isdisjoint(explored)
 
-    def search(colors: list[int], path: tuple[int, ...]) -> None:
-        colors = refine(colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            leaf(colors)
-            return
-        fresh = max(colors) + 1
+    def search(lab: list[int], cell: list[int], size: list[int], queue: list[int],
+               path: tuple[int, ...]) -> int:
+        """Explore the node; return the depth the search unwinds to."""
+        refine(lab, cell, size, queue)
+        c = 0
+        while c < total and size[c] == 1:
+            c += 1
+        if c == total:
+            return leaf(lab, path)
+        depth, s = len(path), size[c]
         explored: list[int] = []
-        for v in target:
+        for v in lab[c:c + s]:
             if explored and pruned(v, explored, path):
                 continue
-            branch = list(colors)
-            branch[v] = fresh
-            search(branch, path + (v,))
+            # individualize v: a singleton at the front of its cell
+            sub, sub_cell, sub_size = list(lab), list(cell), list(size)
+            i = sub.index(v, c)
+            sub[c], sub[i] = v, sub[c]
+            sub_size[c], sub_size[c + 1] = 1, s - 1
+            for x in sub[c + 1:c + s]:
+                sub_cell[x] = c + 1
+            back = search(sub, sub_cell, sub_size, [c], path + (v,))
+            if back < depth:
+                return back
             explored.append(v)
+        return depth
 
-    search([0] * m + [1] * k, ())
-    assert best is not None
-    return m.to_bytes(2, "big") + k.to_bytes(2, "big") + best[0]
+    search(list(range(total)), [0] * m + [m] * k, [m] * m + [k] * k, [0, m] if m and k else [0], ())
+    width = (k + 7) // 8
+    return m.to_bytes(2, "big") + k.to_bytes(2, "big") + b"".join(
+        row.to_bytes(width, "big") for row in kept[1][0])

@@ -21,9 +21,8 @@ SIZE = 720  # width and height of the SVG canvas
 
 
 def _fmt(v: float) -> str:
-    if v == 0:
-        return "0"
-    return f"{v:.6f}".rstrip("0").rstrip(".")
+    text = f"{v:.6f}".rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text  # a value that rounds to zero has no sign
 
 
 def _affine(p: ProjPoint) -> tuple[float, float] | None:

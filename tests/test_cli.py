@@ -405,6 +405,12 @@ class TestRenderCommand:
         svg = render_svg(doc)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_coordinates_that_round_to_zero_have_no_sign(self):
+        from poncelet.svg import _fmt
+
+        assert _fmt(-1e-7) == "0" and _fmt(-0.0) == "0" and _fmt(0.0) == "0"
+        assert _fmt(-6e-7) == "-0.000001" and _fmt(-1.25) == "-1.25" and _fmt(720.0) == "720"
+
 
 class TestDocumentRoundtrip:
     def test_lossless_json(self, tmp_path):

@@ -27,6 +27,9 @@ residual is l . (adj A l).  These move the last bits of vertices, of the
 stored closure residuals and of the tangency residuals; the SVGs, the
 chain digests and the ``count`` bytes kept theirs.
 
+At 0.1.7 the SVG writer prints a coordinate that rounds to zero as ``0``,
+never ``-0``.  No digest here moved: none of these SVGs held a ``-0``.
+
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
 ``join``, ``meet`` and ``config_from_chain_trace``.  The hexagon's chain
