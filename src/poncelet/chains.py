@@ -8,6 +8,11 @@ the linear next-point formula on transferred line coordinates.  Closure is
 always certified with a double wrap: the chain state is a (point, line)
 pair, so matching the first two points again after n steps suffices, and
 that second check is what rejects spurious closure-polynomial roots.
+
+The synthetic walk is one kernel loop on coordinate tuples.  A scene whose
+imaginary parts are all exactly zero (not within a tolerance) walks in
+floats.  Widened back, its values are the complex walk's but for +0.0
+where that gives -0.0, which documents erase by writing ``z.imag + 0.0``.
 """
 
 from __future__ import annotations
@@ -54,8 +59,6 @@ from .ratpoly import (
 from .roots import isolate_roots
 from .rp1 import RP1Point, StereoChart
 from .settings import DEFAULT
-
-_GAP = DEFAULT.rel  # the coincidence cut of every chain step, bound once
 
 
 # ---------------------------------------------------------------------------
@@ -150,47 +153,43 @@ def chain_step(outer: Conic, inner: Conic, state: ChainState) -> ChainState:
     taken by ``_other_root``; a root equal to the known one means the chain
     is stuck at a tangential contact.
     """
-    p, l = _step(outer, inner, state.point.coords, state.line.coords)
-    return ChainState(ProjPoint._of_normalized(p), ProjLine._of_normalized(l))
+    _, (p, l) = _walk(outer, inner, state, 1)
+    return ChainState(ProjPoint._of_normalized(tuple(map(complex, p))),
+                      ProjLine._of_normalized(tuple(map(complex, l))))
 
 
-def _step(outer: Conic, inner: Conic, p: Vec3, l: Vec3) -> tuple[Vec3, Vec3]:
-    """``chain_step`` on coordinate tuples; the returned pair is normalized once."""
+def _walk(outer: Conic, inner: Conic, state: ChainState, steps: int) -> list[tuple[Vec3, Vec3]]:
+    """The walk kernel: the (vertex, line) coordinate pairs of ``steps`` steps
+    from ``state``, the start first, each normalized once; both forms and the
+    state are narrowed to float once if no imaginary part is nonzero."""
     if outer.degenerate or inner.degenerate:
         raise DegenerateInput("a chain step requires non-degenerate conics")
-    nxt = _other_root(outer.entries, p, l)
-    if _minor_gap(nxt, p) < _GAP:
-        raise TangentialDegeneracy("chain line is tangent to the outer conic")
-    line = _other_root(inner.adjugate_entries(), l, nxt)
-    if _minor_gap(line, l) < _GAP:
-        raise TangentialDegeneracy("next vertex lies on the inner conic")
-    return nxt, line
+    e, a, gap = outer.entries, inner.adjugate_entries(), DEFAULT.rel
+    p, l = state.point.coords, state.line.coords
+    if not any(z.imag for z in (*e, *a, *p, *l)):
+        e, a, p, l = (tuple(z.real for z in v) for v in (e, a, p, l))
+    out = [(p, l)]
+    for _ in range(steps):
+        nxt = _other_root(e, p, l)
+        if _minor_gap(nxt, p) < gap:
+            raise TangentialDegeneracy("chain line is tangent to the outer conic")
+        line = _other_root(a, l, nxt)
+        if _minor_gap(line, l) < gap:
+            raise TangentialDegeneracy("next vertex lies on the inner conic")
+        p, l = nxt, line
+        out.append((p, l))
+    return out
 
 
 def start_state(
     outer: Conic, inner: Conic, start: ProjPoint, first_tangent_choice: int = 0
 ) -> ChainState:
-    line = _start_line(outer, inner, start, first_tangent_choice)
-    return ChainState(start, ProjLine._of_normalized(line))
-
-
-def _start_line(outer: Conic, inner: Conic, start: ProjPoint, first_tangent_choice: int) -> Vec3:
     if conic_contains(outer, start) > DEFAULT.on_conic:
         raise PointNotOnConic("chain start must lie on the outer conic")
     t1, t2, doubled = _tangent_pair(start.coords, inner)
     if doubled:
         raise TangentialDegeneracy("start point lies on the inner conic")
-    return (t1, t2)[first_tangent_choice % 2]
-
-
-def _walk(outer: Conic, inner: Conic, start: ProjPoint, choice: int, steps: int) -> list[Vec3]:
-    """Coordinates of ``run_chain``'s vertices."""
-    p, l = start.coords, _start_line(outer, inner, start, choice)
-    out = [p]
-    for _ in range(steps):
-        p, l = _step(outer, inner, p, l)
-        out.append(p)
-    return out
+    return ChainState(start, ProjLine._of_normalized((t1, t2)[first_tangent_choice % 2]))
 
 
 def run_chain(
@@ -201,8 +200,8 @@ def run_chain(
     steps: int = 0,
 ) -> list[ProjPoint]:
     """Chain vertices p_1 .. p_{steps+1} from a start point on the outer conic."""
-    walk = _walk(outer, inner, start, first_tangent_choice, steps)
-    return [start] + [ProjPoint._of_normalized(p) for p in walk[1:]]
+    walk = _walk(outer, inner, start_state(outer, inner, start, first_tangent_choice), steps)
+    return [start] + [ProjPoint._of_normalized(tuple(map(complex, p))) for p, _ in walk[1:]]
 
 
 def closure_test(
@@ -212,7 +211,7 @@ def closure_test(
     n: int,
 ) -> ClosureReport:
     """Double-wrap closure check of the synthetic chain (first tangent 0)."""
-    pts = _walk(outer, inner, start, 0, n + 1)
+    pts = [p for p, _ in _walk(outer, inner, start_state(outer, inner, start), n + 1)]
     return ClosureReport.of(n, _minor_gap(pts[n], pts[0]), _minor_gap(pts[n + 1], pts[1]))
 
 

@@ -534,17 +534,24 @@ def _other_root(e: Sequence[complex], k: Vec3, m: Vec3) -> Vec3:
     """Root other than ``k`` of the symmetric form ``e`` on the pencil ``m``
     (points of a line, or lines through a point), normalized: with
     d = m x e_j for the first largest |k_j| and Q(k) = 0, by Vieta it is
-    Q(d) k - 2 B(k, d) d."""
+    Q(d) k - 2 B(k, d) d.  Each case leaves out the products with d_j = 0."""
     a00, a01, a02, a11, a12, a22 = e
     (k0, k1, k2), (m0, m1, m2) = k, m
     b0, b1, b2 = abs(k0), abs(k1), abs(k2)
-    d0, d1, d2 = ((0, m2, -m1) if b0 >= b1 and b0 >= b2
-                  else (-m2, 0, m0) if b1 >= b2 else (m1, -m0, 0))
-    c0 = a00 * d0 + a01 * d1 + a02 * d2
-    c1 = a01 * d0 + a11 * d1 + a12 * d2
-    c2 = a02 * d0 + a12 * d1 + a22 * d2
-    q, b = d0 * c0 + d1 * c1 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
-    return _unit3(q * k0 - b * d0, q * k1 - b * d1, q * k2 - b * d2)
+    if b0 >= b1 and b0 >= b2:  # d = (0, m2, -m1)
+        d1, d2 = m2, -m1
+        c0, c1, c2 = a01 * d1 + a02 * d2, a11 * d1 + a12 * d2, a12 * d1 + a22 * d2
+        q, b = d1 * c1 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
+        return _unit3(q * k0, q * k1 - b * d1, q * k2 - b * d2)
+    if b1 >= b2:  # d = (-m2, 0, m0)
+        d0, d2 = -m2, m0
+        c0, c1, c2 = a00 * d0 + a02 * d2, a01 * d0 + a12 * d2, a02 * d0 + a22 * d2
+        q, b = d0 * c0 + d2 * c2, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
+        return _unit3(q * k0 - b * d0, q * k1, q * k2 - b * d2)
+    d0, d1 = m1, -m0  # d = (m1, -m0, 0)
+    c0, c1, c2 = a00 * d0 + a01 * d1, a01 * d0 + a11 * d1, a02 * d0 + a12 * d1
+    q, b = d0 * c0 + d1 * c1, 2 * (k0 * c0 + k1 * c1 + k2 * c2)
+    return _unit3(q * k0 - b * d0, q * k1 - b * d1, q * k2)
 
 
 def tangents_from_point(

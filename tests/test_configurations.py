@@ -372,10 +372,17 @@ class TestPrunedSearch:
             assert canonical_certificate(cfgs[f"image{n}"]) == canonical_certificate(cfgs[f"chain{n}"])
 
     def test_periods_are_told_apart(self):
+        """Chains of different periods differ, but so does a pair of equal
+        size: the Shrikhande and 4x4 rook incidences (16 points, 48 lines),
+        which colour refinement cannot tell apart."""
         cfgs = reference_configurations()
         certs = [canonical_certificate(cfgs[f"chain{n}"]) for n in range(7, 17)]
         assert len(set(certs)) == len(certs)
         assert canonical_certificate(cfgs["gr"]) == certs[0]
+        shrikhande = canonical_certificate(cayley_incidence(((1, 0), (0, 1), (1, 1))))
+        rook = canonical_certificate(cayley_incidence(((1, 0), (2, 0), (0, 1), (0, 2))))
+        assert shrikhande[:4] == rook[:4] == bytes([0, 16, 0, 48])
+        assert shrikhande != rook
 
     def test_configurations_without_points_or_lines(self):
         for m, k in ((0, 0), (3, 0), (0, 2)):

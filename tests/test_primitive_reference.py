@@ -15,6 +15,12 @@ and lines must lie within ``DEFAULT.rel`` of the reference's, its closure
 flags and fault classes must be the reference's, and its entry points must
 agree bit for bit, also on non-real conic pairs where a second
 normalization would move bits.
+
+A real scene walks in floats.  Its vertices and lines must equal (==) the
+walk stepped by hand in complex through ``_other_root``, with the same
+closure residuals and the same step of a tangential contact; a scene with
+one nonzero imaginary part must keep the complex bits.  Each pivot branch
+of ``_other_root`` must equal the full nine-term Vieta form by value.
 """
 
 import cmath
@@ -41,14 +47,20 @@ from poncelet import (
     tangents_from_point,
     transformed_scene,
 )
-from poncelet.chains import _step, start_state
+from poncelet.chains import ChainState, _walk, start_state
 from poncelet.errors import (
     DegenerateInput,
     NonFiniteElement,
     PointNotOnConic,
     TangentialDegeneracy,
 )
-from poncelet.projective import _line_base_points, _minor_gap, _normalize3, tangency_residual
+from poncelet.projective import (
+    _line_base_points,
+    _minor_gap,
+    _normalize3,
+    _other_root,
+    tangency_residual,
+)
 from poncelet.settings import DEFAULT
 
 from conftest import random_map
@@ -466,7 +478,8 @@ def test_deflated_root_is_the_farther_candidate():
         scene, starts = porism_starts(rng, n, m, count=1)
         outer, inner = scene.outer, scene.inner
         for point, line in ref_walk(outer, inner, starts[0], seed % 2, n):
-            nxt, tangent = _step(outer, inner, point, line)
+            state = ChainState(ProjPoint._of_normalized(point), ProjLine._of_normalized(line))
+            _, (nxt, tangent) = _walk(outer, inner, state, 1)
             far_point, near_point = farther_first(ref_line_conic_intersect(line, outer), point)
             far_line, near_line = farther_first(ref_tangents_from_point(far_point, inner), line)
             for got, far, near in ((nxt, far_point, near_point), (tangent, far_line, near_line)):
@@ -544,3 +557,186 @@ def test_walk_faults_raise_as_reference(case):
     got = kind(closure_test, outer, inner, start, 5)
     assert got == kind(ref_closure_test, outer, inner, start, 5)
     assert expected in raised | {got}
+
+
+# ---------------------------------------------------------------------------
+# real scenes walk in floats
+
+
+def hand_walk(outer, inner, state, steps):
+    """The kernel's loop stepped by hand in complex through ``_other_root``:
+    the (vertex, line) states, and the step at which it met a tangential
+    contact (None if it met none)."""
+    e, a = outer.entries, inner.adjugate_entries()
+    p, l = state.point.coords, state.line.coords
+    states = [(p, l)]
+    for k in range(1, steps + 1):
+        nxt = _other_root(e, p, l)
+        if _minor_gap(nxt, p) < DEFAULT.rel:
+            return states, k
+        line = _other_root(a, l, nxt)
+        if _minor_gap(line, l) < DEFAULT.rel:
+            return states, k
+        p, l = nxt, line
+        states.append((p, l))
+    return states, None
+
+
+def fault_step(walk, steps):
+    """First k in 1..steps at which walk(k) raises TangentialDegeneracy, or None."""
+    for k in range(1, steps + 1):
+        try:
+            walk(k)
+        except TangentialDegeneracy:
+            return k
+    return None
+
+
+def complex_states(outer, inner, start, choice, steps):
+    """hand_walk from start_state's state, which must meet no contact."""
+    states, fault = hand_walk(outer, inner, start_state(outer, inner, start, choice), steps)
+    assert fault is None
+    return states
+
+
+def assert_entry_points_give(outer, inner, start, n, want, same):
+    """run_chain, chain_step (first tangent 0, 3n + 1 steps) and closure_test
+    at period n give the states ``want`` of the complex walk: coordinates
+    under ``same``, closure residuals by repr."""
+    got = run_chain(outer, inner, start, 0, 3 * n + 1)
+    assert same([p.coords for p in got], [p for p, _ in want])
+    state, states = start_state(outer, inner, start), []
+    for _ in range(3 * n + 1):
+        state = chain_step(outer, inner, state)
+        states.append((state.point.coords, state.line.coords))
+    assert same(states, want[1:])
+    report = closure_test(outer, inner, start, n)
+    residuals = _minor_gap(want[n][0], want[0][0]), _minor_gap(want[n + 1][0], want[1][0])
+    assert repr((report.residual_p, report.residual_q)) == repr(residuals)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_real_scenes_walk_in_floats(n):
+    """On real images of concentric_scene(n) the kernel narrows to float at
+    entry, and every vertex and line it gives equals (==) the walk stepped
+    by hand in complex; closure residuals match by repr."""
+    rng = random.Random(700 + n)
+    scene, starts = porism_starts(rng, n, random_map(rng))
+    outer, inner = scene.outer, scene.inner
+    for k, start in enumerate(starts):
+        want = complex_states(outer, inner, start, k, 3 * n + 1)
+        got = _walk(outer, inner, start_state(outer, inner, start, k), 3 * n + 1)
+        assert {type(z) for state in got for v in state for z in v} == {float}
+        assert got == want
+        want = complex_states(outer, inner, start, 0, 3 * n + 1)
+        assert_entry_points_give(outer, inner, start, n, want, lambda a, b: a == b)
+
+
+@pytest.mark.parametrize("where", ["outer", "inner", "start"])
+def test_one_nonzero_imaginary_part_keeps_the_complex_walk(where):
+    """A real scene with one entry moved off the real axis by 1e-20 stays on
+    the complex path: the entry points give the hand-stepped complex walk's
+    bits.  A narrowing that dropped imaginary parts below any tolerance
+    would widen them back to +0.0 and fail this."""
+    rng = random.Random(31)
+    n = 7
+    scene, (start,) = porism_starts(rng, n, random_map(rng), count=1)
+    outer, inner = scene.outer, scene.inner
+
+    def nudged(v):
+        i = min(range(len(v)), key=lambda j: abs(v[j]))  # never the lead
+        return v[:i] + (v[i] + 1e-20j,) + v[i + 1:]
+
+    if where == "outer":
+        outer = Conic(nudged(outer.entries), stored=True)
+    elif where == "inner":
+        inner = Conic(nudged(inner.entries), stored=True)
+    else:
+        start = ProjPoint._of_normalized(nudged(start.coords))
+    want = complex_states(outer, inner, start, 0, 3 * n + 1)
+    assert all(any(z.imag for z in p) for p, _ in want[1:])
+    assert_entry_points_give(outer, inner, start, n, want, lambda a, b: repr(a) == repr(b))
+
+
+# real scenes whose walks meet a tangential contact; from (24, -7, 25) the
+# tangent of slope -1/7 to ACROSS leads to (-1, 0, 1), whose other tangent
+# y = x + 1 leads to (0, 1, 1) on ACROSS at step 2
+CONTACT_WALKS = {
+    "line tangent to outer": (UNIT, OFFSET, ProjPoint(0, 1, 1)),
+    "vertex on inner": (UNIT, ACROSS, ProjPoint(-1, 0, 1)),
+    "vertex on inner at step 2": (UNIT, ACROSS, ProjPoint(24, -7, 25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTACT_WALKS))
+def test_tangential_contact_at_the_same_step(case):
+    """The narrowed walk raises TangentialDegeneracy at the step where the
+    hand-stepped complex walk meets the contact, on the scene and on real
+    projective images of it."""
+    rng = random.Random(11)
+    outer, inner, start = CONTACT_WALKS[case]
+    faults = set()
+    for m in (None, random_map(rng), random_map(rng), random_map(rng)):
+        if m is not None:
+            outer, inner, start = (apply_map(m, x) for x in CONTACT_WALKS[case])
+        for choice in (0, 1):
+            state = start_state(outer, inner, start, choice)
+            _, want = hand_walk(outer, inner, state, 6)
+            assert fault_step(lambda k: run_chain(outer, inner, start, choice, k), 6) == want
+            assert fault_step(lambda k: _walk(outer, inner, state, k), 6) == want
+            faults.add(want)
+    assert faults - {None} == {2 if case.endswith("step 2") else 1}
+
+
+def full_vieta_root(e, k, m):
+    """Q(d) k - 2 B(k, d) d, normalized, with every product of A d written
+    out: d = m x e_j for the first largest |k_j|, zero entry included."""
+    j = max(range(3), key=lambda i: abs(k[i]))
+    d = ref_cross(m, tuple(float(i == j) for i in range(3)))
+    c = ref_apply(SimpleNamespace(entries=e), d)
+    q, b = ref_dot(d, c), 2 * ref_dot(k, c)
+    return ref_normalize3(tuple(q * ki - b * di for ki, di in zip(k, d)))
+
+
+# known roots k by pivot branch (the first largest |k_j|), ties included
+PIVOTS = {
+    0: [(1, 0.5, 0.25), (1, -1, 0.5), (1, 0.5, -1), (-1, 1, 1)],
+    1: [(0.5, 1, 0.25), (0.5, 1, -1), (0.25, -1, 1)],
+    2: [(0.25, 0.5, 1), (-0.5, 0.25, -1)],
+}
+COMPLEX_PIVOTS = {
+    0: [(1j, 1, 0.5), (1, -1j, 1j), (1j, 0.5, -1)],
+    1: [(0.5, 1j, -1), (0.25, -1j, 0.5)],
+    2: [(0.5j, 0.25, -1j)],
+}
+
+
+@pytest.mark.parametrize("branch", [0, 1, 2])
+@pytest.mark.parametrize("real", [True, False])
+def test_other_root_branches_equal_the_full_form(branch, real):
+    """Each pivot branch of ``_other_root``, which leaves out the products
+    with d_j = 0, equals the full nine-term Vieta form by value, on forms
+    that vanish at k and pencils through k, also where |k_j| tie."""
+    rng = random.Random(branch + 10 * real)
+
+    def draw():
+        return rng.uniform(-1, 1) if real else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    roots = list(PIVOTS[branch] + ([] if real else COMPLEX_PIVOTS[branch]))
+    for _ in range(20):  # random roots led by the branch's entry: |lead| > 0.64 > 0.36
+        k = [0.25 * draw() for _ in range(3)]
+        k[branch] = 1 + 0.5 * draw()
+        roots.append(tuple(k))
+    cast = float if real else complex
+    for k in roots:
+        k0, k1, k2 = k = tuple(map(cast, k))
+        for _ in range(5):
+            a01, a02, a11, a12, a22 = (draw() for _ in range(5))
+            # a00 puts k on the form: Q(k) = 0 up to rounding
+            a00 = -(2 * a01 * k0 * k1 + 2 * a02 * k0 * k2 + a11 * k1 * k1
+                    + 2 * a12 * k1 * k2 + a22 * k2 * k2) / (k0 * k0)
+            e = tuple(map(cast, (a00, a01, a02, a11, a12, a22)))
+            m = tuple(map(cast, ref_cross(k, (draw(), draw(), draw()))))
+            got = _other_root(e, k, m)
+            assert got == full_vieta_root(e, k, m)
+            assert {type(z) for z in got} == ({float} if real else {complex})
