@@ -49,12 +49,10 @@ from .ratpoly import (
     _pv_bracket,
     _ratio_float,
     chain_next_vector,
-    constant_vector,
     normalize_pair,
     poly_gcd,
     primitive,
     squarefree,
-    variable_vector,
 )
 from .roots import isolate_roots
 from .rp1 import RP1Point, StereoChart
@@ -222,34 +220,33 @@ def closure_test(
 ChainValue = object  # RP1Point | int | float | Fraction | complex | GaussInt | (num, den) pair
 
 
-def _exact_pairs(points: Sequence[ChainValue]) -> tuple[list[tuple], bool]:
-    """Coordinate pairs kept exact: numbers and Fractions pass through as-is.
+def _exact(x: ChainValue) -> tuple[int, int, int]:
+    """``_gauss_fraction(x)``: (re, im, den) in integers; a value that is not
+    finite is ``DegenerateInput``."""
+    try:
+        return _gauss_fraction(x)
+    except (OverflowError, ValueError):
+        raise DegenerateInput(f"chain value {x!r} is not finite") from None
 
-    RP1Point coordinates are normalized floats, so raw numeric inputs are
-    the way to feed exact rational data (Fractions and ints survive intact);
-    a Gaussian rational is a pair (GaussInt, int).  The flag tells whether
-    any coordinate is Gaussian, which puts the system on Z[i].
-    """
-    pairs = []
-    for p in points:
-        if isinstance(p, RP1Point):
-            pairs.append((p.coords[0], p.coords[1]))
-        elif isinstance(p, tuple):
-            pairs.append((p[0], p[1]))
-        else:
-            pairs.append((p, 1))
-    gaussian = any(
-        type(z) is GaussInt or isinstance(z, complex) and z.imag != 0
-        for pair in pairs for z in pair
-    )
-    return pairs, gaussian
+
+def _known_vector(p: ChainValue) -> PolyVec:
+    """A known point (an RP1Point, a pair (a, b), or x meaning (x, 1)) as a
+    constant pair over Z or Z[i]: with a = (ar + i*ai)/ad, b = (br + i*bi)/bd
+    it is (ar*bd + i*ai*bd, br*ad + i*bi*ad), a ``GaussInt`` only where the
+    imaginary part is nonzero."""
+    a, b = p.coords if isinstance(p, RP1Point) else p if isinstance(p, tuple) else (p, 1)
+    (ar, ai, ad), (br, bi, bd) = _exact(a), _exact(b)
+    return (Poly([GaussInt(ar * bd, ai * bd) if ai else ar * bd]),
+            Poly([GaussInt(br * ad, bi * ad) if bi else br * ad]))
 
 
 class ClosureSystem(NamedTuple):
-    """Symbolic chain data for five fixed points and one unknown slot."""
+    """Symbolic chain data for five fixed points and one unknown slot, each
+    known point entering as a reduced integer pair: every coefficient of
+    every vector, form and polynomial is an int or a ``GaussInt``."""
 
     n: int
-    vectors: tuple[PolyVec, ...]  # chain points p_1 .. p_{n+2} as polynomial pairs
+    vectors: tuple[PolyVec, ...]  # chain points p_1 .. p_{n+2} as reduced pairs
     polynomial: Poly              # reduced numerator of the first-wrap condition
     second_wrap: Poly             # reduced numerator of the second-wrap condition
     genuine: Poly                 # gcd of the two wraps: exactly the genuine roots
@@ -264,7 +261,7 @@ class ClosureSystem(NamedTuple):
         spurious root can never masquerade as closing through float
         cancellation.
         """
-        xr, xi, w = _gauss_fraction(x)
+        xr, xi, w = _exact(x)
         return tuple(_wrap_gap(*(_form_eval(f, xr, xi, w) for f in forms)) for forms in self.wraps)
 
 
@@ -296,43 +293,33 @@ def closure_system(
 
     ``points5`` are the five known points in chain order with the unknown
     removed; ``var_slot`` is the 0-based position of the unknown among the
-    first six chain points.
+    first six chain points.  Each known point becomes a reduced integer
+    pair once, by ``_known_vector``; the unknown is the pair (x, 1).
     """
     if n < 6:
         raise DegenerateInput("closure polynomials need n >= 6")
     if len(points5) != 5:
         raise ValueError("expected exactly five known points")
-    pairs, gaussian = _exact_pairs(points5)
-    vecs: list[PolyVec] = []
-    it = iter(pairs)
-    for slot in range(6):
-        if slot == var_slot:
-            vecs.append(variable_vector(gaussian))
-        else:
-            vecs.append(constant_vector(next(it), gaussian))
-    # the recursion runs on the starting points scaled to reduced integer
-    # (or Gaussian-integer) pairs; chain_next_vector is homogeneous in each
-    # point, so the vectors it returns do not change, and only the stored
-    # starting points keep the caller's rational values
-    work = [normalize_pair(*v) for v in vecs]
+    if not 0 <= var_slot <= 5:
+        raise ValueError(f"var_slot must be in 0..5, not {var_slot}")
+    known = [normalize_pair(*_known_vector(p)) for p in points5]
     # distinctness of the known points, checked exactly on their scalar pairs
-    consts = [(a.c[0] if a.c else 0, b.c[0] if b.c else 0)
-              for i, (a, b) in enumerate(work) if i != var_slot]
+    consts = [(a.c[0] if a.c else 0, b.c[0] if b.c else 0) for a, b in known]
     for i, (a, b) in enumerate(consts):
         if any(not (a * d - b * c) for c, d in consts[i + 1:]):
             raise DegenerateInput("known chain points must be pairwise distinct")
+    work = known[:var_slot] + [(Poly([0, 1]), Poly([1]))] + known[var_slot:]
     while len(work) < n + 2:
         work.append(chain_next_vector(work[-6:]))
-    vecs += work[6:]
     closing = _pv_bracket(work[n], work[0])
     second = _pv_bracket(work[n + 1], work[1])
     if closing.is_zero() or second.is_zero():
         raise DegenerateInput("closure condition vanished identically")
     # a common root forces both chain states to repeat, hence true closure;
     # the reduced vector pairs are coprime, so no zero-vector false positives
-    wraps = tuple(tuple(p.int_form() for i in ij for p in vecs[i]) for ij in ((n, 0), (n + 1, 1)))
+    wraps = tuple(tuple(p.int_form() for i in ij for p in work[i]) for ij in ((n, 0), (n + 1, 1)))
     return ClosureSystem(
-        n, tuple(vecs), primitive(closing), primitive(second), poly_gcd(closing, second), wraps
+        n, tuple(work), primitive(closing), primitive(second), poly_gcd(closing, second), wraps
     )
 
 
@@ -411,9 +398,9 @@ def chain_values(
 ) -> list[RP1Point]:
     """First ``n_points`` chain points for a concrete sixth value (symbolic path)."""
     system = closure_system(points5, max(6, n_points - 2))
-    x = x6.value() if isinstance(x6, RP1Point) else x6
-    return [RP1Point(_value(*a.eval_ints(x)), _value(*b.eval_ints(x)))
-            for a, b in system.vectors[:n_points]]
+    x = _exact(x6.value() if isinstance(x6, RP1Point) else x6)
+    return [RP1Point(*(_value(*_form_eval(p.int_form(), *x)) for p in v))
+            for v in system.vectors[:n_points]]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .projective import (
     tangency_residual,
     tangent_line_at,
 )
-from .chains import PonceletScene, pole
+from .chains import PonceletScene
 from .rp1 import (
     StereoChart,
     chart_centers,

@@ -3,12 +3,13 @@
 Engine behind the closure polynomials: chain points are carried as pairs
 (numerator, denominator) of polynomials in the coordinate of the unknown
 point, reduced by a polynomial GCD after every step so that degrees match
-the reduced rational functions.  Every reduced pair is primitive with
-integer coefficients: Python ints for rational inputs, ``GaussInt`` for
-inputs in Q(i), which a chart of a real conic can produce; floats convert
-to exact dyadic rationals.  Both run through the same code: GCDHEU
-certified by exact division, Collins' primitive PRS as its fallback, and
-Newton polishing of roots in integer fixed point.
+the reduced rational functions.  Every coefficient is a Python int or a
+``GaussInt``: ``chains`` scales each known point to an integer pair once, by
+``_gauss_fraction`` (floats convert to exact dyadic rationals, inputs in
+Q(i), which a chart of a real conic can produce, to Gaussian integers), and
+no rational number reaches a ``Poly``.  Z and Z[i] run through the same code: GCDHEU certified by exact division,
+Collins' primitive PRS as its fallback, and Newton polishing of roots in
+integer fixed point.
 
 The chain step knows most of its common factor in advance.  With
 c1 = [q1q4][q3q4][q5q6] and c2 = [q1q6][q2q3][q4q5] the next point is
@@ -100,7 +101,7 @@ _UNITS = (1, GaussInt(0, 1), -1, GaussInt(0, -1))
 
 
 def _parts(z) -> tuple:
-    """(re, im) of an int, Fraction or Gaussian integer."""
+    """(re, im) of an int or Gaussian integer."""
     return (z.re, z.im) if type(z) is GaussInt else (z, 0)
 
 
@@ -123,7 +124,7 @@ def _gauss_fraction(x) -> tuple[int, int, int]:
 
 class Poly:
     """Dense univariate polynomial, coefficients ascending: ints or Gaussian
-    integers in the engine, Fractions where rational inputs are stored."""
+    integers."""
 
     __slots__ = ("c",)
 
@@ -167,13 +168,10 @@ class Poly:
         unreduced; x is any value ``_gauss_fraction`` takes."""
         return _form_eval(self.int_form(), *_gauss_fraction(x))
 
-    def int_form(self) -> tuple[list[tuple[int, int]], int, int]:
-        """(c, den, deg): the (re, im) integer coefficients c of den * p, the
+    def int_form(self) -> list[tuple[int, int]]:
+        """The (re, im) parts of the coefficients, ``[(0, 0)]`` for zero: the
         form ``_form_eval`` evaluates; build it once to evaluate p often."""
-        if self.is_zero():
-            return [(0, 0)], 1, 0
-        (f,), den = _integral(self.c)
-        return [_parts(z) for z in f], den, self.degree
+        return [_parts(z) for z in self.c] or [(0, 0)]
 
     def derivative(self) -> "Poly":
         return Poly([k * z for k, z in enumerate(self.c)][1:])
@@ -222,14 +220,6 @@ def _ratio_float(n: int, d: int) -> float:
 # ---------------------------------------------------------------------------
 # polynomials over Z and Z[i]: ascending lists of ints or Gaussian integers,
 # last entry nonzero
-
-
-def _integral(*coeff_lists: Sequence) -> tuple[list[list], int]:
-    """Coefficient lists over Z or Z[i], rational ones jointly scaled by
-    their common denominator, and that denominator."""
-    den = math.lcm(*(z.denominator for c in coeff_lists for z in c if type(z) is Fraction))
-    return [[z.numerator * (den // z.denominator) if type(z) is Fraction else z * den
-             for z in c] for c in coeff_lists], den
 
 
 def _gcd(*zs):
@@ -371,8 +361,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     division, with the primitive PRS as fallback."""
     if a.is_zero() or b.is_zero():
         return primitive(b if a.is_zero() else a)
-    (f, g), _ = _integral(a.c, b.c)
-    return Poly(_gcd_cofactors(f, g)[0])
+    return Poly(_gcd_cofactors(a.c, b.c)[0])
 
 
 def squarefree(p: Poly) -> Poly:
@@ -389,7 +378,7 @@ def normalize_pair(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """
     if a.is_zero() and b.is_zero():
         return a, b
-    (f, g), _ = _integral(a.c, b.c)
+    f, g = a.c, b.c
     if f and g:
         _, f, g = _gcd_cofactors(f, g)
     fg = _primitive(f + g)
@@ -399,8 +388,7 @@ def normalize_pair(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 def primitive(p: Poly) -> Poly:
     """Canonical form: primitive over Z or Z[i], the leading coefficient in
     the canonical quadrant re > 0, im >= 0 (over Z: positive)."""
-    (f,), _ = _integral(p.c)
-    return Poly(_primitive(f)) if f else p
+    return Poly(_primitive(p.c)) if p.c else p
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +459,6 @@ def chain_next_vector(window: Sequence[PolyVec]) -> PolyVec:
     return normalize_pair(a, b)
 
 
-def constant_vector(x, gaussian: bool) -> PolyVec:
-    """Constant chain point from a homogeneous coordinate pair or affine
-    value: Fractions on the rational path, a Gaussian-integer pair on the
-    Gaussian one."""
-    a, b = x if isinstance(x, tuple) else (x, 1)
-    if not gaussian:
-        return Poly([Fraction(a.real)]), Poly([Fraction(b.real)])
-    (ar, ai, ad), (br, bi, bd) = _gauss_fraction(a), _gauss_fraction(b)
-    return Poly([GaussInt(ar * bd, ai * bd)]), Poly([GaussInt(br * ad, bi * ad)])
-
-
-def variable_vector(gaussian: bool) -> PolyVec:
-    one = 1 if gaussian else Fraction(1)
-    return Poly([0 * one, one]), Poly([one])
-
-
 def _round_div(n: int, d: int) -> int:
     """n / d rounded half to even, as ``round(Fraction(n, d))``; d > 0."""
     q, r = divmod(n, d)
@@ -506,21 +478,18 @@ def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, 
     return ar, ai
 
 
-def _form_eval(form, xr: int, xi: int, w: int) -> tuple[int, int, int]:
+def _form_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, int, int]:
     """``Poly.eval_ints`` at x = (xr + i*xi) / w, from the polynomial's ``int_form``."""
-    c, den, deg = form
-    hr, hi = _hom_eval(c, xr, xi, w)
-    return hr, hi, den * w ** deg
+    return (*_hom_eval(c, xr, xi, w), w ** (len(c) - 1))
 
 
 GRID_BITS = 200
 
 
 def _newton_parts(p: Poly) -> tuple[list, list]:
-    """The (re, im) integer coefficients of a multiple of p and of its
-    derivative, as ``exact_newton`` and ``_newton_quotient`` take them."""
-    (f,), _ = _integral(p.c)
-    c = [_parts(z) for z in f]
+    """The (re, im) integer coefficients of p and of its derivative, as
+    ``exact_newton`` and ``_newton_quotient`` take them."""
+    c = p.int_form()
     return c, [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
 
 

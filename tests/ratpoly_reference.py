@@ -153,13 +153,13 @@ def field_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def canonical(p: Poly) -> Poly:
-    """A field polynomial scaled to Z or Z[i], in ``primitive``'s canonical
-    form: equal canonical forms mean proportional polynomials."""
-    c = field(p).c
-    if any(isinstance(z, GaussQ) for z in c):
-        den = math.lcm(*(f.denominator for z in c for f in (z.re, z.im)))
-        c = [GaussInt(int(z.re * den), int(z.im * den)) for z in c]
-    return primitive(Poly(c))
+    """A field polynomial scaled to Z or Z[i] (a ``GaussInt`` only where the
+    imaginary part is nonzero, as the engine keeps it), in ``primitive``'s
+    canonical form: equal canonical forms mean proportional polynomials."""
+    c = [as_gauss(z) for z in field(p).c]
+    den = math.lcm(*(f.denominator for z in c for f in (z.re, z.im)))
+    return primitive(Poly([GaussInt(int(z.re * den), int(z.im * den)) if z.im else int(z.re * den)
+                           for z in c]))
 
 
 def horner(p: Poly, x):

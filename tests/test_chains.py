@@ -32,7 +32,7 @@ from poncelet import (
     tangent_line_at,
     transformed_scene,
 )
-from poncelet.chains import start_state
+from poncelet.chains import closure_system, start_state
 from poncelet.errors import DegenerateInput, PointNotOnConic, TangentialDegeneracy
 
 from conftest import random_closing_scene, random_map
@@ -172,6 +172,29 @@ class TestClosurePolynomial:
     def test_repeated_points_rejected(self):
         with pytest.raises(DegenerateInput):
             closure_polynomial([1, 1, 2, 3, 4], 8)
+
+    @pytest.mark.parametrize("slot", [-1, 6, 7])
+    def test_var_slot_out_of_range(self, slot):
+        with pytest.raises(ValueError, match=f"var_slot must be in 0..5, not {slot}"):
+            closure_system(GOLDEN, 8, slot)
+
+    @pytest.mark.parametrize("bad,named", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        (complex(1, math.inf), "(1+infj)"), ((math.nan, 1), "nan"), ((1, math.inf), "inf"),
+    ])
+    def test_non_finite_known_point(self, bad, named):
+        for slot in (0, 5):
+            with pytest.raises(DegenerateInput) as info:
+                closure_system([bad, 0, 1, 4, 5], 8, slot)
+            assert str(info.value) == f"chain value {named} is not finite"
+
+    @pytest.mark.parametrize("x6", [RP1Point.infinity(), math.inf, complex(math.nan, 0)])
+    def test_non_finite_sixth_value(self, x6):
+        named = repr(x6.value() if isinstance(x6, RP1Point) else x6)
+        for call in (algebraic_closure_report, chain_values):
+            with pytest.raises(DegenerateInput) as info:
+                call(GOLDEN, x6, 8)
+            assert str(info.value) == f"chain value {named} is not finite"
 
     @pytest.mark.parametrize("n,count", [(7, 2), (9, 3), (12, 5)])
     def test_count_spot_checks(self, n, count):

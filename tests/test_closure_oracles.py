@@ -1,13 +1,19 @@
 """Independent checks of the integer closure engine on Z and Z[i].
 
+The engine takes caller values as integers at one place: ``closure_system``
+scales each known point to a reduced integer (or Gaussian-integer) pair,
+and every vector, wrap form and polynomial after it has coefficients in Z
+or Z[i]; ``TestEngineContract`` holds it to that for every input form.
+
 sympy recomputes the genuine factor and its distinct-root count; the
 field Euclid over Q and Q(i) (``ratpoly_reference``) recomputes every
 heuristic GCD and every primitive-PRS fallback up to a unit; the
 Fraction/Gaussian-rational Newton iteration there recomputes every
 polished root bit for bit; the six-bracket chain step kept here recomputes
 every chain vector; and the Fraction route kept here recomputes every wrap
-residual bit for bit.  Gaussian inputs are pinned to counts and accepted
-flags of the field-Euclid engine that preceded the Z[i] one.
+residual, from the same reduced pairs, bit for bit.  Gaussian inputs are
+pinned to counts and accepted flags of the field-Euclid engine that
+preceded the Z[i] one.
 """
 
 import math
@@ -17,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poncelet import closure_polynomial, closure_roots, count_solutions
+from poncelet import RP1Point, closure_polynomial, closure_roots, count_solutions
 from poncelet.chains import closure_system
 from poncelet.errors import DegenerateInput
 from poncelet.ratpoly import (
@@ -246,6 +252,52 @@ class TestFixedPointNewton:
             x, approx, _ = exact_newton(p, seed)
             assert field_value(x) == reference_newton(p, seed)
             assert approx == complex(field_value(x))
+
+
+# every input form closure_system takes; each known point becomes an
+# integer pair once, so each of these must give a system over Z or Z[i]
+CONTRACT_INPUTS = {
+    "int": GOLDEN,
+    "fraction": [Fraction(-7, 3), 0, Fraction(1, 2), 4, Fraction(11, 5)],
+    "float": [-1.25, 0.1, 1.0, 4.5, 5.75],
+    "complex": [complex(0, 1), 0.5, complex(1, -0.5), 2.0, complex(-1, 0.25)],
+    "rp1": [RP1Point(-1, 1), RP1Point(0, 1), RP1Point(1, 3), RP1Point(4, 1), RP1Point(1, 0)],
+    "gauss-pair": [(GaussInt(3, -1), 4), 0, (GaussInt(0, 2), 3), 2, (Fraction(-5, 2), 1)],
+}
+
+
+def system_coefficients(system):
+    """Every coefficient of the system's polynomials, vectors and wrap forms."""
+    for p in (system.polynomial, system.second_wrap, system.genuine):
+        yield from p.c
+    for a, b in system.vectors:
+        yield from a.c + b.c
+    for forms in system.wraps:
+        for form in forms:
+            for re, im in form:
+                yield re
+                yield im
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("name", sorted(CONTRACT_INPUTS))
+    def test_integer_coefficients_from_reduced_pairs(self, name, slot):
+        vals = CONTRACT_INPUTS[name]
+        system = closure_system(vals, 9, slot)
+        assert all(type(z) in (int, GaussInt) for z in system_coefficients(system))
+        known = iter(vals)
+        for i, (a, b) in enumerate(system.vectors[:6]):
+            assert (a.c, b.c) == tuple(p.c for p in normalize_pair(a, b))
+            if i == slot:
+                assert (a.c, b.c) == ((0, 1), (1,))
+                continue
+            # the reduced pair (a : b) is the caller's point (num : den)
+            x = next(known)
+            num, den = x.coords if isinstance(x, RP1Point) else x if isinstance(x, tuple) else (x, 1)
+            a0, b0 = (field_value(p.c[0] if p.c else 0) for p in (a, b))
+            assert a0 * field_value(den) == b0 * field_value(num)
+            assert a0 or b0
 
 
 def reference_next_vector(window):

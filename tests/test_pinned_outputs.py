@@ -30,6 +30,13 @@ chain digests and the ``count`` bytes kept theirs.
 At 0.1.7 the SVG writer prints a coordinate that rounds to zero as ``0``,
 never ``-0``.  No digest here moved: none of these SVGs held a ``-0``.
 
+At 0.1.8 the closure engine scales each known chain point to a reduced
+integer pair once, and both wrap conditions are evaluated on those pairs
+instead of on the caller's rational values.  That moves the last bits of
+``residual_p`` and ``residual_q`` for non-integer inputs, so the ``count
+--seed 0`` and ``--seed 1`` digests were pinned again; ``--seed 2``, the
+golden ``--values`` digests and every other digest here kept their bytes.
+
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
 ``join``, ``meet`` and ``config_from_chain_trace``.  The hexagon's chain
@@ -173,14 +180,15 @@ def test_construct_bytes_are_pinned(tmp_path):
                      "numpy": False}
 
 
-# ``count`` options: sha256 of its stdout, the same since 0.1.4; the
-# closure layer runs on exact polynomials and no projective primitive
+# ``count`` options: sha256 of its stdout, the same since 0.1.4 except
+# ``--seed 0`` and ``--seed 1``, pinned again at 0.1.8; the closure layer
+# runs on exact polynomials and no projective primitive
 COUNTS = {
     "--n 8 --values=-1,0,1,4,5": "56293a375ae3504841c343903a88d274bef717df1acbe17964e8bba647b163a8",
     "--n 12 --values=-1,0,1,4,5": "d861d8497bc612f780e84dc1c874463a4c51b72f34788c4fce2cb6a6792228e2",
     "--n 16 --values=-1,0,1,4,5": "056e7be0b9a9c0039e25c68af4c7241ad566f745593c31a7134661f323bc124f",
-    "--n 12 --seed 0": "7f2c3e96389919ccb4c7aaa0b23fb8d1e3d35db931523f7e59fae7458a3c0cdb",
-    "--n 12 --seed 1": "816ac584093d172e40fc9a54746886889662bef5c73167764069e4bbbf8da909",
+    "--n 12 --seed 0": "63daadca9ff13d9b55434e70d976ee47bda18184b3ed6a3147d6192f49b0ed2c",
+    "--n 12 --seed 1": "83805616f5e5a9c36a0ebe6cce3c37f37046e1eeceb216907fcb3cf6711501d5",
     "--n 12 --seed 2": "0aaed0b6ea50025c792dfb7ac381e6ecba8d4bc02f0819c5e3e19169ac937e91",
 }
 

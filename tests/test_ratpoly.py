@@ -21,7 +21,8 @@ from ratpoly_reference import field_divmod, field_value, horner
 
 
 def P(*coeffs):
-    return Poly([Fraction(c) for c in coeffs])
+    """An integer polynomial, coefficients ascending: the engine's contract."""
+    return Poly(coeffs)
 
 
 class TestPolyArithmetic:
@@ -67,10 +68,13 @@ class TestPolyArithmetic:
         assert poly_gcd(P(1, 1), P(2, 1)).degree == 0
 
     def test_primitive_normalization(self):
-        p = Poly([Fraction(2, 3), Fraction(-4, 3), Fraction(2)])
+        # 2/3 - 4/3 x + 2 x^2 scaled to Z; its content 2 goes
+        p = P(2, -4, 6)
         out = primitive(p)
         assert [c for c in out.c] == [Fraction(1), Fraction(-2), Fraction(3)]
+        assert all(type(c) is int for c in out.c)
         assert out.c[-1] > 0
+        assert primitive(P(-2, 4, -6)).c == out.c
 
     def test_normalize_pair_cancels_common_factor(self):
         g = P(1, 2, 1)
@@ -151,10 +155,8 @@ class TestExactNewton:
         assert abs(approx - 4) < 1e-30 or horner(p, field_value(x)) == 0
 
     def test_polish_clustered_roots_separate(self):
-        # (x - 1)(x - 1.001)(x + 2) with exact rational coefficients
-        p = P(1, 1) * Poly([Fraction(-1), Fraction(1)]) * Poly(
-            [Fraction(-1001, 1000), Fraction(1)]
-        )
+        # (x + 1)(x - 1)(1000x - 1001): roots 1 and 1.001, integer coefficients
+        p = P(1, 1) * P(-1, 1) * P(-1001, 1000)
         x1, a1, _ = exact_newton(p, complex(0.9995, 0))
         x2, a2, _ = exact_newton(p, complex(1.0006, 0))
         assert abs(a1 - 1) < 1e-12
