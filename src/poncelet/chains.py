@@ -44,8 +44,9 @@ from .ratpoly import (
     Poly,
     PolyVec,
     _exact_div,
-    _form_eval,
     _gauss_fraction,
+    _hom_eval,
+    _parts,
     _pv_bracket,
     _ratio_float,
     chain_next_vector,
@@ -262,18 +263,30 @@ class ClosureSystem(NamedTuple):
         cancellation.
         """
         xr, xi, w = _exact(x)
-        return tuple(_wrap_gap(*(_form_eval(f, xr, xi, w) for f in forms)) for forms in self.wraps)
+        return tuple(_wrap_gap(*(_hom_eval(f, xr, xi, w) for f in forms)) for forms in self.wraps)
 
 
 def _wrap_gap(a, b, c, d) -> float:
-    """Gap between the chain points (a : b) and (c : d), each an exact (re, im, den)."""
+    """Gap between the chain points (a : b) and (c : d), each an exact (re, im, den);
+    past the float range each pair is divided by about its larger magnitude, a
+    power of two, which leaves the gap as it is."""
     (ar, ai, ad), (br, bi, bd), (cr, ci, cd), (dr, di, dd) = a, b, c, d
-    # a*d - b*c over the common denominator ad*bd*cd*dd, never reduced
+    # a*d - b*c over the common denominator ad*bd*cd*dd, never reduced, the
+    # power of two 2^z that s and t share divided out before the products
     s, t = bd * cd, ad * dd
+    z = ((s | t) & -(s | t)).bit_length() - 1
+    s, t = s >> z, t >> z
     det_r = (ar * dr - ai * di) * s - (br * cr - bi * ci) * t
     det_i = (ar * di + ai * dr) * s - (br * ci + bi * cr) * t
-    scale = max(_mag(ar, ai, ad), _mag(br, bi, bd)) * max(_mag(cr, ci, cd), _mag(dr, di, dd))
-    return _mag(det_r, det_i, s * t) / max(scale, DEFAULT.floor)
+    tops = (max(0, *(max(re.bit_length(), im.bit_length()) - den.bit_length()
+                     for re, im, den in pair)) for pair in ((a, b), (c, d)))
+    for e, f in ((0, 0), tops):
+        scale = max(_mag(ar, ai, ad << e), _mag(br, bi, bd << e)) * max(
+            _mag(cr, ci, cd << f), _mag(dr, di, dd << f))
+        det = _mag(det_r, det_i, s * t << z + e + f)
+        if max(det, scale) < math.inf:
+            break
+    return det / max(scale, DEFAULT.floor)
 
 
 def _value(re: int, im: int, den: int) -> complex:
@@ -309,8 +322,11 @@ def closure_system(
         if any(not (a * d - b * c) for c, d in consts[i + 1:]):
             raise DegenerateInput("known chain points must be pairwise distinct")
     work = known[:var_slot] + [(Poly([0, 1]), Poly([1]))] + known[var_slot:]
+    # brackets of neighbouring points, each formed once and carried into four steps
+    seams = list(map(_pv_bracket, work[1:4], work[2:5]))
     while len(work) < n + 2:
-        work.append(chain_next_vector(work[-6:]))
+        seams.append(_pv_bracket(work[-2], work[-1]))
+        work.append(chain_next_vector(work[-6:], seams[-4:]))
     closing = _pv_bracket(work[n], work[0])
     second = _pv_bracket(work[n + 1], work[1])
     if closing.is_zero() or second.is_zero():
@@ -359,11 +375,14 @@ def closure_roots(points5: Sequence[ChainValue], n: int) -> list[ClosureRoot]:
     spurious = squarefree(_exact_div(system.polynomial, system.genuine))
     if genuine.degree > 0 and spurious.degree > 0:
         spurious = _exact_div(spurious, poly_gcd(spurious, genuine))
-    out = []
+    # on a real system a root's mirror (xr, -xi) has its residuals, conjugated
+    real = not any(zi for forms in system.wraps for f in forms for _, zi in f)
+    out, seen = [], {}
     for part in (genuine, spurious):
         for root in isolate_roots(part):
-            r = ClosureReport.of(n, *system.wrap_residuals(root.x))
-            out.append(ClosureRoot(root.value, r.residual_p, r.residual_q, r.closes, root.radius))
+            xr, xi = _parts(root.x[0])
+            res = seen[xr, xi] = real and seen.get((xr, -xi)) or system.wrap_residuals(root.x)
+            out.append(ClosureRoot(root.value, *res, ClosureReport.of(n, *res).closes, root.radius))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
@@ -387,10 +406,8 @@ def algebraic_closure_report(
     at candidates where the pointwise iteration hits a removable 0/0 (the
     hallmark of spurious roots).
     """
-    system = closure_system(points5, n)
-    if isinstance(x6, RP1Point):
-        x6 = x6.value()
-    return ClosureReport.of(n, *system.wrap_residuals(x6))
+    x = x6.value() if isinstance(x6, RP1Point) else x6
+    return ClosureReport.of(n, *closure_system(points5, n).wrap_residuals(x))
 
 
 def chain_values(
@@ -399,7 +416,7 @@ def chain_values(
     """First ``n_points`` chain points for a concrete sixth value (symbolic path)."""
     system = closure_system(points5, max(6, n_points - 2))
     x = _exact(x6.value() if isinstance(x6, RP1Point) else x6)
-    return [RP1Point(*(_value(*_form_eval(p.int_form(), *x)) for p in v))
+    return [RP1Point(*(_value(*_hom_eval(p.int_form(), *x)) for p in v))
             for v in system.vectors[:n_points]]
 
 

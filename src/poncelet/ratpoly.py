@@ -22,6 +22,14 @@ cancels the shared bracket factors before it multiplies and divides by
 [q2q4] where that divides exactly.  ``normalize_pair`` stays the
 certificate: it removes whatever common factor is left, so the reduced
 pair is the same as from the full products.
+
+No exact product is formed twice in a call.  A step's [q2q3], [q3q4] and
+[q4q5] are the previous step's [q3q4], [q4q5] and [q5q6]: ``closure_system``
+forms each bracket of neighbouring points once and carries it.
+``_hom_eval`` splits the denominator w = m*2^k, so on the 2^-200 grid of
+``exact_newton`` and the wrap residuals each coefficient enters by a shift.
+On a real system ``chains.closure_roots`` gives a root whose grid numerator
+mirrors an evaluated one the same residuals: the same integers, conjugated.
 """
 
 from __future__ import annotations
@@ -166,11 +174,11 @@ class Poly:
     def eval_ints(self, x) -> tuple[int, int, int]:
         """(re, im, den) in integers with p(x) = (re + i*im) / den and den > 0,
         unreduced; x is any value ``_gauss_fraction`` takes."""
-        return _form_eval(self.int_form(), *_gauss_fraction(x))
+        return _hom_eval(self.int_form(), *_gauss_fraction(x))
 
     def int_form(self) -> list[tuple[int, int]]:
         """The (re, im) parts of the coefficients, ``[(0, 0)]`` for zero: the
-        form ``_form_eval`` evaluates; build it once to evaluate p often."""
+        form ``_hom_eval`` evaluates; build it once to evaluate p often."""
         return [_parts(z) for z in self.c] or [(0, 0)]
 
     def derivative(self) -> "Poly":
@@ -379,7 +387,7 @@ def normalize_pair(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if a.is_zero() and b.is_zero():
         return a, b
     f, g = a.c, b.c
-    if f and g:
+    if len(f) > 1 and len(g) > 1:  # with a constant side only content is common
         _, f, g = _gcd_cofactors(f, g)
     fg = _primitive(f + g)
     return Poly(fg[:len(f)]), Poly(fg[len(f):])
@@ -424,7 +432,7 @@ def _exact_div(f: Poly, g: Poly) -> Poly | None:
     return None if q is None else Poly(q)
 
 
-def chain_next_vector(window: Sequence[PolyVec]) -> PolyVec:
+def chain_next_vector(window: Sequence[PolyVec], seams: Sequence[Poly] = ()) -> PolyVec:
     """Next chain point from six consecutive ones, as a reduced polynomial pair.
 
     The points are pairs as ``normalize_pair`` returns them (integer or
@@ -436,15 +444,15 @@ def chain_next_vector(window: Sequence[PolyVec]) -> PolyVec:
     formed, and both components are divided by [q2q4] when it divides them
     exactly.  ``normalize_pair`` then removes whatever common factor is
     left, so the result is the reduced pair of the full six-bracket
-    products, bit for bit.
+    products, bit for bit.  ``seams`` are [q2q3], [q3q4], [q4q5], [q5q6]
+    when the caller carries them (see the module docstring).
     """
     q1, q2, q3, q4, q5, q6 = window
-    h1, b14, b23 = _cancel(_pv_bracket(q1, q4), _pv_bracket(q2, q3))
-    h2, b34, b16 = _cancel(_pv_bracket(q3, q4), _pv_bracket(q1, q6))
-    c1 = b14 * b34 * _pv_bracket(q5, q6)
-    c2 = b16 * b23 * _pv_bracket(q4, q5)
-    a = c1 * q2[0] - c2 * q4[0]
-    b = c1 * q2[1] - c2 * q4[1]
+    p23, p34, p45, p56 = seams or map(_pv_bracket, window[1:5], window[2:])
+    h1, b14, b23 = _cancel(_pv_bracket(q1, q4), p23)
+    h2, b34, b16 = _cancel(p34, _pv_bracket(q1, q6))
+    c1, c2 = b14 * b34 * p56, b16 * b23 * p45
+    a, b = c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1]
     if a.is_zero() or b.is_zero():
         # normalize_pair cancels nothing in such a pair: restore the product
         h = h1 * h2
@@ -461,26 +469,21 @@ def chain_next_vector(window: Sequence[PolyVec]) -> PolyVec:
 
 def _round_div(n: int, d: int) -> int:
     """n / d rounded half to even, as ``round(Fraction(n, d))``; d > 0."""
-    q, r = divmod(n, d)
-    r2 = 2 * r
-    if r2 > d or (r2 == d and q & 1):
-        q += 1
-    return q
+    q, r = divmod(2 * n + d, 2 * d)
+    return q - (not r and q & 1)
 
 
-def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, int]:
-    """w^deg * p(x) at x = (xr + i*xi) / w, exactly in Gaussian integers."""
+def _hom_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, int, int]:
+    """``Poly.eval_ints`` at x = (xr + i*xi) / w from the ``int_form``: (re,
+    im, w^deg), re + i*im = w^deg * p(x).  With w = m * 2^k the coefficient
+    of x^(deg-j) enters as c * m^j << j*k, on the 2^-200 grid a shift."""
+    k = (w & -w).bit_length() - 1
+    m, mj, s = w >> k, 1, 0
     ar, ai = c[-1]
-    wk = 1
     for cr, ci in reversed(c[:-1]):
-        wk *= w
-        ar, ai = ar * xr - ai * xi + cr * wk, ar * xi + ai * xr + ci * wk
-    return ar, ai
-
-
-def _form_eval(c: list[tuple[int, int]], xr: int, xi: int, w: int) -> tuple[int, int, int]:
-    """``Poly.eval_ints`` at x = (xr + i*xi) / w, from the polynomial's ``int_form``."""
-    return (*_hom_eval(c, xr, xi, w), w ** (len(c) - 1))
+        mj, s = mj * m, s + k
+        ar, ai = ar * xr - ai * xi + (cr * mj << s), ar * xi + ai * xr + (ci * mj << s)
+    return ar, ai, mj << s
 
 
 GRID_BITS = 200
@@ -498,10 +501,10 @@ def _newton_quotient(c: list, dc: list, xr: int, xi: int) -> tuple[int, int, int
     (nr, ni, den) with p/p' = (nr + i*ni) / (den * 2^GRID_BITS) and den > 0:
     (0, 0, 1) where p vanishes, None where only p' does."""
     one = 1 << GRID_BITS
-    fr, fi = _hom_eval(c, xr, xi, one)
+    fr, fi, _ = _hom_eval(c, xr, xi, one)
     if not (fr or fi):
         return 0, 0, 1
-    dr, di = _hom_eval(dc, xr, xi, one) if dc else (0, 0)
+    dr, di, _ = _hom_eval(dc, xr, xi, one) if dc else (0, 0, 1)
     if fi or di:
         den = dr * dr + di * di
         return (fr * dr + fi * di, fi * dr - fr * di, den) if den else None

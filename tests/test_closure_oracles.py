@@ -18,6 +18,7 @@ preceded the Z[i] one.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,9 @@ from poncelet.ratpoly import (
     poly_gcd,
     primitive,
 )
+import poncelet.chains as chains
 import poncelet.ratpoly as ratpoly
+from poncelet.roots import isolate_roots
 from ratpoly_reference import (
     as_gauss,
     canonical,
@@ -407,20 +410,35 @@ class TestChainStepAgainstSixBrackets:
             assert poly_gcd(a, b).degree == 0
 
 
+# its chain points at n = 16 pass the float range at several closure roots
+FLOAT_INPUT = [-1.25, 0.1, 1.0, 4.5, 5.75]
+
+
 def reference_wrap_gap(system, x, idx_new, idx_ref):
-    """The wrap residual through reduced Fractions / GaussQ values."""
-    def mag(z):
+    """The wrap residual through reduced Fractions / GaussQ values.  Where a
+    magnitude passes the float range, each point is divided by 2^e, 2^e the
+    largest power of two not above its larger part (e >= 0), which leaves
+    the gap unchanged."""
+    def mag(z, e):
         z = as_gauss(z)
-        return abs(complex(_ratio_float(z.re.numerator, z.re.denominator),
-                           _ratio_float(z.im.numerator, z.im.denominator)))
+        return abs(complex(_ratio_float(z.re.numerator, z.re.denominator << e),
+                           _ratio_float(z.im.numerator, z.im.denominator << e)))
+
+    def log2_floor(*zs):
+        parts = [abs(p) for z in zs for p in (as_gauss(z).re, as_gauss(z).im) if p]
+        e = max(p.numerator.bit_length() - p.denominator.bit_length() for p in parts)
+        return max(0, e if Fraction(2) ** e <= max(parts) else e - 1)
 
     a, b = system.vectors[idx_new]
     ra, rb = system.vectors[idx_ref]
     va, vb = horner(a, x), horner(b, x)
     wa, wb = horner(ra, x), horner(rb, x)
     det = va * wb - vb * wa
-    scale = max(mag(va), mag(vb)) * max(mag(wa), mag(wb))
-    return mag(det) / max(scale, 1e-300)
+    for e, f in ((0, 0), (log2_floor(va, vb), log2_floor(wa, wb))):
+        scale = max(mag(va, e), mag(vb, e)) * max(mag(wa, f), mag(wb, f))
+        if max(mag(det, e + f), scale) < math.inf:
+            break
+    return mag(det, e + f) / max(scale, 1e-300)
 
 
 class TestWrapResidualsAgainstFractions:
@@ -432,7 +450,7 @@ class TestWrapResidualsAgainstFractions:
             assert repr(system.wrap_residuals(x)) == repr(want)
 
     @pytest.mark.parametrize("vals,n", [
-        (GOLDEN, 8), (GOLDEN, 14), (sampler_input(61), 15), (GAUSS_PIN, 8),
+        (GOLDEN, 8), (GOLDEN, 14), (sampler_input(61), 15), (GAUSS_PIN, 8), (FLOAT_INPUT, 16),
     ])
     def test_at_closure_roots(self, vals, n):
         system = closure_system(vals, n)
@@ -448,3 +466,92 @@ class TestWrapResidualsAgainstFractions:
               Fraction(5, 3), 4, (GaussInt(2**2100, -3), 3 * 2**900),
               GaussInt(2**60, -(2**61)), complex(1e300, 1e300), 1e-300, 1e308]
         self.check(system, xs)
+        assert not any(math.isnan(r) for x in xs for r in system.wrap_residuals(x))
+
+    def test_float_input_roots_are_finite(self):
+        roots = closure_roots(FLOAT_INPUT, 16)
+        assert not any(math.isnan(r.residual_p) or math.isnan(r.residual_q) for r in roots)
+        assert sum(r.accepted for r in roots) == count_solutions(FLOAT_INPUT, 16)
+
+
+# closure seed 2: a genuine and a spurious real root at n = 16 share the
+# float value 1.7481251722144244
+FLOAT_TWINS = [Fraction(3, 2), 7, Fraction(13, 2), 17, Fraction(12, 7)]
+
+
+def roots_with_centres(monkeypatch, vals, n):
+    """closure_roots(vals, n) and, in the same order, the isolated root
+    behind each of them (the output's sort is stable)."""
+    centres = []
+
+    def recording(p):
+        got = isolate_roots(p)
+        centres.extend(got)
+        return got
+
+    monkeypatch.setattr(chains, "isolate_roots", recording)
+    roots = closure_roots(vals, n)
+    centres.sort(key=lambda r: (r.value.real, r.value.imag))
+    return roots, centres
+
+
+class TestMirrorResiduals:
+    """A real system hands a root its mirror's residuals, keyed on the exact
+    grid numerator: each must be the direct evaluation at that root."""
+
+    @pytest.mark.parametrize("vals,n", [
+        (FLOAT_TWINS, 16), (GOLDEN, 16), (CONTRACT_INPUTS["gauss-pair"], 14),
+    ])
+    def test_residuals_are_the_direct_ones(self, monkeypatch, vals, n):
+        roots, centres = roots_with_centres(monkeypatch, vals, n)
+        system = closure_system(vals, n)
+        assert [r.value for r in roots] == [c.value for c in centres]
+        for r, c in zip(roots, centres):
+            assert repr((r.residual_p, r.residual_q)) == repr(system.wrap_residuals(c.x))
+        assert sum(r.accepted for r in roots) == count_solutions(vals, n)
+
+    def test_float_twins_keep_their_own_residuals(self):
+        twins = [r for r in closure_roots(FLOAT_TWINS, 16) if r.value == 1.7481251722144244]
+        assert sorted(r.accepted for r in twins) == [False, True]
+
+    def test_mirrors_are_reused(self, monkeypatch):
+        calls = []
+        direct = chains.ClosureSystem.wrap_residuals
+        monkeypatch.setattr(chains.ClosureSystem, "wrap_residuals",
+                            lambda system, x: calls.append(x) or direct(system, x))
+        roots = closure_roots(FLOAT_TWINS, 16)
+        assert len(set(map(repr, calls))) == len(calls) < len(roots)
+
+
+class TestCarriedBrackets:
+    """closure_system carries the brackets of neighbouring points from step
+    to step; each step called without them gives the same vectors."""
+
+    @pytest.mark.parametrize("vals,slot", [(GOLDEN, s) for s in range(6)] + [(GAUSS_PIN, 2)])
+    def test_same_vectors_without_carried_brackets(self, vals, slot):
+        system = closure_system(vals, 16, slot)
+        work = list(system.vectors[:6])
+        while len(work) < 18:
+            work.append(chain_next_vector(work[-6:]))
+        assert repr([(a.c, b.c) for a, b in system.vectors]) == repr([(a.c, b.c) for a, b in work])
+
+
+def test_no_state_survives_a_call(monkeypatch):
+    """Two calls on one input do the same exact work: nothing is cached
+    across calls (a benchmark replaying an input would time nothing)."""
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(chains, "chain_next_vector", counting("step", chains.chain_next_vector))
+    monkeypatch.setattr("poncelet.roots.exact_newton", counting("newton", exact_newton))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        closure_roots(FLOAT_TWINS, 16)
+        runs.append(dict(calls))
+    assert runs[0] == runs[1] and runs[0]["step"] == 12 and runs[0]["newton"] > 0

@@ -10,14 +10,16 @@ from poncelet.ratpoly import (
     Poly,
     _exact_div,
     _exact_quo,
+    _gauss_fraction,
     _gcd,
+    _hom_eval,
     exact_newton,
     normalize_pair,
     poly_gcd,
     primitive,
 )
 from poncelet.roots import isolate_roots
-from ratpoly_reference import field_divmod, field_value, horner
+from ratpoly_reference import as_gauss, field_divmod, field_value, horner
 
 
 def P(*coeffs):
@@ -225,3 +227,25 @@ class TestHugeIntegerCoefficients:
         assert Fraction(re, den) == self.BIG + Fraction(1, 3) and im == 0
         re, im, den = p.eval_ints((GaussInt(1, -1), 3))
         assert (Fraction(re, den), Fraction(im, den)) == (self.BIG + Fraction(1, 3), Fraction(-1, 3))
+
+
+class TestSplitKernel:
+    """``_hom_eval`` takes w = m * 2^k apart and shifts where it would
+    multiply by 2^k; every value against Horner's rule over Q and Q(i)."""
+
+    GRID = 1 << 200
+    POLYS = [P(7), P(3, -7, 0, 2, 5), P(2 ** 300 + 1, -(3 ** 150), 0, 7),
+             P(GaussInt(1, 2), 0, -4, GaussInt(0, 3), 1)]
+    POINTS = [Fraction(1, 3), Fraction(5, 96), (GaussInt(1, -1), 12), Fraction(-7, 5 * 2 ** 70),
+              0, (1, GRID), (-(3 << 199) + 1, GRID), (GaussInt(5 << 197, -(1 << 150)), GRID),
+              (GaussInt(-1, 1), GRID), ((1 << 400) + 3, GRID)]
+
+    @pytest.mark.parametrize("x", POINTS, ids=range(len(POINTS)))
+    @pytest.mark.parametrize("p", POLYS, ids=range(len(POLYS)))
+    def test_against_horner(self, p, x):
+        want = as_gauss(horner(p, field_value(x)))
+        xr, xi, w = _gauss_fraction(x)
+        hr, hi, den = _hom_eval(p.int_form(), xr, xi, w)
+        assert den == w ** p.degree
+        assert (hr, hi) == (want.re * den, want.im * den)
+        assert p.eval_ints(x) == (hr, hi, den)
