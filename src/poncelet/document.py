@@ -186,12 +186,16 @@ class SceneDocument:
                     _period(s.get("n")),
                 )
                 count = len(doc.scene.vertices)
-                if not count:
-                    raise DocumentError("scene has no vertices")
                 # the closure check walks n chain steps: n must be the scene's own period
                 for name, n in (("n", doc.n), ("scene.n", doc.scene.n)):
                     if n is not None and n != count:
                         raise DocumentError(f"{name} = {n} differs from the scene's {count} vertices")
+                # one touch point per edge: k of them if closed, else k - 1
+                edges = count if doc.scene.closed else count - 1
+                if edges < 1:
+                    raise DocumentError("scene has no edge")
+                if len(doc.scene.touch_points) != edges:
+                    raise DocumentError(f"scene has {len(doc.scene.touch_points)} touch points for {edges} edges")
             if "trace" in d:
                 doc.trace = _trace_from_json(d["trace"])
             if "residuals" in d:

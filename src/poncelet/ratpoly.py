@@ -432,7 +432,7 @@ def _exact_div(f: Poly, g: Poly) -> Poly | None:
     return None if q is None else Poly(q)
 
 
-def chain_next_vector(window: Sequence[PolyVec], seams: Sequence[Poly] = ()) -> PolyVec:
+def chain_next_vector(window: Sequence[PolyVec], seams: Sequence[Poly]) -> PolyVec:
     """Next chain point from six consecutive ones, as a reduced polynomial pair.
 
     The points are pairs as ``normalize_pair`` returns them (integer or
@@ -444,11 +444,11 @@ def chain_next_vector(window: Sequence[PolyVec], seams: Sequence[Poly] = ()) -> 
     formed, and both components are divided by [q2q4] when it divides them
     exactly.  ``normalize_pair`` then removes whatever common factor is
     left, so the result is the reduced pair of the full six-bracket
-    products, bit for bit.  ``seams`` are [q2q3], [q3q4], [q4q5], [q5q6]
-    when the caller carries them (see the module docstring).
+    products, bit for bit.  ``seams`` are [q2q3], [q3q4], [q4q5], [q5q6],
+    which the caller carries (see the module docstring).
     """
     q1, q2, q3, q4, q5, q6 = window
-    p23, p34, p45, p56 = seams or map(_pv_bracket, window[1:5], window[2:])
+    p23, p34, p45, p56 = seams
     h1, b14, b23 = _cancel(_pv_bracket(q1, q4), p23)
     h2, b34, b16 = _cancel(p34, _pv_bracket(q1, q6))
     c1, c2 = b14 * b34 * p56, b16 * b23 * p45

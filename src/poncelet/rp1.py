@@ -9,12 +9,19 @@ chart; the chart only has to be fixed deterministically.
 Convention for a bracket: ``[a b]`` is the determinant of the two
 homogeneous coordinate pairs, so for affine points (x, 1), (y, 1) it is
 x - y.
+
+Each condition is written once, in the paper's notation, and read by one
+evaluator: ``"36 24 56 35 12 14 = 13 45 26 15 46 23"`` on points labelled
+``"123456"`` is [36][24][56][35][12][14] = [13][45][26][15][46][23].  A factor
+may be squared (``27^2``), monomials add with `` + ``, and a comma separates
+the two coefficients of a next-point formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -143,11 +150,7 @@ class BracketResidual(NamedTuple):
 
 
 def _pairwise_distinct(points: Sequence[RP1Point]) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if rp1_distance(points[i], points[j]) < DEFAULT.rel:
-                return False
-    return True
+    return not any(rp1_distance(a, b) < DEFAULT.rel for i, a in enumerate(points) for b in points[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,46 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# quadset and chain conditions
+# bracket equations in the paper's notation
+
+
+@cache
+def _parse(text: str, labels: str) -> tuple:
+    """Each side of ``text`` as a tuple of monomials of (i, j, squared) factors."""
+    return tuple(
+        tuple(tuple((labels.index(f[0]), labels.index(f[1]), f.endswith("^2")) for f in term.split())
+              for term in side.split(" + "))
+        for side in text.replace(", ", " = ").split(" = ")
+    )
+
+
+def _sides(text: str, labels: str, points: Sequence[RP1Point]) -> list[complex]:
+    """The value of each side of ``text`` at ``points``, named by ``labels``.
+
+    Factors multiply and monomials add left to right, a square as ``b ** 2``,
+    so the floats are those of the product written out by hand.
+    """
+    if len(points) != len(labels):
+        raise ValueError(f"expected points {','.join(labels)}, got {len(points)} points")
+    coords = [p.coords for p in points]
+    values = []
+    for side in _parse(text, labels):
+        total = None
+        for term in side:
+            value = None
+            for i, j, squared in term:
+                (a0, a1), (b0, b1) = coords[i], coords[j]  # the bracket [ij]
+                b = (a0 * b1 - a1 * b0) ** 2 if squared else a0 * b1 - a1 * b0
+                value = b if value is None else value * b  # 1 * b could flip a zero's sign
+            total = value if total is None else total + value
+        values.append(total)
+    return values
+
+
+def _bracket_condition(equation: str, labels: str, points: Sequence[RP1Point]) -> BracketResidual:
+    """``equation`` at ``points``; coincident points are reported in ``proper``."""
+    lhs, rhs = _sides(equation, labels, points)
+    return BracketResidual.of(lhs, rhs, proper=_pairwise_distinct(points))
 
 
 def quadset_residual(
@@ -363,105 +405,50 @@ def quadset_residual(
     pair25: tuple[RP1Point, RP1Point],
     pair36: tuple[RP1Point, RP1Point],
 ) -> BracketResidual:
-    """Quadrilateral-set relation [15][26][34] = [16][24][35] on (1,4: 2,5: 3,6)."""
-    p1, p4 = pair14
-    p2, p5 = pair25
-    p3, p6 = pair36
-    lhs = bracket(p1, p5) * bracket(p2, p6) * bracket(p3, p4)
-    rhs = bracket(p1, p6) * bracket(p2, p4) * bracket(p3, p5)
-    return BracketResidual.of(lhs, rhs, proper=_pairwise_distinct((p1, p2, p3, p4, p5, p6)))
+    """Quadrilateral-set relation on the pairs (1,4: 2,5: 3,6)."""
+    return _bracket_condition("15 26 34 = 16 24 35", "142536", (*pair14, *pair25, *pair36))
 
 
 def chain7_residual(points: Sequence[RP1Point]) -> BracketResidual:
-    """Seven-point chain condition [74][16][54][32] = [72][14][56][34].
-
-    Vanishes iff the seven points are consecutive points of a proper chain
-    of tangents; non-properness is reported in the flag, not raised.
-    """
-    if len(points) != 7:
-        raise ValueError("chain7_residual expects 7 points")
-    p1, p2, p3, p4, p5, p6, p7 = points
-    lhs = bracket(p7, p4) * bracket(p1, p6) * bracket(p5, p4) * bracket(p3, p2)
-    rhs = bracket(p7, p2) * bracket(p1, p4) * bracket(p5, p6) * bracket(p3, p4)
-    return BracketResidual.of(lhs, rhs, proper=_pairwise_distinct(points))
+    """Seven-point chain condition; vanishes iff the seven points are consecutive
+    points of a proper chain of tangents.  Non-properness is flagged, not raised."""
+    return _bracket_condition("74 16 54 32 = 72 14 56 34", "1234567", points)
 
 
 def chain7_forms(points: Sequence[RP1Point]) -> tuple[BracketResidual, BracketResidual, BracketResidual]:
     """The three equivalent lexicographic chain conditions; any two imply the third."""
-    if len(points) != 7:
-        raise ValueError("chain7_forms expects 7 points")
-    p1, p2, p3, p4, p5, p6, p7 = points
-    b = bracket
-    f1 = BracketResidual.of(
-        b(p1, p4) * b(p2, p7) * b(p3, p4) * b(p5, p6),
-        b(p1, p6) * b(p2, p3) * b(p4, p5) * b(p4, p7),
-    )
-    f2 = BracketResidual.of(
-        b(p1, p4) * b(p2, p4) * b(p3, p7) * b(p5, p6),
-        b(p1, p5) * b(p2, p3) * b(p4, p6) * b(p4, p7),
-    )
-    f3 = BracketResidual.of(
-        b(p1, p5) * b(p2, p7) * b(p3, p4) * b(p4, p6),
-        b(p1, p6) * b(p2, p4) * b(p3, p7) * b(p4, p5),
-    )
-    return f1, f2, f3
+    forms = ("14 27 34 56 = 16 23 45 47", "14 24 37 56 = 15 23 46 47", "15 27 34 46 = 16 24 37 45")
+    return tuple(_bracket_condition(form, "1234567", points) for form in forms)
 
 
 def next_chain_point(points: Sequence[RP1Point]) -> RP1Point:
-    """Unique seventh chain point after six given ones.
-
-    The chain condition is linear in the last point; solving it gives
-    p7 = [14][34][56] p2 - [16][23][45] p4.  (The displayed sum in the
-    source text has the second sign flipped; this form is the one that
-    reproduces the worked octagon iteration.)
-    """
-    if len(points) != 6:
-        raise ValueError("next_chain_point expects 6 points")
-    p1, p2, p3, p4, p5, p6 = points
+    """Seventh chain point after six, p7 = c1 p2 - c2 p4: the chain condition is
+    linear in it.  The source text displays the second sign flipped; this form
+    reproduces its worked octagon iteration."""
+    c1, c2 = _sides("14 34 56, 16 23 45", "123456", points)
+    p2, p4 = points[1], points[3]
     if rp1_distance(p2, p4) < DEFAULT.rel:
         raise DegenerateChain("points 2 and 4 coincide; next point undefined")
-    c1 = bracket(p1, p4) * bracket(p3, p4) * bracket(p5, p6)
-    c2 = bracket(p1, p6) * bracket(p2, p3) * bracket(p4, p5)
-    out = (
-        c1 * p2.coords[0] - c2 * p4.coords[0],
-        c1 * p2.coords[1] - c2 * p4.coords[1],
-    )
-    scale = max(abs(c1), abs(c2))
-    if max(abs(z) for z in out) <= DEFAULT.degeneracy * max(scale, DEFAULT.floor):
+    out = tuple(c1 * a - c2 * b for a, b in zip(p2.coords, p4.coords))
+    if max(abs(z) for z in out) <= DEFAULT.degeneracy * max(abs(c1), abs(c2), DEFAULT.floor):
         raise DegenerateChain("coefficient brackets collapsed")
     return RP1Point(out)
 
 
 def hexagon_point6(points: Sequence[RP1Point]) -> RP1Point:
-    """Sixth point closing a hexagonal chain (wraparound-linear condition).
-
-    Setting point 7 equal to point 1 in the chain condition leaves an
-    equation linear in point 6: p6 = [14][21][34] p5 - [23][45][41] p1.
-    """
-    if len(points) != 5:
-        raise ValueError("hexagon_point6 expects 5 points")
-    p1, p2, p3, p4, p5 = points
-    k1 = bracket(p1, p4) * bracket(p2, p1) * bracket(p3, p4)
-    k2 = bracket(p2, p3) * bracket(p4, p5) * bracket(p4, p1)
-    out = (
-        k1 * p5.coords[0] - k2 * p1.coords[0],
-        k1 * p5.coords[1] - k2 * p1.coords[1],
-    )
+    """Sixth point closing a hexagonal chain, p6 = k1 p5 - k2 p1: setting point 7
+    to point 1 in the chain condition leaves an equation linear in point 6."""
+    k1, k2 = _sides("14 21 34, 23 45 41", "12345", points)
+    p1, p5 = points[0], points[4]
+    out = tuple(k1 * a - k2 * b for a, b in zip(p5.coords, p1.coords))
     if max(abs(z) for z in out) <= DEFAULT.degeneracy * max(abs(k1), abs(k2), DEFAULT.floor):
         raise DegenerateChain("hexagon coefficients collapsed")
     return RP1Point(out)
 
 
 def heptagon6_residual(points: Sequence[RP1Point]) -> BracketResidual:
-    """Closure condition for six consecutive points of a proper 7-gon:
-    [36][24][56][35][12][14] = [13][45][26][15][46][23]."""
-    if len(points) != 6:
-        raise ValueError("heptagon6_residual expects 6 points")
-    p1, p2, p3, p4, p5, p6 = points
-    b = bracket
-    lhs = b(p3, p6) * b(p2, p4) * b(p5, p6) * b(p3, p5) * b(p1, p2) * b(p1, p4)
-    rhs = b(p1, p3) * b(p4, p5) * b(p2, p6) * b(p1, p5) * b(p4, p6) * b(p2, p3)
-    return BracketResidual.of(lhs, rhs, proper=_pairwise_distinct(points))
+    """Closure condition for six consecutive points of a proper 7-gon."""
+    return _bracket_condition("36 24 56 35 12 14 = 13 45 26 15 46 23", "123456", points)
 
 
 def heptagon6_cross_ratio_product(points: Sequence[RP1Point]) -> complex:
@@ -475,60 +462,28 @@ def heptagon6_cross_ratio_product(points: Sequence[RP1Point]) -> complex:
 
 
 def heptagon_precondition_residual(points: Sequence[RP1Point]) -> BracketResidual:
-    """Three-summand construction polynomial for the heptagon's sixth point:
-
-        -[15][16][23]^2[45][46] - [12][16][45]^2[23][36]
-            + [12][14][25][34][56][36]  =  0
+    """Three-summand construction polynomial for the heptagon's sixth point.
 
     Expands to the same polynomial as the two-monomial closure condition;
-    the lhs/rhs split keeps the positive summand on one side.
+    the positive summand stands alone on the left.
     """
-    if len(points) != 6:
-        raise ValueError("heptagon_precondition_residual expects 6 points")
-    p1, p2, p3, p4, p5, p6 = points
-    b = bracket
-    t1 = b(p1, p5) * b(p1, p6) * b(p2, p3) ** 2 * b(p4, p5) * b(p4, p6)
-    t2 = b(p1, p2) * b(p1, p6) * b(p4, p5) ** 2 * b(p2, p3) * b(p3, p6)
-    t3 = b(p1, p2) * b(p1, p4) * b(p2, p5) * b(p3, p4) * b(p5, p6) * b(p3, p6)
-    return BracketResidual.of(t3, t1 + t2, proper=_pairwise_distinct(points))
+    return _bracket_condition(
+        "12 14 25 34 56 36 = 15 16 23^2 45 46 + 12 16 45^2 23 36", "123456", points
+    )
 
 
 def octagon_point7_residual(points: Sequence[RP1Point]) -> BracketResidual:
-    """Octagon condition on points 1..5 and 7:
-    [12][14][27][34][35][57] = [13][17][23][25][45][47]."""
-    if len(points) != 6:
-        raise ValueError("octagon_point7_residual expects points 1,2,3,4,5,7")
-    p1, p2, p3, p4, p5, p7 = points
-    b = bracket
-    lhs = b(p1, p2) * b(p1, p4) * b(p2, p7) * b(p3, p4) * b(p3, p5) * b(p5, p7)
-    rhs = b(p1, p3) * b(p1, p7) * b(p2, p3) * b(p2, p5) * b(p4, p5) * b(p4, p7)
-    return BracketResidual.of(lhs, rhs, proper=_pairwise_distinct(points))
+    """Octagon condition on points 1..5 and 7."""
+    return _bracket_condition("12 14 27 34 35 57 = 13 17 23 25 45 47", "123457", points)
 
 
 def ninegon_residual(points: Sequence[RP1Point]) -> BracketResidual:
-    """Nine-gon condition on points 1,2,3,4,5,7 (three degree-9 monomials):
-
-        [12][14][15][27]^2[34][35]^2[47]
-            - [15][17]^2[23]^2[24][34][45][57]
-            - [12][14][17][24][25][35][37]^2[45]  =  0
-    """
-    if len(points) != 6:
-        raise ValueError("ninegon_residual expects points 1,2,3,4,5,7")
-    p1, p2, p3, p4, p5, p7 = points
-    b = bracket
-    t1 = (
-        b(p1, p2) * b(p1, p4) * b(p1, p5)
-        * b(p2, p7) ** 2 * b(p3, p4) * b(p3, p5) ** 2 * b(p4, p7)
+    """Nine-gon condition on points 1,2,3,4,5,7 (three degree-9 monomials)."""
+    return _bracket_condition(
+        "12 14 15 27^2 34 35^2 47 = 15 17^2 23^2 24 34 45 57 + 12 14 17 24 25 35 37^2 45",
+        "123457",
+        points,
     )
-    t2 = (
-        b(p1, p5) * b(p1, p7) ** 2 * b(p2, p3) ** 2
-        * b(p2, p4) * b(p3, p4) * b(p4, p5) * b(p5, p7)
-    )
-    t3 = (
-        b(p1, p2) * b(p1, p4) * b(p1, p7) * b(p2, p4) * b(p2, p5)
-        * b(p3, p5) * b(p3, p7) ** 2 * b(p4, p5)
-    )
-    return BracketResidual.of(t1, t2 + t3, proper=_pairwise_distinct(points))
 
 
 def gp_residual(a: RP1Point, b_: RP1Point, c: RP1Point, d: RP1Point) -> float:

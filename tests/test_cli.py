@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import poncelet
-from poncelet import SceneDocument, chain_values, errors, render_svg, scene_from_rp1
+from poncelet import (
+    ProjMap,
+    SceneDocument,
+    chain_values,
+    concentric_scene,
+    errors,
+    render_svg,
+    scene_from_rp1,
+    transformed_scene,
+)
 from poncelet.cli import main
 from poncelet.errors import DocumentError
 
@@ -196,6 +205,23 @@ class TestErrorContract:
             assert run(argv) in (0, 2, 3, 4), argv
             err = capsys.readouterr().err
             assert "Traceback" not in err and err.count("error:") <= 1, argv
+
+    @pytest.mark.parametrize("k,touches,n,message", [
+        (1, 1, None, "scene has no edge"),  # verify once died in max() of no edges
+        (2, 0, 2, "scene has 0 touch points for 2 edges"),  # doubling once raised IndexError
+        (4, 4, None, "scene has 4 touch points for 3 edges"),
+    ])
+    def test_scene_needs_one_touch_point_per_edge(self, k, touches, n, message, tmp_path, capsys):
+        doc = json.loads((DATA / "hexagon.json").read_text())
+        del doc["n"]
+        scene = doc["scene"]
+        scene["vertices"], scene["touch_points"] = scene["vertices"][:k], scene["touch_points"][:touches]
+        scene["n"] = n
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(doc))
+        for command in (["verify"], ["construct", "double"], ["construct", "chain"], ["render"]):
+            assert run([*command, "--in", str(path)]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
 
     def test_doubling_proportional_conics_exits_3(self, tmp_path, capsys):
         path = mutated(tmp_path, "heptagon.json", "inner_is_outer")
@@ -404,6 +430,22 @@ class TestRenderCommand:
         doc = SceneDocument(kind="empty")
         svg = render_svg(doc)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_complex_scene_is_listed_in_the_legend(self):
+        # a non-real map leaves no real vertex, touch point, edge or conic branch
+        s = ProjMap([[1, 0.5j, 0], [0.3j, 1, 0], [0, 0.2j, 1]])
+        svg = render_svg(SceneDocument(kind="scene", n=6, scene=transformed_scene(concentric_scene(6), s)))
+        notes = [
+            "6 complex/infinite vertex element(s) not drawn",
+            "6 complex/infinite touch element(s) not drawn",
+            "conic outer has no real drawable branch",
+            "conic inner has no real drawable branch",
+        ] + [f"edge {i} not drawn (complex endpoint)" for i in range(1, 7)]
+        assert [line for line in svg.splitlines() if 'class="legend"' in line] == [
+            f'<text class="legend" x="8" y="{16 + 14 * i}" font-size="11" fill="#444444">{note}</text>'
+            for i, note in enumerate(notes)
+        ]
+        assert not any(f'class="{cls}' in svg for cls in ("vertex", "touch", "edge", "conic"))
 
     def test_coordinates_that_round_to_zero_have_no_sign(self):
         from poncelet.svg import _fmt

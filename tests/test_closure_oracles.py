@@ -311,6 +311,11 @@ def reference_next_vector(window):
     return normalize_pair(c1 * q2[0] - c2 * q4[0], c1 * q2[1] - c2 * q4[1])
 
 
+def fresh_seams(window):
+    """[q2q3], [q3q4], [q4q5], [q5q6] of a window, formed anew rather than carried."""
+    return [_pv_bracket(a, b) for a, b in zip(window[1:5], window[2:])]
+
+
 def assert_reference_chain(vals, n):
     """Every chain vector of closure_system(vals, n) equals the six-bracket
     recursion run from the same starting points."""
@@ -365,7 +370,7 @@ class TestChainStepAgainstSixBrackets:
         x, one, zero = Poly([0, 1]), Poly([1]), Poly([0])
         window = [(x, one), (zero, one), (x, one), (zero, one),
                   polyvec([3], [2]), polyvec([-5], [7])]
-        got = chain_next_vector(window)
+        got = chain_next_vector(window, fresh_seams(window))
         want = reference_next_vector(window)
         assert got[0].is_zero() and want[0].is_zero()
         assert got[1].c == want[1].c and want[1].degree == 2
@@ -525,14 +530,14 @@ class TestMirrorResiduals:
 
 class TestCarriedBrackets:
     """closure_system carries the brackets of neighbouring points from step
-    to step; each step called without them gives the same vectors."""
+    to step; each step given freshly formed ones gives the same vectors."""
 
     @pytest.mark.parametrize("vals,slot", [(GOLDEN, s) for s in range(6)] + [(GAUSS_PIN, 2)])
     def test_same_vectors_without_carried_brackets(self, vals, slot):
         system = closure_system(vals, 16, slot)
         work = list(system.vectors[:6])
         while len(work) < 18:
-            work.append(chain_next_vector(work[-6:]))
+            work.append(chain_next_vector(work[-6:], fresh_seams(work[-6:])))
         assert repr([(a.c, b.c) for a, b in system.vectors]) == repr([(a.c, b.c) for a, b in work])
 
 

@@ -247,6 +247,8 @@ class TestChain7:
     def test_properness_flag(self):
         pts = aff(0, 1, 2, 3, 4, 5, 0)  # repeated value
         assert not chain7_residual(pts).proper
+        assert not any(f.proper for f in chain7_forms(pts))
+        assert all(f.proper for f in chain7_forms(aff(0, 1, 2, 3, 4, 5, 6)))
 
     def test_linearity_pins_unique_root(self, rng):
         # the condition is linear in the last point: the root implied by two
