@@ -56,9 +56,9 @@ from .projective import (
 from .chains import PonceletScene
 from .rp1 import (
     StereoChart,
-    chart_centers,
     heptagon6_residual,
     hexagon_point6,
+    make_chart,
     next_chain_point,
     octagon_point7_residual,
 )
@@ -132,28 +132,13 @@ def moderate_chart(conic: Conic, pts: Sequence[ProjPoint]) -> StereoChart:
     """Chart keeping every tracked point's transferred value moderate.
 
     Residual conditioning of the bracket conditions degrades with extreme
-    transferred values, so score the six best-ranked chart centers and keep
-    the tamest (the first on ties).
+    transferred values; ``make_chart`` ranks its centres by the least
+    denominator of those values.
     """
     # project's on-conic check does not depend on the chart: make it once
     if any(conic_contains(conic, p) > DEFAULT.on_conic for p in pts):
         raise ConstructionDegeneracy("no usable chart on the carrier conic")
-    coords = [p.coords for p in pts]
-    best = None
-    best_m = math.inf
-    for center in chart_centers(conic, pts)[:6]:
-        try:
-            ch = StereoChart(conic, center)
-            # |project(p).value()|, infinite at the center
-            m = max(abs(a / b) if b else math.inf for a, b in map(ch._transfer, coords))
-        except GeometryError:
-            continue
-        if m < best_m:
-            best_m = m
-            best = ch
-    if best is None:
-        raise ConstructionDegeneracy("no usable chart on the carrier conic")
-    return best
+    return make_chart(conic, pts)
 
 
 def _start(points: Sequence[ProjPoint], labels: str) -> tuple[ConstructionTrace, Conic]:

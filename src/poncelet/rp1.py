@@ -3,8 +3,10 @@
 Points of a conic are identified with RP^1 by projecting from a point of
 the conic onto a fixed axis line.  All chain/closure conditions in this
 package are multihomogeneous 2x2-bracket equations evaluated on those
-transferred coordinates, so their scaled residuals do not depend on the
-chart; the chart only has to be fixed deterministically.
+transferred coordinates, each monomial of the same degree in every point,
+so in exact arithmetic their scaled residuals do not depend on the chart.
+The chart moves rounding only: ``make_chart`` fixes it deterministically,
+from one cheap ranking of a few centres, and builds one chart.
 
 Convention for a bracket: ``[a b]`` is the determinant of the two
 homogeneous coordinate pairs, so for affine points (x, 1), (y, 1) it is
@@ -26,9 +28,11 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     CoincidentElements,
+    ConstructionDegeneracy,
     DegenerateChain,
     DegenerateCrossRatio,
     DegenerateInput,
+    GeometryError,
     NonFiniteElement,
     PointNotOnConic,
 )
@@ -40,7 +44,6 @@ from .projective import (
     _cross,
     _dot,
     _finite,
-    _line_base_points,
     _minor_gap,
     _normalize3,
     _conic_cut,
@@ -157,19 +160,9 @@ def _pairwise_distinct(points: Sequence[RP1Point]) -> bool:
 # stereographic transfer
 
 
-# probe lines whose intersections with a conic are the candidate chart centers
-CHART_PROBES = (
-    ProjLine(1.0, 0.37, -0.22),
-    ProjLine(0.53, 1.0, 0.31),
-    ProjLine(1.0, -0.81, 0.47),
-    ProjLine(-0.29, 1.0, 0.83),
-    ProjLine(1.0, 1.13, -0.71),
-    ProjLine(0.91, -0.44, 1.0),
-    ProjLine(1.0, 0.08, 0.64),
-    ProjLine(-0.67, 0.25, 1.0),
-)
-# their base points, the part of line_conic_intersect that needs no conic
-_PROBE_SPANS = tuple(_line_base_points(probe.coords) for probe in CHART_PROBES)
+# the standard projective frame; the lines joining its points to the
+# tracked points' centroid cut a conic in the candidate chart centres
+_FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 # fixed axis lines; a chart projects onto the one farthest from its center
 CHART_AXES = (
     ProjLine(0.61, -1.0, 0.34),
@@ -304,57 +297,40 @@ class StereoChart:
         return second_intersection(self.conic, self.center, ProjPoint(q))
 
 
-def chart_centers(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> list[ProjPoint]:
-    """Candidate chart centers on a conic, best first.
+def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:
+    """Chart from the ``variant``-th best centre on ``conic`` for the points ``avoid``.
 
-    The ``CHART_PROBES`` intersections, minus those within 1e-6 of a point
-    in ``avoid`` and repeats within ``DEFAULT.rel``, sorted stably by
-    descending clearance from ``avoid``: distant centers keep transferred
-    values tame.  Gaps are ``proj_distance``, written out.
+    The candidates are the cuts of the conic with the lines joining the
+    ``_FRAME`` points to the centroid g of ``avoid`` (the origin when it is
+    empty), less those within 1e-6 of a point of ``avoid``.  In the chart
+    from c a point's value is -(L.p)/(T.p), with T = A c the tangent at c,
+    so it blows up where |p.Ac| is small: the centres rank by the least
+    |p.Ac| / (|Ac| |p|) over ``avoid``, largest first and stably, each norm
+    the largest |entry|.  ``variant`` wraps past the end of the list.
     """
     if conic.degenerate:
-        return []  # line_conic_intersect rejects every probe
-    others = [a.coords for a in avoid]
-    candidates: list[tuple[float, Vec3]] = []
-    for u, v in _PROBE_SPANS:
+        raise ConstructionDegeneracy("no chart on a degenerate conic")
+    coords = [p.coords for p in avoid]
+    # sum of (x, y, z) conj(z): the affine points weighted by |z|^2
+    g = tuple(sum(q[i] * q[2].conjugate() for q in coords) for i in range(3)) if coords else (0, 0, 1)
+    ranked: list[tuple[float, Vec3]] = []
+    for d in _FRAME:
         try:
-            p1, p2, tangential = _conic_cut(u, v, conic.entries)
-        except Exception:
+            cuts = _conic_cut(g, d, conic.entries)
+        except GeometryError:
             continue
-        if tangential:
-            continue
-        for cand in (p1, p2):
-            x0, x1, x2 = cand
-            clearance = min(
-                [
-                    max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
-                    for y0, y1, y2 in others
-                ],
-                default=1.0,
-            )
-            if clearance < 1e-6:
+        if cuts[2]:
+            continue  # a tangent line: one doubled cut
+        for c in cuts[:2]:
+            if any(_minor_gap(c, q) < 1e-6 for q in coords):
                 continue
-            for _, center in candidates:
-                y0, y1, y2 = center
-                gap = max(abs(x1 * y2 - x2 * y1), abs(x2 * y0 - x0 * y2), abs(x0 * y1 - x1 * y0))
-                if gap < DEFAULT.rel:
-                    break
-            else:
-                candidates.append((clearance, cand))
-    candidates.sort(key=lambda t: -t[0])
-    return [ProjPoint._of_normalized(center) for _, center in candidates]
-
-
-def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:
-    """Chart centered at ``chart_centers(conic, avoid)[variant]``.
-
-    ``variant`` wraps past the end of the list; distinct variants give
-    distinct charts for invariance tests.
-    """
-    centers = chart_centers(conic, avoid)
-    if not centers:
-        raise DegenerateChain("no valid stereographic chart found")
-    return StereoChart(conic, centers[variant % len(centers)])
+            t = conic.apply(c)
+            scale = max(map(abs, t))
+            ranked.append((min((abs(_dot(q, t)) for q in coords), default=scale) / scale, c))
+    if not ranked:
+        raise ConstructionDegeneracy("no usable chart on the carrier conic")
+    ranked.sort(key=lambda r: -r[0])
+    return StereoChart(conic, ProjPoint._of_normalized(ranked[variant % len(ranked)][1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """The chart layer in its object form, kept as the reference.
 
-``conic_contains``, ``StereoChart`` (``__init__`` and ``project``),
-``chart_centers`` and the ``moderate_chart`` scoring loop as they were
-before the straight-line rewrite: every transfer goes through ``join``,
-``meet`` and ``RP1Point``.  The rewrite must do the same floating-point
-operations in the same order, so tests compare the two by ``repr`` and by
-exception class.
+``conic_contains`` and ``StereoChart`` (``__init__`` and ``project``) as
+they were before the straight-line rewrite: every transfer goes through
+``join``, ``meet`` and ``RP1Point``.  The rewrite must do the same
+floating-point operations in the same order, so tests compare the two by
+``repr`` and by exception class.
+
+``ref_ranked_centers`` states the chart-centre rule of ``make_chart`` in
+the same object form: the lines joining the points of the standard frame
+to the tracked points' centroid cut the conic in the candidates, which rank
+by the least |p.Ac| / (|Ac| |p|).  It cuts each line through its own base
+points, so its centres and scores agree with ``make_chart``'s to rounding,
+not to the bit.
 """
 
-import math
-
-from poncelet import ProjLine, RP1Point, join, line_conic_intersect, meet, proj_distance
+from poncelet import ProjLine, ProjPoint, RP1Point, join, line_conic_intersect, meet, proj_distance
 from poncelet.errors import (
-    ConstructionDegeneracy,
     DegenerateChain,
     DegenerateInput,
     GeometryError,
@@ -20,10 +23,7 @@ from poncelet.errors import (
 )
 from poncelet.projective import _cross, _dot, _normalize3
 
-REF_PROBES = [
-    (1.0, 0.37, -0.22), (0.53, 1.0, 0.31), (1.0, -0.81, 0.47), (-0.29, 1.0, 0.83),
-    (1.0, 1.13, -0.71), (0.91, -0.44, 1.0), (1.0, 0.08, 0.64), (-0.67, 0.25, 1.0),
-]
+REF_FRAME = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 REF_AXES = [
     (0.61, -1.0, 0.34), (1.0, 0.52, 0.18), (-0.23, 0.77, 1.0), (1.0, -0.35, -0.93),
 ]
@@ -92,41 +92,46 @@ class RefStereoChart:
         return self._axis_coords(q.coords)
 
 
-def ref_chart_centers(conic, avoid=()):
-    candidates = []
-    for probe in REF_PROBES:
+def ref_centroid(points):
+    """The affine points weighted by |z|^2, summed; the origin for no points
+    and None when every point is at infinity."""
+    if not points:
+        return ProjPoint(0, 0, 1)
+    x = y = w = 0.0
+    for p in points:
+        px, py, pz = p.coords
+        weight = abs(pz) ** 2
+        if weight:
+            x, y, w = x + weight * px / pz, y + weight * py / pz, w + weight
+    return ProjPoint(x, y, w) if w else None
+
+
+def ref_ranked_centers(conic, avoid=()):
+    """[(score, centre)] best first, each centre a cut of the conic with a
+    line from the centroid to a frame point, 1e-6 or more from every
+    tracked point."""
+    g = ref_centroid(avoid)
+    if conic.degenerate or g is None:
+        return []
+    ranked = []
+    for frame_point in REF_FRAME:
         try:
-            p1, p2, tangential = line_conic_intersect(ProjLine(*probe), conic)
-        except Exception:
+            p1, p2, tangential = line_conic_intersect(join(g, ProjPoint(frame_point)), conic)
+        except GeometryError:
             continue
         if tangential:
             continue
-        for cand in (p1, p2):
-            clearance = min((proj_distance(cand, a) for a in avoid), default=1.0)
-            if clearance < 1e-6:
+        for c in (p1, p2):
+            if any(proj_distance(c, a) < 1e-6 for a in avoid):
                 continue
-            if any(proj_distance(cand, c) < 1e-9 for _, c in candidates):
-                continue
-            candidates.append((clearance, cand))
-    candidates.sort(key=lambda t: -t[0])
-    return [center for _, center in candidates]
-
-
-def ref_moderate_chart(conic, pts):
-    best = None
-    best_m = math.inf
-    for center in ref_chart_centers(conic, pts)[:6]:
-        try:
-            ch = RefStereoChart(conic, center)
-            m = max(abs(ch.project(p).value()) for p in pts)
-        except GeometryError:
-            continue
-        if m < best_m:
-            best_m = m
-            best = ch
-    if best is None:
-        raise ConstructionDegeneracy("no usable chart on the carrier conic")
-    return best
+            tangent = conic.apply(c.coords)
+            size = max(abs(z) for z in tangent)
+            score = min(
+                (abs(_dot(a.coords, tangent)) / (size * max(abs(z) for z in a.coords)) for a in avoid),
+                default=1.0,
+            )
+            ranked.append((score, c))
+    return sorted(ranked, key=lambda t: -t[0])
 
 
 def chart_state(ch):

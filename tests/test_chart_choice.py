@@ -1,12 +1,15 @@
-"""Chart choice against the per-variant reference algorithm.
+"""Chart choice against a reference of the centre rule.
 
-``make_chart`` used to rank the probe-line centers afresh for every
-``variant``, and ``moderate_chart`` scored variants 0-5.  The reference
-below keeps that algorithm verbatim, and every chart the ranked-list
-versions pick must equal it coordinate for coordinate, including draws with
-fewer candidates than variants.  The reference charts are
-``chart_reference.RefStereoChart``, so the transfers that score them are
-the object-form ``project`` rather than the code under test.
+``make_chart`` cuts the conic with the lines joining the points of the
+standard frame to the tracked points' centroid and ranks the cuts by the
+least |p.Ac| / (|Ac| |p|), the denominator of every tracked point's value
+in the chart from c.  ``chart_reference.ref_ranked_centers`` states the
+same rule with ``join`` and ``line_conic_intersect``, so its centres and
+scores agree with ``make_chart``'s to rounding: every chart must be
+centred on the reference's candidate of the same rank, or on one whose
+score ties it.  The draws cover real and complex conics, small circles,
+tracked points at a candidate centre, where the candidate drops out, and
+tracked points 1e-8..1e-4 from one, either side of the 1e-6 clearance cut.
 
 ``doubling`` takes no ranked chart: it orders the doubled polygon in the
 chart centred on the scene's first vertex, so the interleaving check runs
@@ -32,58 +35,12 @@ from poncelet import (
     proj_distance,
 )
 from poncelet import constructions
-from poncelet.errors import ConstructionDegeneracy, DegenerateChain, GeometryError
-from poncelet.projective import _dot
-from poncelet.rp1 import chart_centers
+from poncelet.errors import ConstructionDegeneracy, GeometryError
 
-from chart_reference import REF_AXES, REF_PROBES, RefStereoChart, chart_state
+from chart_reference import chart_state, ref_ranked_centers
 from conftest import ring_points
 
-
-def ref_make_chart(conic, avoid=(), variant=0):
-    candidates = []
-    for probe in REF_PROBES:
-        try:
-            p1, p2, tangential = line_conic_intersect(ProjLine(*probe), conic)
-        except Exception:
-            continue
-        if tangential:
-            continue
-        for cand in (p1, p2):
-            clearance = min((proj_distance(cand, a) for a in avoid), default=1.0)
-            if clearance < 1e-6:
-                continue
-            if any(proj_distance(cand, c) < 1e-9 for _, c in candidates):
-                continue
-            candidates.append((clearance, cand))
-    ordered = sorted(candidates, key=lambda t: -t[0])
-    if not ordered:
-        raise DegenerateChain("no valid stereographic chart found")
-    _, center = ordered[variant % len(ordered)]
-    best_axis, best_gap = None, 0.0
-    for coords in REF_AXES:
-        axis = ProjLine(*coords)
-        gap = abs(_dot(center.coords, axis.coords))
-        if gap > best_gap:
-            best_gap, best_axis = gap, axis
-    if best_axis is None or best_gap <= 1e-6:
-        raise DegenerateChain("no axis avoids the chart center")
-    return RefStereoChart(conic, center, best_axis)
-
-
-def ref_moderate_chart(conic, pts):
-    best, best_m = None, math.inf
-    for v in range(6):
-        try:
-            ch = ref_make_chart(conic, avoid=pts, variant=v)
-            m = max(abs(ch.project(p).value()) for p in pts)
-        except GeometryError:
-            continue
-        if m < best_m:
-            best_m, best = m, ch
-    if best is None:
-        raise ConstructionDegeneracy("no usable chart on the carrier conic")
-    return best
+TIE = 1e-7  # scores and centres of the two routes agree to this
 
 
 def outcome(fn, *args, **kwargs):
@@ -95,15 +52,26 @@ def outcome(fn, *args, **kwargs):
     return chart_state(ch)
 
 
+def assert_choice_matches(conic, avoid, variants=(0,)):
+    """Each variant's centre is the reference's candidate of that rank or
+    one tied with it, and the list has the reference's length."""
+    ref = ref_ranked_centers(conic, avoid)
+    if not ref:
+        assert outcome(make_chart, conic, avoid) is ConstructionDegeneracy
+        return
+    for variant in variants:
+        centre = make_chart(conic, avoid, variant=variant).center
+        score = ref[variant % len(ref)][0]
+        assert any(abs(s - score) <= TIE and proj_distance(c, centre) <= TIE for s, c in ref), variant
+    # variant len(ref) wraps round to the best centre
+    assert outcome(make_chart, conic, avoid, variant=len(ref)) == outcome(make_chart, conic, avoid)
+
+
 def conic_points_on(line, conic):
     try:
         return list(line_conic_intersect(line, conic)[:2])
     except GeometryError:
         return []
-
-
-def probe_points(conic):
-    return [p for probe in REF_PROBES for p in conic_points_on(ProjLine(*probe), conic)]
 
 
 def conic_points(rng, conic, k):
@@ -115,34 +83,43 @@ def conic_points(rng, conic, k):
     return out[:k]
 
 
+def mirrored_draw(rng, near):
+    """A circle centred on the x-axis with mirrored pairs of its points, so
+    the centroid lies exactly on the axis and the frame lines through
+    (1, 0, 0) and the origin both cut the circle at (a -+ r, 0).  Tracked
+    points sit at one or both of those cuts, or (``near``) in a mirrored
+    pair 1e-8..1e-4 from one, about the 1e-6 clearance cut."""
+    a, r = rng.uniform(-1, 1), rng.uniform(0.3, 1.5)
+    conic = Conic([1, 0, -a, 1, 0, a * a - r * r])
+    angles = [rng.uniform(0.3, 2.8) for _ in range(rng.randrange(1, 4))]
+    if near:
+        angles.append(10 ** rng.uniform(-8, -4) + math.pi * rng.randrange(2))
+    avoid = []
+    for t in angles:
+        avoid += [ProjPoint(a + r * math.cos(t), r * math.sin(t), 1),
+                  ProjPoint(a + r * math.cos(t), -r * math.sin(t), 1)]
+    if not near:
+        avoid += [ProjPoint(a + r, 0, 1), ProjPoint(a - r, 0, 1)][rng.randrange(2):]
+    return conic, avoid
+
+
 def draw(seed):
     """(conic, avoid) for one seed; five kinds of draw take turns."""
     rng = random.Random(seed)
     kind = (seed // 8) % 5
     if kind == 1:
-        # a small real circle: most probes miss it, so real centers rank low
+        # a small real circle: the centroid lies inside it
         a, b, r = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.05, 0.6)
         conic = Conic([1, 0, -a, 1, -b, a * a + b * b - r * r])
         angles = [rng.uniform(0, 2 * math.pi) for _ in range(rng.randrange(1, 9))]
         return conic, [ProjPoint(a + r * math.cos(t), b + r * math.sin(t), 1) for t in angles]
+    if kind in (2, 4):
+        return mirrored_draw(rng, near=kind == 4)
     if kind == 3:
         conic = Conic([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)])
     else:
         conic = conic_through_5(ring_points(rng, 5))
-    avoid = conic_points(rng, conic, rng.randrange(1, 9))
-    if kind == 2:
-        # avoid most probe intersections, leaving 0..7 candidates
-        probes = probe_points(conic)
-        rng.shuffle(probes)
-        avoid += probes[: len(probes) - rng.randrange(0, 8)]
-        rng.shuffle(avoid)
-    elif kind == 4:
-        # points 1e-7..1e-4 from probe intersections straddle the 1e-6 clearance cut
-        for probe in rng.sample(REF_PROBES, 4):
-            eps = 10 ** rng.uniform(-7, -4)
-            line = ProjLine(*(c + eps * rng.uniform(-1, 1) for c in probe))
-            avoid += conic_points_on(line, conic)
-    return conic, avoid
+    return conic, conic_points(rng, conic, rng.randrange(1, 9))
 
 
 SEEDS = range(320)
@@ -152,26 +129,86 @@ SEEDS = range(320)
 def test_chart_choice_matches_reference(chunk):
     for seed in SEEDS[chunk::8]:
         conic, avoid = draw(seed)
-        n_centers = len(chart_centers(conic, avoid))
-        assert outcome(moderate_chart, conic, avoid) == outcome(ref_moderate_chart, conic, avoid)
-        for variant in {0, 5, n_centers, 3 * n_centers + 1}:
-            assert outcome(make_chart, conic, avoid, variant=variant) == outcome(
-                ref_make_chart, conic, avoid, variant=variant
-            )
+        assert outcome(moderate_chart, conic, avoid) == outcome(make_chart, conic, avoid)
+        assert_choice_matches(conic, avoid, variants=range(9))
 
 
 def test_draws_include_short_candidate_lists():
-    sizes = [len(chart_centers(*draw(seed))) for seed in SEEDS]
-    assert 0 in sizes and sum(0 < k < 6 for k in sizes) >= 30
+    sizes = [len(ref_ranked_centers(*draw(seed))) for seed in SEEDS]
+    assert sum(k < 8 for k in sizes) >= 30 and min(sizes) <= 4
 
 
-def test_chart_choice_tamest_of_six_with_off_conic_points():
-    # tracked points off the conic make every chart fail alike
+def test_clearance_cut():
+    # a mirrored pair 1e-8..1e-4 from an axis cut drops both candidates
+    # there when closer than 1e-6, and only then
+    kept = dropped = 0
+    for seed in range(40):
+        conic, avoid = mirrored_draw(random.Random(seed), near=True)
+        ranked = ref_ranked_centers(conic, avoid)
+        assert min(proj_distance(c, p) for _, c in ranked for p in avoid) >= 1e-6
+        assert_choice_matches(conic, avoid, variants=range(len(ranked)))
+        kept += len(ranked) == 8
+        dropped += len(ranked) == 6
+    assert kept and dropped
+
+
+def test_no_tracked_points():
+    # the frame lines then run through the origin
+    for seed in range(0, 40, 8):
+        conic, _ = draw(seed)
+        assert outcome(moderate_chart, conic, []) == outcome(make_chart, conic, [])
+        assert_choice_matches(conic, [], variants=range(8))
+
+
+def test_off_conic_points_have_no_chart():
+    # tracked points off the conic make moderate_chart fail before ranking
     rng = random.Random(7)
     conic = conic_through_5(ring_points(rng, 5))
     pts = [ProjPoint(5, 5, 1), ProjPoint(cmath.exp(0.3j), 2, 1)]
     assert outcome(moderate_chart, conic, pts) is ConstructionDegeneracy
-    assert outcome(ref_moderate_chart, conic, pts) is ConstructionDegeneracy
+
+
+@pytest.mark.parametrize("entries", [
+    (1, 0, 0, -1, 0, 0),        # x^2 = y^2: two lines
+    (1, 0, 0, 0, 0, 0),         # x^2 = 0: a doubled line
+    (0, 1, 0, 0, 0, 0),         # xy = 0
+    (1, 1j, 0, -1, 0, 0),       # (x + iy)^2 = 0
+])
+def test_degenerate_conics_have_no_chart(entries):
+    conic = Conic(entries)
+    on = [ProjPoint(0, 0, 1), ProjPoint(1, -1, 2)]
+    assert outcome(make_chart, conic, on) is ConstructionDegeneracy
+    assert outcome(moderate_chart, conic, []) is ConstructionDegeneracy
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_centroid_near_the_conic(seed):
+    # a mirrored pair at angles -+t has its centroid r (1 - cos t) inside
+    # the circle, 1e-10..1e-4 here: every frame line then cuts the circle
+    # near the centroid, so candidates of different lines nearly coincide
+    rng = random.Random(seed)
+    a, r = rng.uniform(-1, 1), rng.uniform(0.3, 1.5)
+    conic = Conic([1, 0, -a, 1, 0, a * a - r * r])
+    t = math.sqrt(2 * 10 ** rng.uniform(-10, -4) / r)
+    avoid = [ProjPoint(a + r * math.cos(t), sign * r * math.sin(t), 1) for sign in (1, -1)]
+    assert_choice_matches(conic, avoid, variants=range(8))
+
+
+# Pythagorean points of the unit circle and the circle's isotropic points:
+# small exact coordinates make scores tie exactly
+PYTHAGOREAN = [(3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17), (1, 0, 1), (0, 1, 1)]
+EXACT_POINTS = [
+    ProjPoint(sx * a, sy * b, c)
+    for a, b, c in PYTHAGOREAN for sx in (1, -1) for sy in (1, -1)
+] + [ProjPoint(1, 1j, 0), ProjPoint(1, -1j, 0)]
+
+
+@pytest.mark.parametrize("conic", [Conic.unit_circle(), Conic((1, 0, 0, 1, 0, -1j)), Conic((2, 0, 0, 2, 0, -2))],
+                         ids=["unit", "complex-radius", "scaled"])
+def test_exact_coordinates(conic):
+    on = [p for p in EXACT_POINTS if conic.qform(p.coords) == 0]
+    for k in range(0, len(on), 5):
+        assert_choice_matches(conic, on[k:k + 5], variants=range(8))
 
 
 def small_circle_pentagon(seed):
