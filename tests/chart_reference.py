@@ -93,17 +93,15 @@ class RefStereoChart:
 
 
 def ref_centroid(points):
-    """The affine points weighted by |z|^2, summed; the origin for no points
-    and None when every point is at infinity."""
-    if not points:
-        return ProjPoint(0, 0, 1)
+    """The affine points weighted by |z|^2, summed; the origin when no
+    point is finite."""
     x = y = w = 0.0
     for p in points:
         px, py, pz = p.coords
         weight = abs(pz) ** 2
         if weight:
             x, y, w = x + weight * px / pz, y + weight * py / pz, w + weight
-    return ProjPoint(x, y, w) if w else None
+    return ProjPoint(x, y, w) if w else ProjPoint(0, 0, 1)
 
 
 def ref_ranked_centers(conic, avoid=()):
@@ -111,7 +109,7 @@ def ref_ranked_centers(conic, avoid=()):
     line from the centroid to a frame point, 1e-6 or more from every
     tracked point."""
     g = ref_centroid(avoid)
-    if conic.degenerate or g is None:
+    if conic.degenerate:
         return []
     ranked = []
     for frame_point in REF_FRAME:

@@ -160,6 +160,17 @@ def test_no_tracked_points():
         assert_choice_matches(conic, [], variants=range(8))
 
 
+def test_points_at_infinity():
+    # no finite tracked point leaves no centroid: the lines then run
+    # through the origin, as with no tracked points
+    conic = Conic([0, 0.5, 0, 0, 0, -1])  # xy = z^2
+    asymptotic = [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)]
+    for avoid in (asymptotic[:1], asymptotic):
+        assert_choice_matches(conic, avoid, variants=range(4))
+        chart = moderate_chart(conic, avoid)
+        assert all(chart.lift(chart.project(p)).is_same(p) for p in avoid)
+
+
 def test_off_conic_points_have_no_chart():
     # tracked points off the conic make moderate_chart fail before ranking
     rng = random.Random(7)
