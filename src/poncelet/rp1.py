@@ -301,8 +301,8 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
     """Chart from the ``variant``-th best centre on ``conic`` for the points ``avoid``.
 
     The candidates are the cuts of the conic with the lines joining the
-    ``_FRAME`` points to the centroid g of ``avoid`` (the origin when no
-    point of it is finite), less those within 1e-6 of a point of ``avoid``.  In the chart
+    ``_FRAME`` points to the real part g of the centroid of ``avoid`` (the
+    origin when no point of it is finite), less those within 1e-6 of a point of ``avoid``.  In the chart
     from c a point's value is -(L.p)/(T.p), with T = A c the tangent at c,
     so it blows up where |p.Ac| is small: the centres rank by the least
     |p.Ac| / (|Ac| |p|) over ``avoid``, largest first and stably, each norm
@@ -311,8 +311,10 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
     if conic.degenerate:
         raise ConstructionDegeneracy("no chart on a degenerate conic")
     coords = [p.coords for p in avoid]
-    # sum of (x, y, z) conj(z): the affine points weighted by |z|^2
-    g = tuple(sum(q[i] * q[2].conjugate() for q in coords) for i in range(3))
+    # the real part of the sum of (x, y, z) conj(z), the affine points
+    # weighted by |z|^2: real lines keep the centres of a real conic real
+    # when rounding leaves the tracked points a little off the real plane
+    g = tuple(sum((q[i] * q[2].conjugate()).real for q in coords) for i in range(3))
     if not any(g):
         g = (0, 0, 1)
     ranked: list[tuple[float, Vec3]] = []

@@ -93,15 +93,15 @@ class RefStereoChart:
 
 
 def ref_centroid(points):
-    """The affine points weighted by |z|^2, summed; the origin when no
-    point is finite."""
+    """The real part of the affine points weighted by |z|^2, summed; the
+    origin when no point is finite."""
     x = y = w = 0.0
     for p in points:
         px, py, pz = p.coords
         weight = abs(pz) ** 2
         if weight:
             x, y, w = x + weight * px / pz, y + weight * py / pz, w + weight
-    return ProjPoint(x, y, w) if w else ProjPoint(0, 0, 1)
+    return ProjPoint(complex(x).real, complex(y).real, w) if w else ProjPoint(0, 0, 1)
 
 
 def ref_ranked_centers(conic, avoid=()):

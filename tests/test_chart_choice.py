@@ -171,6 +171,18 @@ def test_points_at_infinity():
         assert all(chart.lift(chart.project(p)).is_same(p) for p in avoid)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_rounding_off_the_real_plane_keeps_the_chart(seed):
+    # computed points of a real scene (a conic-conic cut, say) carry
+    # imaginary parts of 1e-17 or so; the chart must be the one of the
+    # real points, as a non-real centre would make every value complex
+    rng = random.Random(seed)
+    pts = ring_points(rng, 5)
+    conic = conic_through_5(pts)
+    noisy = [ProjPoint(*(c + 1e-17j * rng.uniform(-1, 1) for c in p.coords)) for p in pts]
+    assert make_chart(conic, noisy).center.coords == make_chart(conic, pts).center.coords
+
+
 def test_off_conic_points_have_no_chart():
     # tracked points off the conic make moderate_chart fail before ranking
     rng = random.Random(7)

@@ -80,7 +80,7 @@ PINNED = {
         "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
     ),
     "ninegon.json": (
-        "0335e0444640c2829ac2c1c4ea627f2196cec428e0d9b29b77774269390635f0",
+        "bb83d2ddafe996dc2f788f3749843275f479ab8c9e196346709cb4091957aecb",
         "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
     ),
     "doubled_hexagon.json": (
@@ -111,9 +111,9 @@ CONSTRUCTS = {
     "7 --branch 1": "1f28058da820d9e590478dc7d936c4df3b3cb02961954f16d5fa90371a9716a6",
     "8": "d6a7b7588599a67e2e30e981485e0c64792b535c57ca339fdd44c4667771e210",
     "8 --branch 1": "e7a68f820c9806168e4668089c75baab1ec96353a64706938e05a241326ef84e",
-    "9": "308f5ccb482dc58e8a71cc5c6e93daadf7974e6a206a9f3b3330e4b5c3fc363f",
+    "9": "fa8ab15c51ea7d3ffea12d706bfa898af24653bd654a4f559f62b61707b3f5c1",
     "9 --branch 1": "0f9f3b8805ddf82103a82049a2730262d683311eb85e1bd8af5d45e82dc13bea",
-    "9 --branch 2": "2c002eb2da4fa085790eb291811c55b1f06174156d7757c0aa48d7595ad5da90",
+    "9 --branch 2": "7dfa25af41e90680a008020fc73edae041600a7503d0d2592cf19be7c6566a9c",
     "double": "691ee95064b8df5d789636bf6ab4b2f31116733d7171ca902956d047b1e4b117",
 }
 
