@@ -160,8 +160,8 @@ def _pairwise_distinct(points: Sequence[RP1Point]) -> bool:
 # stereographic transfer
 
 
-# the standard projective frame; the lines joining its points to the
-# tracked points' centroid cut a conic in the candidate chart centres
+# the standard projective frame; the lines joining its points to (the real
+# part of) the tracked points' centroid cut a conic in the candidate centres
 _FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 # fixed axis lines; a chart projects onto the one farthest from its center
 CHART_AXES = (
@@ -302,11 +302,12 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
 
     The candidates are the cuts of the conic with the lines joining the
     ``_FRAME`` points to the real part g of the centroid of ``avoid`` (the
-    origin when no point of it is finite), less those within 1e-6 of a point of ``avoid``.  In the chart
-    from c a point's value is -(L.p)/(T.p), with T = A c the tangent at c,
-    so it blows up where |p.Ac| is small: the centres rank by the least
-    |p.Ac| / (|Ac| |p|) over ``avoid``, largest first and stably, each norm
-    the largest |entry|.  ``variant`` wraps past the end of the list.
+    origin when no point of it is finite), less those within 1e-6 of a
+    point of ``avoid``.  In the chart from c a point's value is
+    -(L.p)/(T.p), with T = A c the tangent at c, so it blows up where
+    |p.Ac| is small: the centres rank by the least |p.Ac| / (|Ac| |p|) over
+    ``avoid``, largest first and stably, each norm the largest |entry|.
+    ``variant`` wraps past the end of the list.
     """
     if conic.degenerate:
         raise ConstructionDegeneracy("no chart on a degenerate conic")

@@ -8,10 +8,10 @@ floating-point operations in the same order, so tests compare the two by
 
 ``ref_ranked_centers`` states the chart-centre rule of ``make_chart`` in
 the same object form: the lines joining the points of the standard frame
-to the tracked points' centroid cut the conic in the candidates, which rank
-by the least |p.Ac| / (|Ac| |p|).  It cuts each line through its own base
-points, so its centres and scores agree with ``make_chart``'s to rounding,
-not to the bit.
+to the real part of the tracked points' centroid cut the conic in the
+candidates, which rank by the least |p.Ac| / (|Ac| |p|).  It cuts each
+line through its own base points, so its centres and scores agree with
+``make_chart``'s to rounding, not to the bit.
 """
 
 from poncelet import ProjLine, ProjPoint, RP1Point, join, line_conic_intersect, meet, proj_distance

@@ -1,13 +1,14 @@
 """Chart choice against a reference of the centre rule.
 
 ``make_chart`` cuts the conic with the lines joining the points of the
-standard frame to the tracked points' centroid and ranks the cuts by the
-least |p.Ac| / (|Ac| |p|), the denominator of every tracked point's value
-in the chart from c.  ``chart_reference.ref_ranked_centers`` states the
-same rule with ``join`` and ``line_conic_intersect``, so its centres and
-scores agree with ``make_chart``'s to rounding: every chart must be
-centred on the reference's candidate of the same rank, or on one whose
-score ties it.  The draws cover real and complex conics, small circles,
+standard frame to the real part of the tracked points' centroid and ranks
+the cuts by the least |p.Ac| / (|Ac| |p|), the denominator of every
+tracked point's value in the chart from c.
+``chart_reference.ref_ranked_centers`` states the same rule with ``join``
+and ``line_conic_intersect``, so its centres and scores agree with
+``make_chart``'s to rounding: every chart must be centred on the
+reference's candidate of the same rank, or on one whose score ties it.
+The draws cover real and complex conics, small circles,
 tracked points at a candidate centre, where the candidate drops out, and
 tracked points 1e-8..1e-4 from one, either side of the 1e-6 clearance cut.
 
