@@ -47,6 +47,7 @@ from .projective import (
     _minor_gap,
     _normalize3,
     _conic_cut,
+    _line_base_points,
     conic_contains,
     meet,
     second_intersection,
@@ -303,11 +304,13 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
     The candidates are the cuts of the conic with the lines joining the
     ``_FRAME`` points to the real part g of the centroid of ``avoid`` (the
     origin when no point of it is finite), less those within 1e-6 of a
-    point of ``avoid``.  In the chart from c a point's value is
+    point of ``avoid`` and repeats within ``DEFAULT.rel``, so distinct
+    variants give distinct charts.  In the chart from c a point's value is
     -(L.p)/(T.p), with T = A c the tangent at c, so it blows up where
     |p.Ac| is small: the centres rank by the least |p.Ac| / (|Ac| |p|) over
     ``avoid``, largest first and stably, each norm the largest |entry|.
-    ``variant`` wraps past the end of the list.
+    ``variant`` wraps past the end of the list; a centre that takes no
+    chart passes to the next.
     """
     if conic.degenerate:
         raise ConstructionDegeneracy("no chart on a degenerate conic")
@@ -316,12 +319,16 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
     # weighted by |z|^2: real lines keep the centres of a real conic real
     # when rounding leaves the tracked points a little off the real plane
     g = tuple(sum((q[i] * q[2].conjugate()).real for q in coords) for i in range(3))
-    if not any(g):
-        g = (0, 0, 1)
+    g = _normalize3(g) if any(g) else (0, 0, 1)
     ranked: list[tuple[float, Vec3]] = []
     for d in _FRAME:
+        line = _cross(g, d)
+        if max(map(abs, line)) < DEFAULT.degeneracy:
+            continue  # g is the frame point: no line
         try:
-            cuts = _conic_cut(g, d, conic.entries)
+            # through the line's own base points, so every cut lies on the
+            # conic to rounding however close g comes to d
+            cuts = _conic_cut(*_line_base_points(line), conic.entries)
         except GeometryError:
             continue
         if cuts[2]:
@@ -329,13 +336,18 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
         for c in cuts[:2]:
             if any(_minor_gap(c, q) < 1e-6 for q in coords):
                 continue
+            if any(_minor_gap(c, r[1]) < DEFAULT.rel for r in ranked):
+                continue
             t = conic.apply(c)
             scale = max(map(abs, t))
             ranked.append((min((abs(_dot(q, t)) for q in coords), default=scale) / scale, c))
-    if not ranked:
-        raise ConstructionDegeneracy("no usable chart on the carrier conic")
     ranked.sort(key=lambda r: -r[0])
-    return StereoChart(conic, ProjPoint._of_normalized(ranked[variant % len(ranked)][1]))
+    for k in range(len(ranked)):
+        try:
+            return StereoChart(conic, ProjPoint._of_normalized(ranked[(variant + k) % len(ranked)][1]))
+        except GeometryError:
+            continue
+    raise ConstructionDegeneracy("no usable chart on the carrier conic")
 
 
 # ---------------------------------------------------------------------------

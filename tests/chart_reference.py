@@ -107,7 +107,7 @@ def ref_centroid(points):
 def ref_ranked_centers(conic, avoid=()):
     """[(score, centre)] best first, each centre a cut of the conic with a
     line from the centroid to a frame point, 1e-6 or more from every
-    tracked point."""
+    tracked point and 1e-9 or more from every centre before it."""
     g = ref_centroid(avoid)
     if conic.degenerate:
         return []
@@ -121,6 +121,8 @@ def ref_ranked_centers(conic, avoid=()):
             continue
         for c in (p1, p2):
             if any(proj_distance(c, a) < 1e-6 for a in avoid):
+                continue
+            if any(proj_distance(c, r) < 1e-9 for _, r in ranked):
                 continue
             tangent = conic.apply(c.coords)
             size = max(abs(z) for z in tangent)

@@ -27,6 +27,7 @@ from poncelet import (
     Conic,
     ProjLine,
     ProjPoint,
+    conic_contains,
     conic_through_5,
     doubling,
     line_conic_intersect,
@@ -140,16 +141,17 @@ def test_draws_include_short_candidate_lists():
 
 
 def test_clearance_cut():
-    # a mirrored pair 1e-8..1e-4 from an axis cut drops both candidates
-    # there when closer than 1e-6, and only then
+    # a mirrored pair 1e-8..1e-4 from an axis cut drops the candidate
+    # there when closer than 1e-6, and only then; the frame lines through
+    # (1, 0, 0) and the origin are both the axis, whose cuts rank once
     kept = dropped = 0
     for seed in range(40):
         conic, avoid = mirrored_draw(random.Random(seed), near=True)
         ranked = ref_ranked_centers(conic, avoid)
         assert min(proj_distance(c, p) for _, c in ranked for p in avoid) >= 1e-6
         assert_choice_matches(conic, avoid, variants=range(len(ranked)))
-        kept += len(ranked) == 8
-        dropped += len(ranked) == 6
+        kept += len(ranked) == 6
+        dropped += len(ranked) == 5
     assert kept and dropped
 
 
@@ -216,6 +218,37 @@ def test_centroid_near_the_conic(seed):
     t = math.sqrt(2 * 10 ** rng.uniform(-10, -4) / r)
     avoid = [ProjPoint(a + r * math.cos(t), sign * r * math.sin(t), 1) for sign in (1, -1)]
     assert_choice_matches(conic, avoid, variants=range(8))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_centroid_near_a_frame_point(seed):
+    # four points a quarter turn apart on a circle centred 1e-8..1e-6 from
+    # the origin or from (1, 1) have their centroid at the centre, so the
+    # centroid nearly coincides with the frame point (0, 0, 1) or (1, 1, 1);
+    # each line is cut through its own base points, so every candidate
+    # still lies on the conic to rounding
+    rng = random.Random(seed)
+    eps, phi = 10 ** rng.uniform(-8, -6), rng.uniform(0, 2 * math.pi)
+    base = seed % 2
+    a, b, r = base + eps * math.cos(phi), base + eps * math.sin(phi), rng.uniform(0.3, 1.5)
+    conic = Conic([1, 0, -a, 1, -b, a * a + b * b - r * r])
+    t0 = rng.uniform(0, math.pi)
+    avoid = [ProjPoint(a + r * math.cos(t0 + k * math.pi / 2), b + r * math.sin(t0 + k * math.pi / 2), 1)
+             for k in range(4)]
+    ranked = ref_ranked_centers(conic, avoid)
+    for variant in range(len(ranked)):
+        assert conic_contains(conic, make_chart(conic, avoid, variant=variant).center) < 1e-13
+    assert_choice_matches(conic, avoid, variants=range(len(ranked)))
+
+
+def test_variants_give_distinct_charts():
+    # a centroid on x = y puts (0, 0, 1) and (1, 1, 1) on one line, whose
+    # cuts are ranked once
+    conic = Conic.unit_circle()
+    avoid = [ProjPoint(math.cos(t), math.sin(t), 1) for t in (0.2, math.pi / 2 - 0.2)]
+    centres = [make_chart(conic, avoid, variant=k).center for k in range(len(ref_ranked_centers(conic, avoid)))]
+    assert len(centres) == 6
+    assert all(proj_distance(p, q) > 1e-9 for i, p in enumerate(centres) for q in centres[:i])
 
 
 # Pythagorean points of the unit circle and the circle's isotropic points:

@@ -72,15 +72,15 @@ PINNED = {
         "4353059aefd6e0f7de34d982cf647cdb44f666aa79ea7eebf885efc2f0da154f",
     ),
     "heptagon.json": (
-        "bde9c47a5e7643363d37a4a9f39d2a4cec735c84bec7ec3bd88e63c17ca36077",
+        "c3015b21aa8c0cb9e81f508bdb4aed21c69ebedf96a8380e0651dd46ca037afb",
         "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
     ),
     "octagon.json": (
-        "70d373db1faae4f84c8bfa55becd8d445cf8f3aa5d5fc8725e141da1d1f022fc",
+        "6ca05656429e3bca926065deecd6703cc9fd7a35bd388a8cc8278c23fa466bcb",
         "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
     ),
     "ninegon.json": (
-        "bb83d2ddafe996dc2f788f3749843275f479ab8c9e196346709cb4091957aecb",
+        "672db238689829927df6ceec76ff01ca36001babec32dbc1d92bf36beccbaaef",
         "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
     ),
     "doubled_hexagon.json": (
@@ -107,13 +107,13 @@ CHAINS = {
 # other branches of 7, 8 and 9 cover each construction's second cut
 CONSTRUCTS = {
     "6": "73ffccf14521526980e1c036fbb1b79c7c3f222bd52cec273a86f2b6f6557774",
-    "7": "c30fba37bef3feb30ced269ffdb0dd8f24b8aacc5b7f86aec4c7cb27214607c2",
-    "7 --branch 1": "1f28058da820d9e590478dc7d936c4df3b3cb02961954f16d5fa90371a9716a6",
-    "8": "d6a7b7588599a67e2e30e981485e0c64792b535c57ca339fdd44c4667771e210",
-    "8 --branch 1": "e7a68f820c9806168e4668089c75baab1ec96353a64706938e05a241326ef84e",
-    "9": "fa8ab15c51ea7d3ffea12d706bfa898af24653bd654a4f559f62b61707b3f5c1",
-    "9 --branch 1": "0f9f3b8805ddf82103a82049a2730262d683311eb85e1bd8af5d45e82dc13bea",
-    "9 --branch 2": "7dfa25af41e90680a008020fc73edae041600a7503d0d2592cf19be7c6566a9c",
+    "7": "b83d50b84c08e7ab93bd857d166e4ba00e072a397238160a9e012e7af3b8054c",
+    "7 --branch 1": "2d3fcc40d4baea484e47c329748f61757bebead0ad85d57e1334e2551b3e9f3b",
+    "8": "976edbffda696dd8e2b9a137b07287735daed741f954ba8cb572ac7a3fdf76ca",
+    "8 --branch 1": "d8cc6894ac092f1e43de78be16f0dfb4709e99e32d00f2672392b5a3b156cd79",
+    "9": "2c8e57ec6994d2c3b2c73c4b7e51502cb420b197a0f1f7727b3270c7d4027e7c",
+    "9 --branch 1": "2b182a3b012c187b4e47fcdcc66a294cc20900806243a48506550990f052e2f1",
+    "9 --branch 2": "f6f9d497c9035c4bc607460fc301c32847c8857ca718b2072fa1e0f5cf8744e8",
     "double": "691ee95064b8df5d789636bf6ab4b2f31116733d7171ca902956d047b1e4b117",
 }
 
