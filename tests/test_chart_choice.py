@@ -9,8 +9,11 @@ and ``line_conic_intersect``, so its centres and scores agree with
 ``make_chart``'s to rounding: every chart must be centred on the
 reference's candidate of the same rank, or on one whose score ties it.
 The draws cover real and complex conics, small circles,
-tracked points at a candidate centre, where the candidate drops out, and
-tracked points 1e-8..1e-4 from one, either side of the 1e-6 clearance cut.
+tracked points at a candidate centre, where the candidate drops out,
+tracked points 1e-8..1e-4 from one, either side of the 1e-6 clearance cut,
+centroids 1e-8..1e-6 from a frame point, whose cuts must still lie on the
+conic, and centroids on a line through two frame points, whose cuts rank
+once.
 
 ``doubling`` takes no ranked chart: it orders the doubled polygon in the
 chart centred on the scene's first vertex, so the interleaving check runs
