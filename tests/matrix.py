@@ -5,10 +5,12 @@
 rebuilds ``tests/matrix.json``; without ``--write`` it prints the commands
 whose exit code or bytes differ from the file.  ``test_matrix.py`` does the
 same in-process.  The commands are ``construct 6/7/8/9/double/chain`` for
-seeds 0..99, the two item-1 seeds, and ``verify`` of each document a
-construct wrote.  A construct's digest is that of its document, a verify's
-that of its report.  A change that moves bytes regenerates the file, bumps
-the version and names the moved commands.
+seeds 0..99, the two item-1 seeds, ``verify`` of each document a
+construct wrote, ``render`` of each document of seeds 0..9 and ``count
+--n 8/12/16`` for seeds 0..9.  A construct's digest is that of its
+document, a verify's that of its report, a render's that of its SVG and a
+count's that of its report.  A change that moves bytes regenerates the
+file, bumps the version and names the moved commands.
 
 ``KNOWN_DEFECTS`` exit 4 today, by the program's fault, not the check's:
 their closure or on-conic residual is above the pass limit.  They stay in
@@ -35,11 +37,24 @@ KNOWN_DEFECTS = (
     "construct 9 --seed 824892 --branch 0",
 )
 CONSTRUCTS = tuple(f"construct {kind} --seed {seed}" for kind in KINDS for seed in SEEDS) + KNOWN_DEFECTS[2:]
+RENDERED = tuple(f"construct {kind} --seed {seed}" for kind in KINDS for seed in range(10))
+COUNTS = tuple(f"count --n {n} --seed {seed}" for n in (8, 12, 16) for seed in range(10))
+
+
+def _run(argv: list[str]) -> list:
+    """[exit code, sha256 of what the command printed]."""
+    from poncelet.cli import main
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return [code, hashlib.sha256(printed.getvalue().encode()).hexdigest()]
 
 
 def compute() -> dict[str, list]:
     """command -> [exit code, sha256 of its bytes], in ``CONSTRUCTS`` order,
-    each construct followed by the verify of its document if it wrote one."""
+    each construct followed by the verify of its document if it wrote one
+    and by its render if it is in ``RENDERED``, then ``COUNTS``."""
     from poncelet.cli import main
 
     out: dict[str, list] = {}
@@ -53,10 +68,11 @@ def compute() -> dict[str, list]:
                 out[command] = [code, None]
                 continue
             out[command] = [code, hashlib.sha256(path.read_bytes()).hexdigest()]
-            report = io.StringIO()
-            with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["verify", "--in", str(path)])
-            out[f"verify ({command})"] = [code, hashlib.sha256(report.getvalue().encode()).hexdigest()]
+            out[f"verify ({command})"] = _run(["verify", "--in", str(path)])
+            if command in RENDERED:
+                out[f"render ({command})"] = _run(["render", "--in", str(path)])
+    for command in COUNTS:
+        out[command] = _run(command.split())
     return out
 
 
@@ -64,7 +80,7 @@ def moved(old: dict[str, list], new: dict[str, list]) -> list[str]:
     """Each command whose entry differs, with its old and new exit codes."""
     return [
         f"{command}: exit {old.get(command, [None])[0]} -> {new.get(command, [None])[0]}"
-        for command in sorted(old.keys() | new.keys(), key=lambda c: (c.startswith("verify"), c))
+        for command in sorted(old.keys() | new.keys(), key=lambda c: (c.split()[0] != "construct", c))
         if old.get(command) != new.get(command)
     ]
 
