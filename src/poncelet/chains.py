@@ -425,10 +425,10 @@ def chain_values(
 
 
 def canonical_chart() -> StereoChart:
-    """Fixed chart on the unit circle used to lift line coordinates to scenes."""
-    return StereoChart(
-        Conic.unit_circle(), ProjPoint(0, 1, 1), ProjLine(0, 1, 0)
-    )
+    """Fixed chart on the unit circle used to lift line coordinates to scenes:
+    the pencil at (0, 1, 1) sends (X, Y, Z) to X / (Z - Y), the projection
+    onto the line y = 0."""
+    return StereoChart(Conic.unit_circle(), ProjPoint(0, 1, 1))
 
 
 def scene_from_rp1(points: Sequence[RP1Point]) -> PonceletScene:

@@ -1,11 +1,12 @@
-"""Bracket algebra on the projective line and stereographic transfer.
+"""Bracket algebra on the projective line and the transfer of conics to it.
 
-Points of a conic are identified with RP^1 by projecting from a point of
-the conic onto a fixed axis line.  All chain/closure conditions in this
-package are multihomogeneous 2x2-bracket equations evaluated on those
-transferred coordinates, each monomial of the same degree in every point,
-so in exact arithmetic their scaled residuals do not depend on the chart.
-The chart moves rounding only: ``make_chart`` fixes it deterministically,
+Points of a conic are identified with RP^1 by the pencil of lines through
+one point c of the conic: p goes to the line c v p.  In that chart a
+bracket [p q] is det(c, p, q) times one factor per point, and all
+chain/closure conditions in this package are multihomogeneous 2x2-bracket
+equations, each monomial of the same degree in every point, so in exact
+arithmetic their scaled residuals do not depend on the chart.  The chart
+moves rounding only: ``make_chart`` fixes its centre deterministically,
 from one cheap ranking of a few centres, and builds one chart.
 
 Convention for a bracket: ``[a b]`` is the determinant of the two
@@ -27,7 +28,6 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    CoincidentElements,
     ConstructionDegeneracy,
     DegenerateChain,
     DegenerateCrossRatio,
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .projective import (
     Conic,
-    ProjLine,
     ProjPoint,
     Vec3,
     _cross,
@@ -48,9 +47,8 @@ from .projective import (
     _normalize3,
     _conic_cut,
     _line_base_points,
+    _other_root,
     conic_contains,
-    meet,
-    second_intersection,
 )
 from .settings import DEFAULT
 
@@ -158,159 +156,81 @@ def _pairwise_distinct(points: Sequence[RP1Point]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# stereographic transfer
+# charts: the pencil of lines at a point of the conic
 
 
-# the standard projective frame; the lines joining its points to (the real
-# part of) the tracked points' centroid cut a conic in the candidate centres
+# the standard projective frame: a chart's second line joins its centre to
+# one of the first three; the lines joining them all to (the real part of)
+# the tracked points' centroid cut a conic in the candidate centres
 _FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-# fixed axis lines; a chart projects onto the one farthest from its center
-CHART_AXES = (
-    ProjLine(0.61, -1.0, 0.34),
-    ProjLine(1.0, 0.52, 0.18),
-    ProjLine(-0.23, 0.77, 1.0),
-    ProjLine(1.0, -0.35, -0.93),
-)
-
-
-def _axis_cuts(axis: Vec3) -> list[Vec3]:
-    """The axis cut by the coordinate lines and by x + y + z = 0, normalized."""
-    cuts = (_cross(axis, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-    return [_normalize3(c) for c in cuts if max(abs(z) for z in c) >= DEFAULT.degeneracy]
-
-
-# each fixed axis with its cuts
-_CHART_AXIS_CUTS = tuple((axis, _axis_cuts(axis.coords)) for axis in CHART_AXES)
 _INFINITY = RP1Point.infinity().coords
 
 
 class StereoChart:
-    """Identification of the points of a conic with RP^1.
+    """The pencil of lines through ``center``, a point c of the conic, as RP^1.
 
-    Projects from ``center`` (a point of the conic) onto ``axis`` (a line
-    not through the center; by default the ``CHART_AXES`` line farthest
-    from the center).  The center itself corresponds to (1, 0), the point
-    at infinity of the chart; the frame on the axis is anchored at the
-    intersection of the axis with the tangent at the center, which is
-    exactly the image of the center under the limiting projection.
+    A point p of the conic goes to its line c v p.  The pencil has the
+    basis T = A c, the tangent at c, and L = c x e_k, the line from c to
+    the frame point e_k of the first largest |T_k|; the line of p is
+    (T.p) L - (L.p) T, so p goes to (L.p : T.p).  The center itself goes
+    to (1, 0), the limit along the conic, as its line is the tangent.  A
+    bracket [p q] of two transferred points is det(c, p, q) times one
+    factor per point, so a bracket condition reads the same in every chart.
     """
 
-    __slots__ = ("conic", "center", "axis", "_u", "_v", "_rows")
+    __slots__ = ("conic", "center", "_pencil")
 
-    def __init__(self, conic: Conic, center: ProjPoint, axis: ProjLine | None = None):
+    def __init__(self, conic: Conic, center: ProjPoint):
         cc = center.coords
-        if axis is None:
-            # the first axis of largest |center . axis|
-            gap = -1.0
-            for a, a_cuts in _CHART_AXIS_CUTS:
-                g = abs(_dot(cc, a.coords))
-                if g > gap:
-                    axis, cuts, gap = a, a_cuts, g
-            if gap <= 1e-6:
-                raise DegenerateChain("no axis avoids the chart center")
-        else:
-            cuts = _axis_cuts(axis.coords)
-            gap = abs(_dot(cc, axis.coords))
         if conic_contains(conic, center) > 1e-7:
             raise PointNotOnConic("chart center must lie on the conic")
-        if gap < DEFAULT.degeneracy:
-            raise ValueError("chart axis must not pass through the center")
         if conic.degenerate:
-            raise DegenerateInput("tangent_line_at requires a non-degenerate conic")
+            raise DegenerateInput("a chart needs a non-degenerate conic")
+        t = conic.apply(cc)
+        k = max(range(3), key=lambda i: abs(t[i]))
         object.__setattr__(self, "conic", conic)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "axis", axis)
-        # the tangent at the center (tangent_line_at, whose on-conic check
-        # would repeat the one above) met with the axis
-        u = meet(ProjLine(conic.apply(cc)), axis).coords
-        # second frame point: axis cut by the best coordinate line avoiding u
-        v = max(cuts, key=lambda c: _minor_gap(u, c))
-        # the best-conditioned pair of rows for solving q = alpha*u + beta*v:
-        # the first of (0, 1), (0, 2), (1, 2) with the largest |minor|
-        u0, u1, u2 = u
-        v0, v1, v2 = v
-        rows = (0, 1, u0 * v1 - u1 * v0)
-        for other in ((0, 2, u0 * v2 - u2 * v0), (1, 2, u1 * v2 - u2 * v1)):
-            if abs(other[2]) > abs(rows[2]):
-                rows = other
-        object.__setattr__(self, "_u", u)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pencil", (_cross(cc, _FRAME[k]), t))
 
     def __setattr__(self, *a):
         raise AttributeError("StereoChart is immutable")
 
     def _transfer(self, p: Vec3) -> Vec2:
-        """Normalized RP1 pair of the conic point with coordinates ``p``.
-
-        meet(join(center, p), axis) written as alpha*u + beta*v, in the
-        floating-point operations of the join, meet and RP1Point steps it
-        replaces, without building any of those elements.
-        """
-        c0, c1, c2 = self.center.coords
-        p0, p1, p2 = p
-        # join(center, p); its largest |entry| is proj_distance(p, center)
-        r0 = c1 * p2 - c2 * p1
-        r1 = c2 * p0 - c0 * p2
-        r2 = c0 * p1 - c1 * p0
-        a0, a1, a2 = abs(r0), abs(r1), abs(r2)
-        top, big = (r1, a1) if a1 > a0 else (r0, a0)
-        if a2 > big:
-            top, big = r2, a2
-        if big < DEFAULT.degeneracy:
-            return _INFINITY
-        l0, l1, l2 = r0 / top, r1 / top, r2 / top
-        # meet with the axis
-        x0, x1, x2 = self.axis.coords
-        m0 = l1 * x2 - l2 * x1
-        m1 = l2 * x0 - l0 * x2
-        m2 = l0 * x1 - l1 * x0
-        a0, a1, a2 = abs(m0), abs(m1), abs(m2)
-        top, big = (m1, a1) if a1 > a0 else (m0, a0)
-        if a2 > big:
-            top, big = m2, a2
-        if big < DEFAULT.degeneracy:
-            raise CoincidentElements("the ray from the chart center runs along the axis")
-        q = (m0 / top, m1 / top, m2 / top)
-        # q = alpha*u + beta*v on the best-conditioned rows
-        u, v = self._u, self._v
-        i, j, det = self._rows
-        alpha = (q[i] * v[j] - q[j] * v[i]) / det
-        beta = (u[i] * q[j] - u[j] * q[i]) / det
+        """Normalized RP1 pair (L.p : T.p) of the conic point with coordinates ``p``."""
+        l, t = self._pencil
+        alpha, beta = _dot(l, p), _dot(t, p)
+        if abs(alpha) < DEFAULT.degeneracy and abs(beta) < DEFAULT.degeneracy:
+            return _INFINITY  # the center: both lines pass through it
         if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
             raise NonFiniteElement(f"non-finite coordinates {(alpha, beta)}")
         top = alpha if abs(alpha) >= abs(beta) else beta
-        if top == 0:
-            raise NonFiniteElement("zero vector is not a point of RP1")
         return alpha / top, beta / top
 
     def project(self, p: ProjPoint) -> RP1Point:
-        """Transfer a conic point to the line: meet(join(center, p), axis)."""
+        """Transfer a conic point to the line: the line from the center to it."""
         if conic_contains(self.conic, p) > DEFAULT.on_conic:
             raise PointNotOnConic(f"{p} is not on the chart conic")
         return RP1Point._of_normalized(self._transfer(p.coords))
 
     def lift(self, x: RP1Point) -> ProjPoint:
-        """Inverse transfer: second intersection of the ray with the conic."""
+        """Inverse transfer: the other cut of the conic with the line of ``x``."""
         alpha, beta = x.coords
-        u, v = self._u, self._v
-        q = tuple(alpha * ui + beta * vi for ui, vi in zip(u, v))
-        return second_intersection(self.conic, self.center, ProjPoint(q))
+        l, t = self._pencil
+        m = tuple(beta * li - alpha * ti for li, ti in zip(l, t))
+        return ProjPoint._of_normalized(_other_root(self.conic.entries, self.center.coords, m))
 
 
-def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) -> StereoChart:
-    """Chart from the ``variant``-th best centre on ``conic`` for the points ``avoid``.
+def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = ()) -> StereoChart:
+    """Chart from the best centre on ``conic`` for the points ``avoid``.
 
     The candidates are the cuts of the conic with the lines joining the
     ``_FRAME`` points to the real part g of the centroid of ``avoid`` (the
     origin when no point of it is finite), less those within 1e-6 of a
-    point of ``avoid`` and repeats within ``DEFAULT.rel``, so distinct
-    variants give distinct charts.  In the chart from c a point's value is
-    -(L.p)/(T.p), with T = A c the tangent at c, so it blows up where
-    |p.Ac| is small: the centres rank by the least |p.Ac| / (|Ac| |p|) over
-    ``avoid``, largest first and stably, each norm the largest |entry|.
-    ``variant`` wraps past the end of the list; a centre that takes no
-    chart passes to the next.
+    point of ``avoid`` and repeats within ``DEFAULT.rel``.  In the chart
+    from c a point's value is (L.p)/(T.p), with T = A c the tangent at c,
+    so it blows up where |p.Ac| is small: the centres rank by the least
+    |p.Ac| / (|Ac| |p|) over ``avoid``, largest first and stably, each norm
+    the largest |entry|.  A centre that takes no chart passes to the next.
     """
     if conic.degenerate:
         raise ConstructionDegeneracy("no chart on a degenerate conic")
@@ -342,9 +262,9 @@ def make_chart(conic: Conic, avoid: Sequence[ProjPoint] = (), variant: int = 0) 
             scale = max(map(abs, t))
             ranked.append((min((abs(_dot(q, t)) for q in coords), default=scale) / scale, c))
     ranked.sort(key=lambda r: -r[0])
-    for k in range(len(ranked)):
+    for _, c in ranked:
         try:
-            return StereoChart(conic, ProjPoint._of_normalized(ranked[(variant + k) % len(ranked)][1]))
+            return StereoChart(conic, ProjPoint._of_normalized(c))
         except GeometryError:
             continue
     raise ConstructionDegeneracy("no usable chart on the carrier conic")

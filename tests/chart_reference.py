@@ -1,10 +1,12 @@
 """The chart layer in its object form, kept as the reference.
 
-``conic_contains`` and ``StereoChart`` (``__init__`` and ``project``) as
-they were before the straight-line rewrite: every transfer goes through
-``join``, ``meet`` and ``RP1Point``.  The rewrite must do the same
-floating-point operations in the same order, so tests compare the two by
-``repr`` and by exception class.
+``ref_conic_contains`` is ``conic_contains`` in the same floating-point
+operations, so tests compare the two by ``repr``.  ``RefStereoChart`` is
+the older chart, a projection from the centre onto a fixed axis line
+through ``join``, ``meet`` and ``RP1Point``: another chart of the pencil
+of lines at the centre, with the centre at infinity, so its values and
+``StereoChart``'s differ by an affine map of the line, and tests compare
+affine ratios and exception classes.
 
 ``ref_ranked_centers`` states the chart-centre rule of ``make_chart`` in
 the same object form: the lines joining the points of the standard frame
@@ -132,23 +134,3 @@ def ref_ranked_centers(conic, avoid=()):
             )
             ranked.append((score, c))
     return sorted(ranked, key=lambda t: -t[0])
-
-
-def chart_state(ch):
-    """Everything a chart carries, as a string: equal iff bit-identical."""
-    return repr((ch.center.coords, ch.axis.coords, ch._u, ch._v, ch._rows))
-
-
-def outcome(fn, *args, **kwargs):
-    """repr of the result (``chart_state`` for charts), or the exception class."""
-    try:
-        out = fn(*args, **kwargs)
-    except Exception as exc:
-        return type(exc)
-    if hasattr(out, "_rows"):
-        return chart_state(out)
-    if isinstance(out, RP1Point):
-        return repr(out.coords)
-    if isinstance(out, list):
-        return repr([getattr(x, "coords", x) for x in out])
-    return repr(out)

@@ -6,8 +6,10 @@ the cuts by the least |p.Ac| / (|Ac| |p|), the denominator of every
 tracked point's value in the chart from c.
 ``chart_reference.ref_ranked_centers`` states the same rule with ``join``
 and ``line_conic_intersect``, so its centres and scores agree with
-``make_chart``'s to rounding: every chart must be centred on the
-reference's candidate of the same rank, or on one whose score ties it.
+``make_chart``'s to rounding.  ``make_chart`` walks its centres in rank
+order until one takes a chart; with every chart refused it walks them
+all, and each must be the reference's candidate of the same rank, or one
+whose score ties it.
 The draws cover real and complex conics, small circles,
 tracked points at a candidate centre, where the candidate drops out,
 tracked points 1e-8..1e-4 from one, either side of the 1e-6 clearance cut,
@@ -39,37 +41,52 @@ from poncelet import (
     polygon_scene,
     proj_distance,
 )
-from poncelet import constructions
-from poncelet.errors import ConstructionDegeneracy, GeometryError
+from poncelet import constructions, rp1
+from poncelet.errors import ConstructionDegeneracy, DegenerateInput, GeometryError
 
-from chart_reference import chart_state, ref_ranked_centers
+from chart_reference import ref_ranked_centers
 from conftest import ring_points
 
 TIE = 1e-7  # scores and centres of the two routes agree to this
 
 
-def outcome(fn, *args, **kwargs):
-    """Chart coordinates or the exception class: what must agree."""
+def outcome(fn, *args):
+    """The chart's centre or the exception class: what must agree."""
     try:
-        ch = fn(*args, **kwargs)
+        ch = fn(*args)
     except GeometryError as exc:
         return type(exc)
-    return chart_state(ch)
+    return repr(ch.center.coords)
 
 
-def assert_choice_matches(conic, avoid, variants=(0,)):
-    """Each variant's centre is the reference's candidate of that rank or
-    one tied with it, and the list has the reference's length."""
-    ref = ref_ranked_centers(conic, avoid)
-    if not ref:
+def walked_centres(conic, avoid):
+    """The centres ``make_chart`` tries, in order, when each refuses a chart."""
+    tried = []
+
+    def refuse(conic, centre):
+        tried.append(centre)
+        raise DegenerateInput("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rp1, "StereoChart", refuse)
         assert outcome(make_chart, conic, avoid) is ConstructionDegeneracy
-        return
-    for variant in variants:
-        centre = make_chart(conic, avoid, variant=variant).center
-        score = ref[variant % len(ref)][0]
-        assert any(abs(s - score) <= TIE and proj_distance(c, centre) <= TIE for s, c in ref), variant
-    # variant len(ref) wraps round to the best centre
-    assert outcome(make_chart, conic, avoid, variant=len(ref)) == outcome(make_chart, conic, avoid)
+    return tried
+
+
+def assert_choice_matches(conic, avoid):
+    """Each centre walked is the reference's candidate of that rank or one
+    tied with it, the walk has the reference's length, and the chart is
+    built on the first."""
+    ref = ref_ranked_centers(conic, avoid)
+    walked = walked_centres(conic, avoid)
+    assert len(walked) == len(ref)
+    for rank, centre in enumerate(walked):
+        score = ref[rank][0]
+        assert any(abs(s - score) <= TIE and proj_distance(c, centre) <= TIE for s, c in ref), rank
+    if ref:
+        assert outcome(make_chart, conic, avoid) == repr(walked[0].coords)
+    else:
+        assert outcome(make_chart, conic, avoid) is ConstructionDegeneracy
 
 
 def conic_points_on(line, conic):
@@ -135,7 +152,7 @@ def test_chart_choice_matches_reference(chunk):
     for seed in SEEDS[chunk::8]:
         conic, avoid = draw(seed)
         assert outcome(moderate_chart, conic, avoid) == outcome(make_chart, conic, avoid)
-        assert_choice_matches(conic, avoid, variants=range(9))
+        assert_choice_matches(conic, avoid)
 
 
 def test_draws_include_short_candidate_lists():
@@ -152,7 +169,7 @@ def test_clearance_cut():
         conic, avoid = mirrored_draw(random.Random(seed), near=True)
         ranked = ref_ranked_centers(conic, avoid)
         assert min(proj_distance(c, p) for _, c in ranked for p in avoid) >= 1e-6
-        assert_choice_matches(conic, avoid, variants=range(len(ranked)))
+        assert_choice_matches(conic, avoid)
         kept += len(ranked) == 6
         dropped += len(ranked) == 5
     assert kept and dropped
@@ -163,7 +180,7 @@ def test_no_tracked_points():
     for seed in range(0, 40, 8):
         conic, _ = draw(seed)
         assert outcome(moderate_chart, conic, []) == outcome(make_chart, conic, [])
-        assert_choice_matches(conic, [], variants=range(8))
+        assert_choice_matches(conic, [])
 
 
 def test_points_at_infinity():
@@ -172,7 +189,7 @@ def test_points_at_infinity():
     conic = Conic([0, 0.5, 0, 0, 0, -1])  # xy = z^2
     asymptotic = [ProjPoint(1, 0, 0), ProjPoint(0, 1, 0)]
     for avoid in (asymptotic[:1], asymptotic):
-        assert_choice_matches(conic, avoid, variants=range(4))
+        assert_choice_matches(conic, avoid)
         chart = moderate_chart(conic, avoid)
         assert all(chart.lift(chart.project(p)).is_same(p) for p in avoid)
 
@@ -220,7 +237,7 @@ def test_centroid_near_the_conic(seed):
     conic = Conic([1, 0, -a, 1, 0, a * a - r * r])
     t = math.sqrt(2 * 10 ** rng.uniform(-10, -4) / r)
     avoid = [ProjPoint(a + r * math.cos(t), sign * r * math.sin(t), 1) for sign in (1, -1)]
-    assert_choice_matches(conic, avoid, variants=range(8))
+    assert_choice_matches(conic, avoid)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -238,18 +255,17 @@ def test_centroid_near_a_frame_point(seed):
     t0 = rng.uniform(0, math.pi)
     avoid = [ProjPoint(a + r * math.cos(t0 + k * math.pi / 2), b + r * math.sin(t0 + k * math.pi / 2), 1)
              for k in range(4)]
-    ranked = ref_ranked_centers(conic, avoid)
-    for variant in range(len(ranked)):
-        assert conic_contains(conic, make_chart(conic, avoid, variant=variant).center) < 1e-13
-    assert_choice_matches(conic, avoid, variants=range(len(ranked)))
+    for centre in walked_centres(conic, avoid):
+        assert conic_contains(conic, centre) < 1e-13
+    assert_choice_matches(conic, avoid)
 
 
-def test_variants_give_distinct_charts():
+def test_repeated_cuts_are_walked_once():
     # a centroid on x = y puts (0, 0, 1) and (1, 1, 1) on one line, whose
     # cuts are ranked once
     conic = Conic.unit_circle()
     avoid = [ProjPoint(math.cos(t), math.sin(t), 1) for t in (0.2, math.pi / 2 - 0.2)]
-    centres = [make_chart(conic, avoid, variant=k).center for k in range(len(ref_ranked_centers(conic, avoid)))]
+    centres = walked_centres(conic, avoid)
     assert len(centres) == 6
     assert all(proj_distance(p, q) > 1e-9 for i, p in enumerate(centres) for q in centres[:i])
 
@@ -268,7 +284,7 @@ EXACT_POINTS = [
 def test_exact_coordinates(conic):
     on = [p for p in EXACT_POINTS if conic.qform(p.coords) == 0]
     for k in range(0, len(on), 5):
-        assert_choice_matches(conic, on[k:k + 5], variants=range(8))
+        assert_choice_matches(conic, on[k:k + 5])
 
 
 def small_circle_pentagon(seed):

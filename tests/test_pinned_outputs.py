@@ -5,8 +5,9 @@ and ``9 --seed 3`` and from ``construct double --seed 3 --in`` the document
 of ``construct 6 --seed 3`` (``hexagon.json``), as built before 0.1.3.
 ``verify`` recomputes each polygon's bracket residual through
 ``moderate_chart`` and ``StereoChart.project``, so the digests hold the
-chart transfer to its floating-point bits; the output of a command is a
-pure function of its input and the package version.  A change that moves
+chart transfer, the pencil of lines at the chart's centre, to its
+floating-point bits; the output of a command is a pure function of its
+input and the package version.  A change that moves
 these digests changes what users get, and needs a version bump.
 
 Every ``construct`` digest and the ``verify`` digests of the five polygon
@@ -47,6 +48,13 @@ hexagon's ``verify``, ``construct double``, every SVG, the chain digests
 and the ``count`` bytes kept theirs.  ``tests/matrix.json`` names every
 moved command over seeds 0..99.
 
+At 0.1.10 a chart is the pencil of lines at its centre: a point's value
+is read by two dot products with the tangent there and one other line
+through it, where it used to be projected onto one of four fixed axis
+lines.  The same digests moved again, and nothing else: every SVG, the
+hexagon's and the doubled hexagon's ``verify``, ``construct double``, the
+chain digests and the ``count`` bytes kept theirs.
+
 ``construct chain --in`` the heptagon and the hexagon are built afresh and
 pinned too, with their own ``verify`` and ``render``: that path runs
 ``join``, ``meet`` and ``config_from_chain_trace``.  The hexagon's chain
@@ -72,15 +80,15 @@ PINNED = {
         "4353059aefd6e0f7de34d982cf647cdb44f666aa79ea7eebf885efc2f0da154f",
     ),
     "heptagon.json": (
-        "c3015b21aa8c0cb9e81f508bdb4aed21c69ebedf96a8380e0651dd46ca037afb",
+        "76a41bf8f7edf3494242e912f8dfbaaa3af22344f7517f93b00a2a46ed32a1b7",
         "8a52d5374fae59eb2068c063c419f48c1a31d70e2333833c3e617d5f6e4d4ec9",
     ),
     "octagon.json": (
-        "6ca05656429e3bca926065deecd6703cc9fd7a35bd388a8cc8278c23fa466bcb",
+        "1955dcd8ccfb12bd586bc78a2c67582941510d81b683e0cf8cc3e9fdb6b0ee64",
         "4a6ad22841f195f402ddaa1a532724c317f0435e46742a3d4c245e4bc0c52a59",
     ),
     "ninegon.json": (
-        "672db238689829927df6ceec76ff01ca36001babec32dbc1d92bf36beccbaaef",
+        "86145bd2beaab581593d14df3c1e49082e298497e27bb3c97400e5e98487572d",
         "4ed34ce1fbd6b7daa43009e3c5361c43635509736a7448b0fcab7d2c70510eee",
     ),
     "doubled_hexagon.json": (
@@ -106,14 +114,14 @@ CHAINS = {
 # kind and options: sha256 of the JSON of ``construct <kind> --seed 3``; the
 # other branches of 7, 8 and 9 cover each construction's second cut
 CONSTRUCTS = {
-    "6": "73ffccf14521526980e1c036fbb1b79c7c3f222bd52cec273a86f2b6f6557774",
-    "7": "b83d50b84c08e7ab93bd857d166e4ba00e072a397238160a9e012e7af3b8054c",
-    "7 --branch 1": "2d3fcc40d4baea484e47c329748f61757bebead0ad85d57e1334e2551b3e9f3b",
-    "8": "976edbffda696dd8e2b9a137b07287735daed741f954ba8cb572ac7a3fdf76ca",
-    "8 --branch 1": "d8cc6894ac092f1e43de78be16f0dfb4709e99e32d00f2672392b5a3b156cd79",
-    "9": "2c8e57ec6994d2c3b2c73c4b7e51502cb420b197a0f1f7727b3270c7d4027e7c",
-    "9 --branch 1": "2b182a3b012c187b4e47fcdcc66a294cc20900806243a48506550990f052e2f1",
-    "9 --branch 2": "f6f9d497c9035c4bc607460fc301c32847c8857ca718b2072fa1e0f5cf8744e8",
+    "6": "b0d73dee168b3940a4a30dbc0b1c243a9b1b5d4e830e7b9d4120bff3a5e5f4bd",
+    "7": "78f1c7142482f8688a6dd035ffd781ab979547b8ecdcd82a30ae9d230d290eb2",
+    "7 --branch 1": "dc52a0f0824ce24495e5549c8dc72b482b0809d391ccba48ada22c130b3928db",
+    "8": "1d45235a68878b8475eb65c095c0a9cf41ceddc113705d734c56c11dec713b03",
+    "8 --branch 1": "f4188434bdc744b8c24ce2f8211d2a106386025701470a7733965179dedf82f8",
+    "9": "866bae189a20ebd32b5fdce344fb3604c3c4a91478fdbe0f88d00b41ab0b50bd",
+    "9 --branch 1": "728476942b3ea22cb74c40edeb001b95ddc84fb31f3f65c813508123e16e829d",
+    "9 --branch 2": "2566e3527922f63b88dafecdbb47f5df3f114686f51f78238884d71915339558",
     "double": "691ee95064b8df5d789636bf6ab4b2f31116733d7171ca902956d047b1e4b117",
 }
 

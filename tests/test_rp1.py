@@ -27,9 +27,11 @@ from poncelet import (
     quadset_residual,
     rp1_distance,
     six_on_conic_residual,
+    StereoChart,
 )
 from poncelet.errors import DegenerateChain, DegenerateCrossRatio, PointNotOnConic
 
+from chart_reference import ref_ranked_centers
 from conftest import ring_points
 
 S649 = math.sqrt(649)
@@ -146,8 +148,8 @@ class TestStereoChart:
     def test_cross_ratio_chart_independent(self, rng):
         pts = ring_points(rng, 5)
         conic = conic_through_5(pts)
-        c1 = make_chart(conic, avoid=pts, variant=0)
-        c2 = make_chart(conic, avoid=pts, variant=2)
+        centres = [c for _, c in ref_ranked_centers(conic, pts)]
+        c1, c2 = StereoChart(conic, centres[0]), StereoChart(conic, centres[2])
         xs1 = [c1.project(p) for p in pts[:4]]
         xs2 = [c2.project(p) for p in pts[:4]]
         r1, r2 = cross_ratio(*xs1), cross_ratio(*xs2)
@@ -161,6 +163,16 @@ class TestStereoChart:
         lifted = [chart.lift(RP1Point.affine(v)) for v in GOLDEN_FIVE]
         sixth = chart.lift(RP1Point.affine(2.0))
         assert six_on_conic_residual(lifted + [sixth]) < 1e-10
+
+    def test_canonical_chart_is_the_y0_projection(self):
+        # x = X / (Z - Y): Pythagorean points go to exact values.  Their
+        # integer coordinates are transferred, as ProjPoint(3, 4, 5) stores
+        # (0.6, 0.8, 1), which binary floats hold only to rounding
+        from poncelet.chains import canonical_chart
+
+        chart = canonical_chart()
+        for point, value in (((3, 4, 5), 3), ((5, 12, 13), 5)):
+            assert RP1Point(chart._transfer(point)).value() == value
 
 
 class TestQuadset:
