@@ -22,7 +22,6 @@ the two coefficients of a next-point formula.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cache
 from typing import NamedTuple, Sequence
@@ -201,8 +200,6 @@ class StereoChart:
         alpha, beta = _dot(l, p), _dot(t, p)
         if abs(alpha) < DEFAULT.degeneracy and abs(beta) < DEFAULT.degeneracy:
             return _INFINITY  # the center: both lines pass through it
-        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-            raise NonFiniteElement(f"non-finite coordinates {(alpha, beta)}")
         top = alpha if abs(alpha) >= abs(beta) else beta
         return alpha / top, beta / top
 
