@@ -7,6 +7,7 @@ import pytest
 from poncelet import (
     ProjPoint,
     RP1Point,
+    StereoChart,
     bracket,
     chain7_forms,
     chain7_residual,
@@ -27,7 +28,6 @@ from poncelet import (
     quadset_residual,
     rp1_distance,
     six_on_conic_residual,
-    StereoChart,
 )
 from poncelet.errors import DegenerateChain, DegenerateCrossRatio, PointNotOnConic
 
