@@ -103,4 +103,4 @@ from .rp1 import (
 from .settings import DEFAULT, Tolerances
 from .svg import render_svg
 
-__version__ = "0.1.10"
+__version__ = "0.1.11"

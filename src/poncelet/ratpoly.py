@@ -315,12 +315,14 @@ def _heu_gcd(f: list, g: list) -> tuple[list, list, list] | None:
     The candidate rebuilt from the balanced digits of gcd(f(xi), g(xi)) is
     the GCD once it divides both inputs, because xi = 2^k exceeds twice the
     larger coefficient modulus plus 2; the exact quotients come back with
-    it.  After HEU_GCD_TRIES unlucky evaluation points it gives up and
-    returns None.
+    it (a candidate 1 returns the inputs, with no division).  After
+    HEU_GCD_TRIES unlucky evaluation points it gives up and returns None.
     """
     k = (2 * max(abs(re) + abs(im) for re, im in map(_parts, f + g)) + 2).bit_length()
     for _ in range(HEU_GCD_TRIES):
         h = _primitive(_unpack(_gcd(_pack(f, k), _pack(g, k)), k))
+        if h == [1]:
+            return h, f, g
         qf = _exact_quo(f, h)
         if qf is not None:
             qg = _exact_quo(g, h)
@@ -494,6 +496,19 @@ def _newton_parts(p: Poly) -> tuple[list, list]:
     ``exact_newton`` and ``_newton_quotient`` take them."""
     c = p.int_form()
     return c, [(k * zr, k * zi) for k, (zr, zi) in enumerate(c)][1:]
+
+
+def _taylor_shift(c: list, mr: int, mi: int, bits: int) -> Poly:
+    """2^(bits d) p(m + y), m = (mr + i mi) / 2^bits, from the ``int_form``
+    of p: Horner's shift of R(u) = 2^(bits d) p(u / 2^bits) to u = 2^bits m
+    + t, then t = 2^bits y."""
+    d = len(c) - 1
+    a = [[cr << bits * (d - j), ci << bits * (d - j)] for j, (cr, ci) in enumerate(c)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            (ar, ai), (br, bi) = a[j], a[j + 1]
+            a[j] = [ar + br * mr - bi * mi, ai + br * mi + bi * mr]
+    return Poly([GaussInt(ar << bits * j, ai << bits * j) for j, (ar, ai) in enumerate(a)])
 
 
 def _newton_quotient(c: list, dc: list, xr: int, xi: int) -> tuple[int, int, int] | None:

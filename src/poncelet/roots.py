@@ -12,13 +12,15 @@ from the previous one, rounded to the grid, so the disc of radius
 pairwise disjoint each holds exactly one root, and no root is missed.
 Where discs meet, the cluster they form runs Aberth sweeps on the exact
 grid (the Newton quotient exact, the repulsion from every other root in
-floats) from its float seeds, or from a circle around the cluster where two
-seeds coincide; its discs are d |p/p'| at the final points.
+floats) from the roots of the exact Taylor shift p(m + y), m its mean
+centre, that float Aberth finds at the cluster's own scale (Bini & Robol
+2014) and no other disc holds, or from a circle around m.
 
 For a real polynomial a seed is polished on the real line when its
-imaginary part is within its own float Newton radius, and a root whose disc
-meets its mirror image in the real axis, while no other disc does, is real:
-its centre moves onto the axis.
+imaginary part is within its own float Newton radius.  One seed of each
+conjugate pair, and one cluster of each mirror pair, is polished; the other
+gets the mirror discs.  A root whose disc meets its mirror image, while no
+other disc does, is real: its centre moves onto the axis.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .ratpoly import (
     _newton_quotient,
     _parts,
     _ratio_float,
+    _round_div,
+    _taylor_shift,
     exact_newton,
 )
 
@@ -44,9 +48,10 @@ ULP = 2.0 ** -GRID_BITS     # bounds the grid rounding of a Newton step
 SLACK = 1 + 2.0 ** -40      # covers the float rounding of radii and distances
 FLOAT_SWEEPS = 50
 EXACT_SWEEPS = 100
-CONVERGED = 2.0 ** -190     # Newton quotient at which an exact sweep leaves a point
+CONVERGED = 2.0 ** -199     # Newton quotient at which an exact sweep leaves a point: 2 grid steps
 FINE = 2.0 ** -128          # disc radius, relative to max(1, |centre|), that needs no refining
 ANGLE = 0.7                 # Bini's offset: no start circle is symmetric in the real axis
+CENTRE_BITS = 64            # a cluster's shift centre lies on the 2^-64 grid
 
 
 class IsolatedRoot(NamedTuple):
@@ -68,29 +73,50 @@ def isolate_roots(p: Poly) -> list[IsolatedRoot]:
     seeds = float_seeds(coeffs)
     if len(seeds) != d:
         raise InseparableRoots(f"{len(seeds)} float seeds for a degree-{d} polynomial")
-    discs = []
-    for z, r in seeds:
-        if real and abs(z.imag) <= r:
-            z = complex(z.real)
-        (num, _), _, step = exact_newton(p, z, parts)
-        discs.append([*_parts(num), _disc_radius(d + 1, step)])
+    zs = [complex(z.real) if real and abs(z.imag) <= r else z for z, r in seeds]
+    partner = _conjugate_pairs(zs) if real else list(range(d))
+    discs: list[list] = []
+    for i, z in enumerate(zs):
+        if partner[i] < i:
+            discs.append(_mirror(discs[partner[i]]))
+        else:
+            (num, _), _, step = exact_newton(p, z, parts)
+            discs.append([*_parts(num), _disc_radius(d + 1, step)])
     clusters = _clusters(discs)
     for members in clusters:
-        _restart(c, dc, discs, seeds, members, _root_bound(coeffs))
+        twins = [partner[i] for i in members]
+        if min(twins) < min(members):
+            continue  # the mirror image of a cluster that runs
+        _restart(c, dc, discs, members, _root_bound(coeffs))
+        if min(twins) > min(members):
+            for i, j in zip(members, twins):
+                discs[j] = _mirror(discs[i])
     overlapping = sum(len(g) for g in _clusters(discs) if len(g) > 1) if clusters else 0
     if overlapping:
-        raise InseparableRoots(
-            f"{overlapping} of the {d} root discs of a degree-{d} polynomial "
-            "still overlap after the exact Aberth sweeps"
-        )
+        raise InseparableRoots(f"{overlapping} of the {d} root discs of a degree-{d} "
+                               "polynomial still overlap after the exact Aberth sweeps")
     if real:
         _snap_real(discs)
     one = 1 << GRID_BITS
-    return [
-        IsolatedRoot((GaussInt(xr, xi) if xi else xr, one),
-                     complex(_ratio_float(xr, one), _ratio_float(xi, one)), radius)
-        for xr, xi, radius in discs
-    ]
+    return [IsolatedRoot((GaussInt(xr, xi) if xi else xr, one),
+                         complex(_ratio_float(xr, one), _ratio_float(xi, one)), radius)
+            for xr, xi, radius in discs]
+
+
+def _conjugate_pairs(zs: list[complex]) -> list[int]:
+    """Each seed's partner: the seed across the real axis whose mirror image
+    is nearest, itself if real; every seed its own unless that is one to one."""
+    partner = list(range(len(zs)))
+    low = [j for j, z in enumerate(zs) if z.imag < 0]
+    up = [i for i, z in enumerate(zs) if z.imag > 0]
+    for i in up:
+        partner[i] = j = min(low, key=lambda j: abs(zs[i] - zs[j].conjugate()), default=i)
+        partner[j] = i
+    return partner if sorted(partner[i] for i in up) == low else list(range(len(zs)))
+
+
+def _mirror(disc: list) -> list:
+    return [disc[0], -disc[1], disc[2]]
 
 
 def _disc_radius(factor: int, q: float) -> float:
@@ -221,31 +247,29 @@ def _coarse(disc: list) -> bool:
     return disc[2] > math.ldexp(scale, -GRID_BITS) * FINE
 
 
-def _restart(c, dc, discs, seeds, members, bound: float) -> None:
+def _restart(c, dc, discs, members, bound: float) -> None:
     """Aberth sweeps on the exact grid for one cluster.
 
-    Several members start at their float seeds; where two seeds coincide,
-    on a circle around their mean centre that holds every root (whose
-    moduli are at most ``bound``).  A single member starts at its
-    centre, where the sweeps are Newton steps on p deflated by every other
-    root.  The other discs stay fixed and repel.  A member stops once its
-    Newton quotient is below ``CONVERGED`` (or after ``EXACT_SWEEPS``); its
-    radius is d |p/p'| at that point.
+    Several members start at ``_shifted_starts``, or where two of those
+    coincide on a circle around the cluster that holds every root (of
+    modulus at most ``bound``); a single member at its centre, where the
+    sweeps are Newton steps on p deflated by every other root.  The other
+    discs stay fixed and repel.  A member stops once its Newton quotient is
+    below ``CONVERGED`` (or after ``EXACT_SWEEPS``), its radius d |p/p'| there.
     """
     d, k = len(c) - 1, len(members)
-    starts = [seeds[i][0] for i in members]
-    if k > 1 and len(set(starts)) < k:
-        cr = sum(discs[i][0] for i in members) // k
-        ci = sum(discs[i][1] for i in members) // k
-        centre = complex(math.ldexp(cr, -GRID_BITS), math.ldexp(ci, -GRID_BITS))
-        radius = abs(centre) + bound
-        starts = [centre + cmath.rect(radius, 2 * math.pi * j / k + ANGLE) for j in range(k)]
-    for i, z in zip(members if k > 1 else (), starts):
-        discs[i] = [round(math.ldexp(z.real, GRID_BITS)), round(math.ldexp(z.imag, GRID_BITS)),
-                    math.inf]
+    if k > 1:
+        shift = GRID_BITS - CENTRE_BITS
+        m = [_round_div(sum(discs[i][j] for i in members), k << shift) << shift for j in (0, 1)]
+        starts = _shifted_starts(c, discs, members, m)
+        if len(set(starts)) < k:
+            centre = complex(*(math.ldexp(x, -GRID_BITS) for x in m))
+            starts = _circle_starts(centre, abs(centre) + bound, k)
+        for i, (xr, xi) in zip(members, starts):
+            discs[i] = [xr, xi, math.inf]
+    moving = list(members)
     for sweep in range(EXACT_SWEEPS + 1):
-        moved = False
-        for i in members:
+        for i in list(moving):
             disc = discs[i]
             quotient = _newton_quotient(c, dc, disc[0], disc[1])
             if quotient:
@@ -255,15 +279,34 @@ def _restart(c, dc, discs, seeds, members, bound: float) -> None:
                 q = math.inf
             disc[2] = _disc_radius(d, abs(q))
             if abs(q) <= CONVERGED or sweep == EXACT_SWEEPS:
+                moving.remove(i)  # a point that stays keeps its quotient
                 continue
-            moved = True
             t = (1 / q if quotient else 0j) - sum(
                 1 / g for other in discs if other is not disc and (g := _gap(disc, other)))
             w = 1 / t if t else q
             disc[0] -= round(math.ldexp(w.real, GRID_BITS))
             disc[1] -= round(math.ldexp(w.imag, GRID_BITS))
-        if not moved:
+        if not moving:
             break
+
+
+def _shifted_starts(c, discs, members, m: list[int]) -> list[tuple[int, int]]:
+    """Grid points at the roots float Aberth finds of the exact shift p(m + y)
+    that are left once each other disc has taken the one nearest its centre."""
+    shift = GRID_BITS - CENTRE_BITS
+    shifted = _taylor_shift(c, m[0] >> shift, m[1] >> shift, CENTRE_BITS)
+    ys = [y for y, _ in float_seeds(shifted.complex_coefficients())]
+    for g in [_gap(disc, m) for j, disc in enumerate(discs) if j not in members][:len(ys)]:
+        ys.remove(min(ys, key=lambda y: abs(y - g)))
+    return [(m[0] + yr, m[1] + yi) for yr, yi in map(_grid, ys)]
+
+
+def _circle_starts(centre: complex, radius: float, k: int) -> list[tuple[int, int]]:
+    return [_grid(centre + cmath.rect(radius, 2 * math.pi * j / k + ANGLE)) for j in range(k)]
+
+
+def _grid(z: complex) -> tuple[int, int]:
+    return round(math.ldexp(z.real, GRID_BITS)), round(math.ldexp(z.imag, GRID_BITS))
 
 
 def _snap_real(discs: list[list]) -> None:
@@ -276,8 +319,5 @@ def _snap_real(discs: list[list]) -> None:
     """
     for a in discs:
         h = math.ldexp(abs(a[1]), -GRID_BITS)
-        if not a[1] or h > a[2]:
-            continue
-        mirror = [a[0], -a[1], a[2]]
-        if not any(b is not a and _meet(mirror, b) for b in discs):
+        if a[1] and h <= a[2] and not any(b is not a and _meet(_mirror(a), b) for b in discs):
             a[1], a[2] = 0, math.sqrt(a[2] * a[2] - h * h) * SLACK
